@@ -111,17 +111,12 @@ def _pop_group(pending: list[int], F: np.ndarray, incoming: bool) -> list[int]:
     incoming=False selects members with no outgoing edge to the remaining
     members; incoming=True selects members with no incoming edge from them.
     """
-    group = []
-    for j in pending:
-        others = [k for k in pending if k != j]
-        if incoming:
-            linked = any(F[k, j] > 0 for k in others)
-        else:
-            linked = any(F[j, k] > 0 for k in others)
-        if not linked:
-            group.append(j)
-    for j in group:
-        pending.remove(j)
+    idx = np.array(pending, dtype=int)
+    links = F[idx[:, None], idx] > 0
+    links.flat[::idx.size + 1] = False  # the diagonal: no self-links
+    linked = links.any(axis=0 if incoming else 1)
+    group = [j for j, held in zip(pending, linked) if not held]
+    pending[:] = [j for j, held in zip(pending, linked) if held]
     return group
 
 

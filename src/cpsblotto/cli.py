@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 scenario/validation error, 2 solver regime error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -13,8 +14,8 @@ import sys
 import numpy as np
 
 from . import __version__
-from .model import (GameParams, ScenarioError, ValidationError,
-                    default_nine_node, load_scenario, validate, _parse_scenario)
+from .model import (ScenarioError, ValidationError, default_nine_node,
+                    default_params, load_scenario, validate, _parse_scenario)
 from .metrics import battlefield_values, effect_matrices
 from .equilibrium import (EquilibriumRegimeError, solution_to_json,
                           solve_equilibrium)
@@ -35,27 +36,11 @@ def _load_or_default(args) -> tuple:
         topology, params = load_scenario(args.scenario)
     else:
         topology = default_nine_node()
-        params = None
-    overrides = {}
-    if params is not None:
-        overrides = {"alpha": params.alpha, "beta": params.beta,
-                     "t0": params.t0, "budget_d": params.budget_d,
-                     "budget_a": params.budget_a}
-    else:
-        overrides = {"alpha": 0.3, "beta": 0.7,
-                     "t0": 1.0 / (topology.n - 1) if topology.n > 1 else 0.0,
-                     "budget_d": 2.5, "budget_a": 1.0}
-    if args.alpha is not None:
-        overrides["alpha"] = args.alpha
-    if args.beta is not None:
-        overrides["beta"] = args.beta
-    if args.t0 is not None:
-        overrides["t0"] = args.t0
-    if args.rd is not None:
-        overrides["budget_d"] = args.rd
-    if args.ra is not None:
-        overrides["budget_a"] = args.ra
-    return topology, GameParams(**overrides)
+        params = default_params(topology.n)
+    overrides = {name: value for name, value in (
+        ("alpha", args.alpha), ("beta", args.beta), ("t0", args.t0),
+        ("budget_d", args.rd), ("budget_a", args.ra)) if value is not None}
+    return topology, dataclasses.replace(params, **overrides)
 
 
 def _emit(text: str, out: str | None) -> None:

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .model import (CpsTopology, GameParams, ValidationError,
+from .model import (CpsTopology, ValidationError, default_params,
                     generate_concentric, normalize_weights)
 from .metrics import battlefield_values
 from .equilibrium import (EquilibriumSolution, complete_info_payoffs,
@@ -95,12 +95,8 @@ def flow_capacity_sweep(points: tuple[float, ...] = DEFAULT_SWEEP_POINTS,
     rows = []
     for fill in points:
         topology = generate_concentric(list(levels), flow_fill=fill)
-        if t0 is None:
-            t0_val = 1.0 / (topology.n - 1)
-        else:
-            t0_val = t0
-        params = GameParams(alpha=alpha, beta=beta, t0=t0_val,
-                            budget_d=budget_d, budget_a=budget_a)
+        params = default_params(topology.n, budget_d, budget_a, alpha, beta,
+                                t0)
         values = battlefield_values(topology, params)
         solution = solve_equilibrium(values.defender, values.attacker,
                                      budget_d, budget_a)

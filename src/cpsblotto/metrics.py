@@ -38,29 +38,79 @@ class BattlefieldValues:
 
 
 def all_pairs_shortest_paths(adjacency: np.ndarray,
-                             removed: int | None = None) -> ShortestPathTable:
+                             removed: int | None = None,
+                             base: ShortestPathTable | None = None
+                             ) -> ShortestPathTable:
     """Exact shortest-path lengths between all node pairs.
+
+    With `removed` and `base` given, only the source rows the removal can
+    change are re-solved.  Call an edge (u, k) tight for source j when
+    base[j, u] + A[u, k] == base[j, k] in float64.  Row j is re-solved when
+    some neighbour k of `removed` has `removed` as a tight predecessor and
+    no other tight predecessor strictly closer to j.  Otherwise every node
+    keeps a tight chain back to j that avoids `removed`: a neighbour of
+    `removed` steps to its other tight predecessor, any other node to its
+    parent in the base search, each settled earlier.  Dijkstra's length is
+    the least float sum, taken left to right, over paths, and such a chain
+    already attains the base length, so the row comes back bitwise
+    unchanged.  A tie that exact equality misses only costs a needless
+    re-solve, never a wrong row.
 
     Args:
         adjacency: symmetric weight matrix, 0 meaning no link.
         removed: optional node to exclude; its row/column come back inf.
+        base: the same adjacency's table without a removal; it changes the
+            cost of a removal, never its result.
 
     Returns:
         ShortestPathTable over the full index set.
     """
     A = np.asarray(adjacency, dtype=float)
-    n = A.shape[0]
-    if removed is not None:
-        A = A.copy()
-        A[removed, :] = 0.0
-        A[:, removed] = 0.0
-    dist = shortest_path(csr_matrix(A), method="D", directed=False)
+    if removed is None:
+        dist = shortest_path(csr_matrix(A), method="D", directed=False)
+    elif base is None:
+        dist = shortest_path(_without(A, removed), method="D",
+                             directed=False)
+    else:
+        dist = base.lengths.copy()
+        rows = np.flatnonzero(_rows_through(A, base.lengths, removed))
+        if rows.size:
+            dist[rows] = shortest_path(_without(A, removed), method="D",
+                                       directed=False, indices=rows)
     if removed is not None:
         dist[removed, :] = np.inf
         dist[:, removed] = np.inf
         dist[removed, removed] = 0.0
     reachable = np.isfinite(dist)
     return ShortestPathTable(lengths=dist, reachable=reachable)
+
+
+def _without(A: np.ndarray, removed: int) -> csr_matrix:
+    """The graph of `A` with every link of node `removed` cut."""
+    A = A.copy()
+    A[removed, :] = 0.0
+    A[:, removed] = 0.0
+    return csr_matrix(A)
+
+
+def _rows_through(A: np.ndarray, lengths: np.ndarray,
+                  removed: int) -> np.ndarray:
+    """Sources whose shortest-path rows may change when `removed` goes.
+
+    Marks source j when some neighbour k of `removed` has `removed` as a
+    tight predecessor and no other tight predecessor strictly closer to j.
+    The row of `removed` itself is left unmarked: it comes back all inf.
+    """
+    through = np.zeros(lengths.shape[0], dtype=bool)
+    for k in np.flatnonzero(A[removed] > 0):
+        preds = np.flatnonzero(A[:, k] > 0)
+        via = preds == removed
+        tight = lengths[:, preds] + A[preds, k] == lengths[:, k, None]
+        closer = lengths[:, preds[~via]] < lengths[:, k, None]
+        through |= (tight[:, via].any(axis=1)
+                    & ~(tight[:, ~via] & closer).any(axis=1))
+    through[removed] = False
+    return through
 
 
 def cyber_effect_matrix(topology: CpsTopology, t0: float,
@@ -72,6 +122,13 @@ def cyber_effect_matrix(topology: CpsTopology, t0: float,
     survivors after removing i against the same sums before removal, plus the
     baseline t0.  Pairs disconnected by the removal contribute a fixed
     penalty, by default n times the longest finite base path length.
+
+    Each removal's table is built from the base table, re-solving only the
+    sources for which some neighbour of i has i as its only tight
+    predecessor (see all_pairs_shortest_paths); the other rows are bitwise
+    equal to the base.  A row equal to its base row sums to the same float,
+    so its ratio is exactly 1 and its entry exactly t0; the ratio is
+    computed only for rows that differ.
 
     Args:
         topology: validated topology; its cyber graph must be connected.
@@ -86,7 +143,8 @@ def cyber_effect_matrix(topology: CpsTopology, t0: float,
         ValidationError: the base cyber graph is disconnected.
     """
     n = topology.n
-    base = all_pairs_shortest_paths(topology.cyber_adjacency)
+    adjacency = topology.cyber_adjacency
+    base = all_pairs_shortest_paths(adjacency)
     if not base.reachable.all():
         bad = np.argwhere(~base.reachable)
         raise ValidationError(
@@ -95,19 +153,25 @@ def cyber_effect_matrix(topology: CpsTopology, t0: float,
         longest = base.lengths[np.isfinite(base.lengths)].max() if n > 1 else 0.0
         disconnection_penalty = n * longest
 
-    T = np.zeros((n, n))
+    T = np.full((n, n), t0, dtype=float)
     others = ~np.eye(n, dtype=bool)
     for i in range(n):
-        sub = all_pairs_shortest_paths(topology.cyber_adjacency, removed=i)
-        capped = np.where(np.isfinite(sub.lengths), sub.lengths,
-                          disconnection_penalty)
-        keep = others.copy()
-        keep[:, i] = False
-        num = (capped * keep).sum(axis=1)
-        den = (base.lengths * keep).sum(axis=1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.where(den > 0, num / np.where(den > 0, den, 1.0), 1.0)
-        T[:, i] = ratio - 1.0 + t0
+        sub = all_pairs_shortest_paths(adjacency, removed=i, base=base)
+        differs = sub.lengths != base.lengths
+        differs[:, i] = False
+        changed = np.flatnonzero(differs.any(axis=1))
+        if changed.size:
+            keep = others[changed]
+            keep[:, i] = False
+            lengths = sub.lengths[changed]
+            capped = np.where(np.isfinite(lengths), lengths,
+                              disconnection_penalty)
+            num = (capped * keep).sum(axis=1)
+            den = (base.lengths[changed] * keep).sum(axis=1)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ratio = np.where(den > 0, num / np.where(den > 0, den, 1.0),
+                                 1.0)
+            T[changed, i] = ratio - 1.0 + t0
         T[i, i] = 0.0
     return T
 

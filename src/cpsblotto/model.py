@@ -89,9 +89,18 @@ def default_params(n_nodes: int, budget_d: float = 2.5, budget_a: float = 1.0,
     node pair through the path metric while physical redistribution is local
     (truncated at second-order neighbors), and the heavier cyber weight also
     keeps the layered demo scenario's flow-capacity trend monotone.
+
+    At n = 2 the formula gives 1, outside t0's range [0, 1), so t0 falls
+    back to 0.5.  The choice is immaterial there: with one other node every
+    off-diagonal cyber effect is t0, and the blend divides the cyber matrix
+    by its maximum, so any t0 in (0, 1) yields the same values.  A single
+    node has no cyber effects at all and takes t0 = 0.
     """
     if t0 is None:
-        t0 = 1.0 / (n_nodes - 1) if n_nodes > 1 else 0.0
+        if n_nodes > 2:
+            t0 = 1.0 / (n_nodes - 1)
+        else:
+            t0 = 0.5 if n_nodes == 2 else 0.0
     return GameParams(alpha=alpha, beta=beta, t0=t0,
                       budget_d=budget_d, budget_a=budget_a)
 

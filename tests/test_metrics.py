@@ -6,9 +6,11 @@ import pytest
 from cpsblotto import (ValidationError, all_pairs_shortest_paths,
                        battlefield_values, cyber_effect_matrix,
                        default_nine_node, default_params, effect_matrices,
-                       effective_values, interdependency_matrix,
-                       normalize_weights)
-from _support import cyber_topology, path_adjacency, star_adjacency
+                       effective_values, generate_concentric,
+                       interdependency_matrix, normalize_weights,
+                       solve_equilibrium)
+from _support import (cyber_topology, path_adjacency, random_level_spec,
+                      star_adjacency)
 
 
 def test_shortest_paths_on_a_line():
@@ -76,6 +78,97 @@ def test_custom_disconnection_penalty_scales_the_hit():
     low = cyber_effect_matrix(topo, t0, disconnection_penalty=2.0)
     high = cyber_effect_matrix(topo, t0, disconnection_penalty=20.0)
     assert high[0, 1] > low[0, 1]
+
+
+def _random_connected(rng, n, draw):
+    """Random spanning tree plus ~15% extra links, weights from draw(size)."""
+    links = np.triu(rng.random((n, n)) < 0.15, 1)
+    for k in range(1, n):
+        links[int(rng.integers(0, k)), k] = True
+    W = np.where(links, draw((n, n)), 0.0)
+    return W + W.T
+
+
+def _removal_test_graphs():
+    """Tied unit weights, tied and untied weights, bridges, tiny graphs."""
+    rng = np.random.default_rng(7)
+    graphs = [generate_concentric([(1, 4.0), (4, 2.0), (12, 1.5), (30, 1.0)],
+                                  0.7).cyber_adjacency]
+    graphs += [generate_concentric(random_level_spec(rng), 0.8).cyber_adjacency
+               for _ in range(3)]
+    for _ in range(3):
+        graphs.append(_random_connected(
+            rng, 30, lambda size: rng.integers(1, 4, size).astype(float)))
+        graphs.append(_random_connected(
+            rng, 30, lambda size: rng.uniform(0.5, 2.0, size)))
+    graphs += [path_adjacency(6), star_adjacency(5), path_adjacency(2),
+               path_adjacency(3), np.ones((3, 3)) - np.eye(3)]
+    # Nodes 2 and 3 both hang off node 1 and share a link too light to
+    # change a float sum, so each is a tight predecessor of the other; only
+    # the long detour 0-4-2 survives the removal of node 1.
+    A = np.zeros((5, 5))
+    for a, b, w in ((0, 1, 1.0), (1, 2, 1.0), (1, 3, 1.0), (2, 3, 1e-20),
+                    (0, 4, 5.0), (4, 2, 5.0)):
+        A[a, b] = A[b, a] = w
+    graphs.append(A)
+    return graphs
+
+
+def test_base_table_leaves_removal_tables_unchanged():
+    for A in _removal_test_graphs():
+        base = all_pairs_shortest_paths(A)
+        for i in range(A.shape[0]):
+            fast = all_pairs_shortest_paths(A, removed=i, base=base)
+            full = all_pairs_shortest_paths(A, removed=i)
+            assert np.array_equal(fast.lengths, full.lengths)
+            assert np.array_equal(fast.reachable, full.reachable)
+
+
+def _cyber_effects_from_full_tables(A, t0):
+    """cyber_effect_matrix's definition, one full table per removal."""
+    n = A.shape[0]
+    base = all_pairs_shortest_paths(A).lengths
+    penalty = n * base.max()
+    T = np.zeros((n, n))
+    for i in range(n):
+        sub = all_pairs_shortest_paths(A, removed=i).lengths
+        capped = np.where(np.isfinite(sub), sub, penalty)
+        keep = ~np.eye(n, dtype=bool)
+        keep[:, i] = False
+        num = (capped * keep).sum(axis=1)
+        den = (base * keep).sum(axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = np.where(den > 0, num / np.where(den > 0, den, 1.0), 1.0)
+        T[:, i] = ratio - 1.0 + t0
+        T[i, i] = 0.0
+    return T
+
+
+def test_cyber_effects_match_full_recomputation():
+    for A in _removal_test_graphs():
+        t0 = 1.0 / 7.0
+        expected = _cyber_effects_from_full_tables(A, t0)
+        assert np.array_equal(cyber_effect_matrix(cyber_topology(A), t0),
+                              expected)
+
+
+def test_default_params_solve_tiny_systems():
+    for levels in ([(1, 3.0)], [(1, 3.0), (1, 1.0)], [(1, 3.0), (2, 1.0)],
+                   [(1, 3.0), (1, 2.0), (1, 1.0)]):
+        topology = generate_concentric(levels, 0.7)
+        params = default_params(topology.n)
+        values = battlefield_values(topology, params)
+        solution = solve_equilibrium(values.defender, values.attacker,
+                                     params.budget_d, params.budget_a)
+        assert np.isclose(values.defender.sum(), 1.0)
+        assert solution.payoff_d > 0.0
+    # at n = 2 every off-diagonal cyber effect is t0 and the blend
+    # normalizes it away, so the fallback t0 = 0.5 is as good as any
+    assert default_params(2).t0 == 0.5
+    pair = generate_concentric([(1, 3.0), (1, 1.0)], 0.7)
+    g = [battlefield_values(pair, default_params(2, t0=t0)).defender
+         for t0 in (0.05, 0.5, 0.99)]
+    assert np.array_equal(g[0], g[1]) and np.array_equal(g[1], g[2])
 
 
 def test_interdependency_blend():
