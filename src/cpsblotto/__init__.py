@@ -21,11 +21,9 @@ from .metrics import (BattlefieldValues, EffectMatrices, ShortestPathTable,
                       interdependency_matrix)
 from .equilibrium import (EquilibriumRegimeError, EquilibriumSolution,
                           MarginalDistribution, SingleDependencyReport,
-                          complete_info_payoffs, equilibrium_marginals,
-                          expected_payoffs, single_dependency_case,
+                          complete_info_payoffs, single_dependency_case,
                           solution_document, solution_from_document,
-                          solution_to_json, solve_equilibrium, solve_lambdas,
-                          solve_mu)
+                          solution_to_json, solve_equilibrium)
 from .sampling import (allocation_band_probability, draw_marginals,
                        sample_allocation, sample_allocations)
 from .oracle import (CrossValidationReport, DiscreteGame,
@@ -47,10 +45,9 @@ __all__ = [
     "all_pairs_shortest_paths", "battlefield_values", "cyber_effect_matrix",
     "effect_matrices", "effective_values", "interdependency_matrix",
     "EquilibriumRegimeError", "EquilibriumSolution", "MarginalDistribution",
-    "SingleDependencyReport", "complete_info_payoffs",
-    "equilibrium_marginals", "expected_payoffs", "single_dependency_case",
+    "SingleDependencyReport", "complete_info_payoffs", "single_dependency_case",
     "solution_document", "solution_from_document", "solution_to_json",
-    "solve_equilibrium", "solve_lambdas", "solve_mu",
+    "solve_equilibrium",
     "allocation_band_probability", "draw_marginals", "sample_allocation",
     "sample_allocations",
     "CrossValidationReport", "DiscreteGame", "FictitiousPlayResult",

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import __version__
 from .model import (ScenarioError, ValidationError, default_nine_node,
-                    default_params, load_scenario, validate, _parse_scenario)
+                    default_params, load_scenario, validate, _read_scenario)
 from .metrics import battlefield_values, effect_matrices
 from .equilibrium import (EquilibriumRegimeError, solution_to_json,
                           solve_equilibrium)
@@ -53,12 +53,7 @@ def _emit(text: str, out: str | None) -> None:
 
 def cmd_validate(args) -> int:
     if args.scenario:
-        try:
-            with open(args.scenario, encoding="utf-8") as fh:
-                doc = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ScenarioError(f"cannot parse scenario: {exc}") from exc
-        topology, _ = _parse_scenario(doc)
+        topology, _ = _read_scenario(args.scenario)
     else:
         topology = default_nine_node()
     problems = validate(topology)
@@ -185,7 +180,7 @@ def cmd_oracle(args) -> int:
     report = cross_validate(values.defender, values.attacker,
                             params.budget_d, params.budget_a,
                             grid_units=args.grid_units,
-                            iterations=args.iterations, seed=args.seed)
+                            iterations=args.iterations)
     _emit(json.dumps(report.document(), indent=2), args.out)
     return 0
 

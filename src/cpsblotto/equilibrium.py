@@ -75,7 +75,11 @@ def _check_values(g: np.ndarray, h: np.ndarray, budget_d: float,
     h = np.asarray(h, dtype=float)
     if g.shape != h.shape or g.ndim != 1 or g.size == 0:
         raise ValueError("g and h must be equal-length non-empty vectors")
-    if np.any(g <= 0) or np.any(h <= 0):
+    for name, value in (("g", g), ("h", h), ("R_D", budget_d),
+                        ("R_A", budget_a)):
+        if not np.isfinite(value).all():
+            raise ValueError(f"{name} must be finite")
+    if (g <= 0).any() or (h <= 0).any():
         raise EquilibriumRegimeError("battlefield values must be positive")
     if abs(g.sum() - 1.0) > 1e-6 or abs(h.sum() - 1.0) > 1e-6:
         raise ValueError("g and h must each sum to 1")
@@ -84,22 +88,6 @@ def _check_values(g: np.ndarray, h: np.ndarray, budget_d: float,
     if budget_d < budget_a:
         raise ValueError("defender budget must be >= attacker budget")
     return g, h
-
-
-def _cubic_terms(g: np.ndarray, h: np.ndarray, q: float,
-                 members: np.ndarray) -> tuple[float, float, float, float]:
-    """Coefficients of the partition's multiplier polynomial.
-
-    a mu^3 + b mu^2 + c mu + d = 0 with a, b from the attacker-favored side
-    and c, d from the defender-favored side; q is the budget ratio R_D/R_A.
-    """
-    inside = members
-    outside = ~members
-    a = float((g[inside] ** 2 / h[inside]).sum())
-    b = float(-q * g[inside].sum())
-    c = float(h[outside].sum())
-    d = float(-q * (h[outside] ** 2 / g[outside]).sum())
-    return a, b, c, d
 
 
 def _cubic_value(coeffs: tuple[float, float, float, float],
@@ -151,39 +139,46 @@ def _real_roots(coeffs: tuple[float, float, float, float]) -> list[float]:
     return out
 
 
-def solve_mu(g: np.ndarray, h: np.ndarray, budget_d: float, budget_a: float
-             ) -> tuple[float, frozenset[int]]:
-    """Find the multiplier ratio mu = lambda_A / lambda_D and the partition.
+def _head_sums(x: np.ndarray) -> np.ndarray:
+    """out[s] = x[:s].sum() for s = 0..len(x)."""
+    return np.concatenate(([0.0], np.cumsum(x)))
 
-    Scans every threshold partition of the sorted ratios h_i/g_i and keeps
-    the root of that partition's cubic lying in the partition's consistency
-    interval.  Battlefield i is attacker-favored (in omega_a) exactly when
-    h_i/g_i > mu, with ratio ties resolved to the defender-favored side.
 
-    Returns:
-        (mu, omega_a).
+def _tail_sums(x: np.ndarray) -> np.ndarray:
+    """out[s] = x[s:].sum() for s = 0..len(x), summed from the tail so a
+    small tail keeps its precision."""
+    return np.concatenate((np.cumsum(x[::-1])[::-1], [0.0]))
 
-    Raises:
-        EquilibriumRegimeError: no partition admits a consistent root.
+
+def _scan_partitions(g: np.ndarray, h: np.ndarray, q: float
+                     ) -> tuple[float, np.ndarray]:
+    """The multiplier ratio mu and the attacker-favored mask.
+
+    Scans the threshold partitions of the sorted ratios h_i/g_i, from every
+    battlefield attacker-favored down to none, and keeps the first root of a
+    partition's cubic a mu^3 + b mu^2 + c mu + d = 0 that lies in the
+    partition's consistency interval.  a, b come from the attacker-favored
+    side and c, d from the defender-favored side; all four are read from
+    cumulative sums over the sorted order.
     """
-    g, h = _check_values(g, h, budget_d, budget_a)
     n = g.size
-    q = budget_d / budget_a
     ratios = h / g
     order = np.argsort(ratios, kind="stable")
-    sorted_ratios = ratios[order]
+    sorted_ratios = ratios[order].tolist()
+    gs, hs = g[order], h[order]
+    # Split s puts order[s:] in omega_a and order[:s] on the defender side.
+    coeff_series = list(zip(
+        _tail_sums(gs ** 2 / hs).tolist(), (-q * _tail_sums(gs)).tolist(),
+        _head_sums(hs).tolist(), (-q * _head_sums(hs ** 2 / gs)).tolist()))
 
     for split in range(n, -1, -1):
-        # omega_a holds the (n - split) largest ratios.
-        members = np.zeros(n, dtype=bool)
-        members[order[split:]] = True
-        lo = float(sorted_ratios[split - 1]) if split >= 1 else 0.0
-        hi = float(sorted_ratios[split]) if split < n else np.inf
+        lo = sorted_ratios[split - 1] if split >= 1 else 0.0
+        hi = sorted_ratios[split] if split < n else np.inf
         if split < n and hi <= lo:
             # Tied ratios collapse this interval; the shared boundary value
             # is reachable through the interval that starts at it.
             continue
-        coeffs = _cubic_terms(g, h, q, members)
+        coeffs = coeff_series[split]
         for root in _real_roots(coeffs):
             if root <= 0.0:
                 continue
@@ -197,117 +192,94 @@ def solve_mu(g: np.ndarray, h: np.ndarray, budget_d: float, budget_a: float
             if abs(_cubic_value(coeffs, mu)) > (CUBIC_RESIDUAL_RTOL
                                                 * _cubic_scale(coeffs, mu)):
                 continue
-            induced = ratios > mu
-            if np.array_equal(induced, members):
-                return mu, frozenset(int(i) for i in np.flatnonzero(members))
+            members = np.zeros(n, dtype=bool)
+            members[order[split:]] = True
+            if np.array_equal(ratios > mu, members):
+                return mu, members
     raise EquilibriumRegimeError(
         "no equilibrium in solver's regime: no threshold partition of "
         "h_i/g_i admits a consistent multiplier ratio")
 
 
-def solve_lambdas(mu: float, g: np.ndarray, h: np.ndarray, budget_d: float,
-                  budget_a: float, omega_a: frozenset[int]
-                  ) -> tuple[float, float]:
-    """Recover (lambda_d, lambda_a) from mu via the attacker budget identity.
+def solve_equilibrium(g: np.ndarray, h: np.ndarray, budget_d: float,
+                      budget_a: float) -> EquilibriumSolution:
+    """Analytic solution: partition, multipliers, marginals, payoffs.
 
-    The defender identity then holds automatically to the accuracy of the
-    cubic root; it is re-checked at BUDGET_IDENTITY_RTOL.
+    Battlefield i is attacker-favored (in omega_a) exactly when h_i/g_i
+    exceeds mu = lambda_A / lambda_D, with ratio ties resolved to the
+    defender-favored side.  The solver scans every threshold partition of
+    the sorted ratios once, reading each partition's cubic in mu from
+    prefix sums, and keeps the root that is consistent with its partition.
+
+    lambda_D follows from the attacker budget identity; the defender
+    identity then holds to the accuracy of the cubic root and is re-checked
+    at BUDGET_IDENTITY_RTOL.  Defender-favored battlefields: defender
+    uniform on [0, h_i/lambda_a], attacker atom 1 - h_i/(g_i mu) plus a
+    uniform part on the same support.  Attacker-favored battlefields mirror
+    the roles with support g_i/lambda_d.  The attacker wins a
+    defender-favored battlefield with probability h_i / (2 g_i mu); the
+    defender wins an attacker-favored one with probability g_i mu / (2 h_i).
+    Ties carry zero probability mass.
+
+    Raises:
+        ValueError: g, h or a budget is malformed or non-finite.
+        EquilibriumRegimeError: a value is non-positive, no partition admits
+            a consistent root, a budget identity fails, or an atom mass
+            falls outside [0, 1].
     """
     g, h = _check_values(g, h, budget_d, budget_a)
-    members = np.zeros(g.size, dtype=bool)
-    members[list(omega_a)] = True
+    q = budget_d / budget_a
+    mu, members = _scan_partitions(g, h, q)
     outside = ~members
-    spend_a = (g[members].sum() / 2.0
-               + (h[outside] ** 2 / g[outside]).sum() / (2.0 * mu ** 2))
+
+    # Masked sums over the chosen partition, recomputed independently of the
+    # scan's prefix sums: they give the reported residual and the lambdas.
+    sum_g_in = g[members].sum()
+    sum_sq_in = (g[members] ** 2 / h[members]).sum()
+    sum_h_out = h[outside].sum()
+    sum_sq_out = (h[outside] ** 2 / g[outside]).sum()
+    coeffs = (float(sum_sq_in), float(-q * sum_g_in), float(sum_h_out),
+              float(-q * sum_sq_out))
+    residual = abs(_cubic_value(coeffs, mu)) / _cubic_scale(coeffs, mu)
+
+    spend_a = sum_g_in / 2.0 + sum_sq_out / (2.0 * mu ** 2)
     lambda_d = spend_a / budget_a
     lambda_a = mu * lambda_d
-    spend_d = (mu * (g[members] ** 2 / h[members]).sum() / 2.0
-               + h[outside].sum() / (2.0 * mu))
+    spend_d = mu * sum_sq_in / 2.0 + sum_h_out / (2.0 * mu)
     if abs(spend_d / lambda_d - budget_d) > BUDGET_IDENTITY_RTOL * budget_d:
         raise EquilibriumRegimeError(
             "budget identities are inconsistent at the computed multiplier")
-    return lambda_d, lambda_a
 
+    # One player per battlefield has an atom at zero: the defender on
+    # attacker-favored battlefields, the attacker everywhere else.
+    upper = np.where(members, g / lambda_d, h / lambda_a)
+    atom = np.where(members, 1.0 - g * mu / h, 1.0 - h / (g * mu))
+    bad = np.flatnonzero((atom < -1e-12) | (atom > 1.0 + 1e-12))
+    if bad.size:
+        raise EquilibriumRegimeError(
+            f"atom mass {atom[bad[0]]} outside [0, 1] on battlefield {bad[0]}")
+    rows = list(enumerate(zip(np.clip(atom, 0.0, 1.0).tolist(),
+                              upper.tolist(), members.tolist())))
+    marginals_d = tuple(
+        MarginalDistribution(battlefield=i, owner="defender",
+                             atom_at_zero=a if inside else 0.0,
+                             support_upper=up)
+        for i, (a, up, inside) in rows)
+    marginals_a = tuple(
+        MarginalDistribution(battlefield=i, owner="attacker",
+                             atom_at_zero=0.0 if inside else a,
+                             support_upper=up)
+        for i, (a, up, inside) in rows)
 
-def equilibrium_marginals(mu: float, lambda_d: float, lambda_a: float,
-                          g: np.ndarray, h: np.ndarray,
-                          omega_a: frozenset[int]
-                          ) -> tuple[tuple[MarginalDistribution, ...],
-                                     tuple[MarginalDistribution, ...]]:
-    """Per-battlefield equilibrium marginals for both players.
-
-    Defender-favored battlefields: defender uniform on [0, h_i/lambda_a],
-    attacker atom 1 - h_i/(g_i mu) plus a uniform part on the same support.
-    Attacker-favored battlefields mirror the roles with support g_i/lambda_d.
-
-    Raises:
-        EquilibriumRegimeError: an atom mass falls outside [0, 1], which
-            signals an inconsistent partition.
-    """
-    marginals_d = []
-    marginals_a = []
-    for i in range(g.size):
-        if i in omega_a:
-            upper = g[i] / lambda_d
-            atom_d = 1.0 - g[i] * mu / h[i]
-            atom_a = 0.0
-        else:
-            upper = h[i] / lambda_a
-            atom_d = 0.0
-            atom_a = 1.0 - h[i] / (g[i] * mu)
-        for atom in (atom_d, atom_a):
-            if atom < -1e-12 or atom > 1.0 + 1e-12:
-                raise EquilibriumRegimeError(
-                    f"atom mass {atom} outside [0, 1] on battlefield {i}")
-        marginals_d.append(MarginalDistribution(
-            battlefield=i, owner="defender",
-            atom_at_zero=min(max(atom_d, 0.0), 1.0),
-            support_upper=float(upper)))
-        marginals_a.append(MarginalDistribution(
-            battlefield=i, owner="attacker",
-            atom_at_zero=min(max(atom_a, 0.0), 1.0),
-            support_upper=float(upper)))
-    return tuple(marginals_d), tuple(marginals_a)
-
-
-def expected_payoffs(mu: float, g: np.ndarray, h: np.ndarray,
-                     omega_a: frozenset[int]) -> tuple[float, float]:
-    """Expected payoffs by integrating the win probabilities.
-
-    On defender-favored battlefield i the attacker wins with probability
-    h_i / (2 g_i mu); attacker-favored battlefields mirror to a defender win
-    probability of g_i mu / (2 h_i).  Ties carry zero probability mass.
-    """
-    g = np.asarray(g, dtype=float)
-    h = np.asarray(h, dtype=float)
-    members = np.zeros(g.size, dtype=bool)
-    members[list(omega_a)] = True
-    p_attacker_wins = np.where(members,
-                               1.0 - g * mu / (2.0 * h),
+    p_attacker_wins = np.where(members, 1.0 - g * mu / (2.0 * h),
                                h / (2.0 * g * mu))
-    p_defender_wins = 1.0 - p_attacker_wins
-    payoff_d = float((g * p_defender_wins).sum())
-    payoff_a = float((h * p_attacker_wins).sum())
-    return payoff_d, payoff_a
-
-
-def solve_equilibrium(g: np.ndarray, h: np.ndarray, budget_d: float,
-                      budget_a: float) -> EquilibriumSolution:
-    """End-to-end analytic solution: partition, multipliers, marginals, payoffs."""
-    g, h = _check_values(g, h, budget_d, budget_a)
-    mu, omega_a = solve_mu(g, h, budget_d, budget_a)
-    lambda_d, lambda_a = solve_lambdas(mu, g, h, budget_d, budget_a, omega_a)
-    marginals_d, marginals_a = equilibrium_marginals(
-        mu, lambda_d, lambda_a, g, h, omega_a)
-    payoff_d, payoff_a = expected_payoffs(mu, g, h, omega_a)
-    members = np.zeros(g.size, dtype=bool)
-    members[list(omega_a)] = True
-    coeffs = _cubic_terms(g, h, budget_d / budget_a, members)
-    residual = abs(_cubic_value(coeffs, mu)) / _cubic_scale(coeffs, mu)
     return EquilibriumSolution(
         mu=float(mu), lambda_d=float(lambda_d), lambda_a=float(lambda_a),
-        omega_a=omega_a, marginals_d=marginals_d, marginals_a=marginals_a,
-        payoff_d=payoff_d, payoff_a=payoff_a, cubic_residual=float(residual))
+        omega_a=frozenset(np.flatnonzero(members).tolist()),
+        marginals_d=marginals_d, marginals_a=marginals_a,
+        payoff_d=float((g * (1.0 - p_attacker_wins)).sum()),
+        payoff_a=float((h * p_attacker_wins).sum()),
+        cubic_residual=float(residual))
 
 
 def complete_info_payoffs(budget_d: float, budget_a: float

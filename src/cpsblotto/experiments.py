@@ -105,6 +105,25 @@ def flow_capacity_sweep(points: tuple[float, ...] = DEFAULT_SWEEP_POINTS,
     return rows
 
 
+def _symmetry_path(h: np.ndarray, points: tuple[float, ...],
+                   g_base: np.ndarray | None
+                   ) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Normalized h and the defender values g(theta) at each sweep point.
+
+    g(theta) = (1 - theta) * g_base + theta * uniform, g_base defaulting to h.
+    """
+    SweepSpec(kind="symmetry", points=tuple(points))
+    h = normalize_weights(np.asarray(h, dtype=float))
+    if g_base is None:
+        g_base = h
+    else:
+        g_base = normalize_weights(np.asarray(g_base, dtype=float))
+        if g_base.shape != h.shape:
+            raise ValueError("g_base must have the same length as h")
+    uniform = np.full(h.size, 1.0 / h.size)
+    return h, [(1.0 - theta) * g_base + theta * uniform for theta in points]
+
+
 def symmetry_sweep(h: np.ndarray,
                    points: tuple[float, ...] = DEFAULT_SWEEP_POINTS,
                    budget_d: float = 2.5, budget_a: float = 1.0,
@@ -123,18 +142,9 @@ def symmetry_sweep(h: np.ndarray,
         Rows (theta, deviation of g, defender ratio, attacker ratio),
         ordered by theta ascending.
     """
-    SweepSpec(kind="symmetry", points=tuple(points))
-    h = normalize_weights(np.asarray(h, dtype=float))
-    if g_base is None:
-        g_base = h
-    else:
-        g_base = normalize_weights(np.asarray(g_base, dtype=float))
-        if g_base.shape != h.shape:
-            raise ValueError("g_base must have the same length as h")
-    uniform = np.full(h.size, 1.0 / h.size)
+    h, path = _symmetry_path(h, points, g_base)
     rows = []
-    for theta in points:
-        g = (1.0 - theta) * g_base + theta * uniform
+    for theta, g in zip(points, path):
         solution = solve_equilibrium(g, h, budget_d, budget_a)
         ratio_d, ratio_a = _payoff_ratios(solution, budget_d, budget_a)
         rows.append((float(theta), float(g.std()), ratio_d, ratio_a))
@@ -159,18 +169,9 @@ def band_probability_table(h: np.ndarray, node_ids: tuple[int, ...],
     Returns:
         Rows (theta, deviation of g, node, owner, share, probability).
     """
-    SweepSpec(kind="symmetry", points=tuple(points))
-    h = normalize_weights(np.asarray(h, dtype=float))
-    if g_base is None:
-        g_base = h
-    else:
-        g_base = normalize_weights(np.asarray(g_base, dtype=float))
-        if g_base.shape != h.shape:
-            raise ValueError("g_base must have the same length as h")
-    uniform = np.full(h.size, 1.0 / h.size)
+    h, path = _symmetry_path(h, points, g_base)
     rows = []
-    for index, theta in enumerate(points):
-        g = (1.0 - theta) * g_base + theta * uniform
+    for index, (theta, g) in enumerate(zip(points, path)):
         solution = solve_equilibrium(g, h, budget_d, budget_a)
         deviation = float(g.std())
         for node in node_ids:

@@ -333,6 +333,16 @@ def _parse_scenario(doc: dict) -> tuple[CpsTopology, GameParams]:
                        cyber_adjacency=A), params
 
 
+def _read_scenario(path: str) -> tuple[CpsTopology, GameParams]:
+    """Parse a scenario file without checking the structural invariants."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ScenarioError(f"cannot parse scenario {path}: {exc}") from exc
+    return _parse_scenario(doc)
+
+
 def load_scenario(path: str) -> tuple[CpsTopology, GameParams]:
     """Load and validate a scenario file.
 
@@ -347,12 +357,7 @@ def load_scenario(path: str) -> tuple[CpsTopology, GameParams]:
         ScenarioError: the file is not valid JSON or not schema-conformant.
         ValidationError: the parsed topology violates a structural invariant.
     """
-    try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ScenarioError(f"cannot parse scenario {path}: {exc}") from exc
-    topology, params = _parse_scenario(doc)
+    topology, params = _read_scenario(path)
     problems = validate(topology)
     if problems:
         raise ValidationError("; ".join(problems))

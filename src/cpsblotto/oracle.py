@@ -91,18 +91,17 @@ class FictitiousPlayResult:
     convergence_gap: float
 
 
-def fictitious_play(game: DiscreteGame, iterations: int = 40_000,
-                    seed: int | None = 0) -> FictitiousPlayResult:
+def fictitious_play(game: DiscreteGame, iterations: int = 40_000
+                    ) -> FictitiousPlayResult:
     """Simultaneous fictitious play with uniform initial beliefs.
 
     Both players best-respond to the opponent's empirical mixture (seeded
     with one uniform pseudo-observation); best-response ties break toward the
-    lower lexicographic strategy.  The run is fully deterministic; `seed` is
-    accepted for interface stability only.  Convergence is judged by the
-    maximum change of the time-averaged payoffs over the last 10% of
-    iterations; a gap above CONVERGENCE_GAP is reported, not fatal.
+    lower lexicographic strategy, so the run is fully deterministic.
+    Convergence is judged by the maximum change of the time-averaged payoffs
+    over the last 10% of iterations; a gap above CONVERGENCE_GAP is
+    reported, not fatal.
     """
-    del seed
     if iterations < 10:
         raise ValueError("iterations must be at least 10")
     U_d, U_a = game.payoff_matrices()
@@ -168,8 +167,7 @@ class CrossValidationReport:
 
 def cross_validate(g: np.ndarray, h: np.ndarray, budget_d: float,
                    budget_a: float, grid_units: int = 25,
-                   iterations: int = 60_000, seed: int | None = 0
-                   ) -> CrossValidationReport:
+                   iterations: int = 60_000) -> CrossValidationReport:
     """Compare analytic payoffs against the discrete fictitious-play oracle.
 
     The attacker budget maps to `grid_units` integer units and the defender
@@ -190,7 +188,7 @@ def cross_validate(g: np.ndarray, h: np.ndarray, budget_d: float,
     analytic = solve_equilibrium(g, h, float(units_d), float(units_a))
     game = DiscreteGame(values_d=g, values_a=h,
                         units_d=units_d, units_a=units_a)
-    played = fictitious_play(game, iterations=iterations, seed=seed)
+    played = fictitious_play(game, iterations=iterations)
     return CrossValidationReport(
         analytic_payoff_d=analytic.payoff_d,
         analytic_payoff_a=analytic.payoff_a,

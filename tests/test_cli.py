@@ -43,6 +43,11 @@ def test_missing_scenario_file_is_exit_one(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_solve_rejects_nan_budget(capsys):
+    assert main(["solve", "--rd", "nan"]) == 1
+    assert capsys.readouterr().err == "error: R_D must be finite\n"
+
+
 def test_effects_writes_four_csv_files(tmp_path, capsys):
     out_dir = tmp_path / "effects"
     assert main(["effects", "--out", str(out_dir)]) == 0

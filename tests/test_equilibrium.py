@@ -8,8 +8,9 @@ import pytest
 from cpsblotto import (EquilibriumRegimeError, complete_info_payoffs,
                        normalize_weights, single_dependency_case,
                        solution_document, solution_from_document,
-                       solution_to_json, solve_equilibrium, solve_lambdas,
-                       solve_mu)
+                       solution_to_json, solve_equilibrium)
+from cpsblotto.equilibrium import (CUBIC_RESIDUAL_RTOL, _cubic_scale,
+                                   _cubic_value, _polish_root, _real_roots)
 
 UNIFORM4 = np.full(4, 0.25)
 
@@ -107,15 +108,87 @@ def test_cubic_residual_against_independent_recompute():
     assert checked >= 25
 
 
-def test_solve_mu_and_lambdas_compose():
-    g = np.array([0.5, 0.3, 0.2])
-    h = np.array([0.3, 0.4, 0.3])
-    mu, omega = solve_mu(g, h, 2.0, 1.0)
-    lambda_d, lambda_a = solve_lambdas(mu, g, h, 2.0, 1.0, omega)
-    assert abs(lambda_a / lambda_d - mu) < 1e-12
-    sol = solve_equilibrium(g, h, 2.0, 1.0)
-    assert sol.mu == mu and sol.omega_a == omega
-    assert sol.lambda_d == lambda_d and sol.lambda_a == lambda_a
+def _masked_scan_reference(g, h, q):
+    """The per-partition scan that re-sums each partition's cubic over a
+    fresh mask; returns (mu, mask, lambda_d, lambda_a, payoff_d, payoff_a),
+    with the budget normalized to R_A = 1."""
+    n = g.size
+    ratios = h / g
+    order = np.argsort(ratios, kind="stable")
+    sorted_ratios = ratios[order]
+    for split in range(n, -1, -1):
+        inside = np.zeros(n, dtype=bool)
+        inside[order[split:]] = True
+        outside = ~inside
+        lo = float(sorted_ratios[split - 1]) if split >= 1 else 0.0
+        hi = float(sorted_ratios[split]) if split < n else np.inf
+        if split < n and hi <= lo:
+            continue
+        coeffs = (float((g[inside] ** 2 / h[inside]).sum()),
+                  float(-q * g[inside].sum()),
+                  float(h[outside].sum()),
+                  float(-q * (h[outside] ** 2 / g[outside]).sum()))
+        for root in _real_roots(coeffs):
+            if root <= 0.0:
+                continue
+            mu = _polish_root(coeffs, root,
+                              max(lo, np.nextafter(0.0, 1.0)), hi)
+            if not (lo <= mu < hi) or mu <= 0.0:
+                continue
+            if abs(_cubic_value(coeffs, mu)) > (CUBIC_RESIDUAL_RTOL
+                                                * _cubic_scale(coeffs, mu)):
+                continue
+            if not np.array_equal(ratios > mu, inside):
+                continue
+            lambda_d = (g[inside].sum() / 2.0
+                        + (h[outside] ** 2 / g[outside]).sum()
+                        / (2.0 * mu ** 2))
+            p_attacker = np.where(inside, 1.0 - g * mu / (2.0 * h),
+                                  h / (2.0 * g * mu))
+            return (mu, inside, lambda_d, mu * lambda_d,
+                    float((g * (1.0 - p_attacker)).sum()),
+                    float((h * p_attacker).sum()))
+    return None
+
+
+def _scan_cases():
+    rng = np.random.default_rng(20261018)
+    for n in (1, 2, 3, 9, 50, 500):
+        for dispersion in (0.3, 1.0, 10.0):
+            for _ in range(3):
+                alpha = np.full(n, dispersion)
+                g = normalize_weights(rng.dirichlet(alpha))
+                h = normalize_weights(rng.dirichlet(alpha))
+                yield g, h, float(rng.uniform(1.0, 4.0))
+    for n in (2, 3, 9, 50, 500):
+        for _ in range(4):
+            # Repeated values give repeated ratios; g permutes h on the moved
+            # entries and equals it everywhere else.
+            h = normalize_weights(rng.choice([1.0, 2.0, 8.0], size=n))
+            g = h.copy()
+            moved = np.flatnonzero(rng.random(n) < 0.5)
+            g[moved] = h[rng.permutation(moved)]
+            yield g, h, float(rng.uniform(1.0, 4.0))
+
+
+def test_prefix_sum_scan_matches_masked_reference():
+    solved = 0
+    for g, h, q in _scan_cases():
+        expected = _masked_scan_reference(g, h, q)
+        if expected is None:
+            with pytest.raises(EquilibriumRegimeError):
+                solve_equilibrium(g, h, q, 1.0)
+            continue
+        mu, inside, lambda_d, lambda_a, payoff_d, payoff_a = expected
+        sol = solve_equilibrium(g, h, q, 1.0)
+        assert sol.omega_a == frozenset(np.flatnonzero(inside).tolist())
+        for got, want in ((sol.mu, mu), (sol.lambda_d, lambda_d),
+                          (sol.lambda_a, lambda_a), (sol.payoff_d, payoff_d),
+                          (sol.payoff_a, payoff_a)):
+            assert abs(got - want) <= 1e-12 * abs(want)
+        assert abs(sol.lambda_a / sol.lambda_d - sol.mu) <= 1e-12 * sol.mu
+        solved += 1
+    assert solved >= 60
 
 
 def test_input_validation():
@@ -127,6 +200,19 @@ def test_input_validation():
         solve_equilibrium([0.5, 0.5], [0.5, 0.5], 1.0, 2.0)  # R_D < R_A
     with pytest.raises(ValueError):
         solve_equilibrium([0.5, 0.5], [0.5, 0.5], -1.0, -2.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("name", ["g", "h", "R_D", "R_A"])
+def test_non_finite_input_is_named(name, bad):
+    args = {"g": np.array([0.5, 0.5]), "h": np.array([0.5, 0.5]),
+            "R_D": 2.0, "R_A": 1.0}
+    if name in ("g", "h"):
+        args[name][0] = bad
+    else:
+        args[name] = bad
+    with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+        solve_equilibrium(args["g"], args["h"], args["R_D"], args["R_A"])
 
 
 def test_single_dependency_closed_forms():
