@@ -15,8 +15,9 @@ import numpy as np
 
 from . import __version__
 from .model import (ScenarioError, ValidationError, default_nine_node,
-                    default_params, load_scenario, validate, _read_scenario)
-from .metrics import battlefield_values, effect_matrices
+                    default_params, load_scenario, validate, _read_json,
+                    _read_scenario)
+from .metrics import battlefield_values, effect_matrices, effective_values
 from .equilibrium import (EquilibriumRegimeError, solution_to_json,
                           solve_equilibrium)
 from .oracle import cross_validate
@@ -69,7 +70,8 @@ def cmd_validate(args) -> int:
 def cmd_effects(args) -> int:
     topology, params = _load_or_default(args)
     matrices = effect_matrices(topology, params)
-    values = battlefield_values(topology, params)
+    defender = effective_values(topology.human_interaction,
+                                matrices.interdependency)
     out_dir = args.out or "effects_out"
     os.makedirs(out_dir, exist_ok=True)
     for name, matrix in (("physical_effects", matrices.physical),
@@ -79,7 +81,7 @@ def cmd_effects(args) -> int:
                   ["node_j", "failed_node_i", "value"],
                   matrix_rows(matrix), units="dimensionless fractions")
     write_csv(os.path.join(out_dir, "defender_values.csv"),
-              ["node", "value"], vector_rows(values.defender),
+              ["node", "value"], vector_rows(defender),
               units="dimensionless, sums to 1")
     print(f"wrote effects tables to {out_dir}/")
     return 0
@@ -98,11 +100,7 @@ def cmd_table1(args) -> int:
     if not args.scenario:
         raise ScenarioError("table1 requires --scenario pointing to a JSON "
                             "file with keys 'h' and 'g_columns'")
-    try:
-        with open(args.scenario, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ScenarioError(f"cannot parse table file: {exc}") from exc
+    doc = _read_json(args.scenario, "table file")
     if set(doc) != {"h", "g_columns"}:
         raise ScenarioError("table file must hold exactly 'h' and 'g_columns'")
     h = np.asarray(doc["h"], dtype=float)

@@ -16,12 +16,17 @@ threshold partitions of the sorted ratios h_i/g_i.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 CUBIC_RESIDUAL_RTOL = 1e-10
 BUDGET_IDENTITY_RTOL = 1e-9
+# The bracket screen keeps a split whose smallest |cubic| on its interval is
+# within this multiple of the residual gate; the slack dwarfs the rounding
+# of the screen's own evaluations.
+_SCREEN_MARGIN = 1e3
 
 
 class EquilibriumRegimeError(RuntimeError):
@@ -98,8 +103,24 @@ def _cubic_value(coeffs: tuple[float, float, float, float],
 
 def _cubic_scale(coeffs: tuple[float, float, float, float],
                  mu: float) -> float:
+    """The largest term of the cubic at mu; inf when a term overflows."""
     a, b, c, d = coeffs
-    return max(abs(a * mu ** 3), abs(b * mu ** 2), abs(c * mu), abs(d), 1e-300)
+    try:
+        return max(abs(a * mu ** 3), abs(b * mu ** 2), abs(c * mu), abs(d),
+                   1e-300)
+    except OverflowError:
+        return math.inf
+
+
+def _passes_residual_gate(coeffs: tuple[float, float, float, float],
+                          mu: float) -> bool:
+    """Whether mu is a genuine root of the cubic, relative to its terms.
+
+    A root whose terms overflow fails: its residual cannot be measured.
+    """
+    scale = _cubic_scale(coeffs, mu)
+    return (scale < math.inf and abs(_cubic_value(coeffs, mu))
+            <= CUBIC_RESIDUAL_RTOL * scale)
 
 
 def _polish_root(coeffs: tuple[float, float, float, float], mu: float,
@@ -131,7 +152,13 @@ def _real_roots(coeffs: tuple[float, float, float, float]) -> list[float]:
     poly = poly[nonzero[0]:]
     if poly.size == 1:
         return []
-    roots = np.roots(poly)
+    with np.errstate(over="ignore"):
+        try:
+            roots = np.roots(poly)
+        except np.linalg.LinAlgError:
+            # Dividing by a vanishing leading coefficient overflowed the
+            # companion matrix, so no root of this cubic can be measured.
+            return []
     out = []
     for root in roots:
         if abs(root.imag) < 1e-9 * max(1.0, abs(root.real)):
@@ -150,35 +177,82 @@ def _tail_sums(x: np.ndarray) -> np.ndarray:
     return np.concatenate((np.cumsum(x[::-1])[::-1], [0.0]))
 
 
+def _screen_inner_splits(a: np.ndarray, b: np.ndarray, c: np.ndarray,
+                         d: np.ndarray, sorted_ratios: np.ndarray
+                         ) -> np.ndarray:
+    """Flags the inner splits s = 1..n-1 (entry s - 1) whose consistency
+    interval [lo, hi] = [sorted_ratios[s-1], sorted_ratios[s]] can hold a
+    root of the split's cubic p that passes the residual gate.
+
+    An accepted mu lies in [lo, hi) with |p(mu)| <= rtol * scale(mu), and
+    every term of the scale grows with mu > 0, so scale(mu) <= scale(hi).
+    Where p keeps its sign on [lo, hi], the smallest |p| lies at an end or
+    at a critical point.  A split is dropped only when p keeps one sign at
+    both ends and at its critical points clipped into [lo, hi], all of
+    those values are finite, and the smallest exceeds _SCREEN_MARGIN times
+    rtol * scale(hi).
+    """
+    a, b, c, d = a[1:-1], b[1:-1], c[1:-1], d[1:-1]
+    lo, hi = sorted_ratios[:-1], sorted_ratios[1:]
+    with np.errstate(all="ignore"):
+        # Roots of p' = 3a x^2 + 2b x + c in the cancellation-free form
+        # (b = -q * sum g <= 0); where p' has no real roots these are two
+        # more points of the interval, which only add to the check.
+        big = np.sqrt(np.maximum(b * b - 3.0 * a * c, 0.0)) - b
+        points = np.stack((lo, hi, np.clip(big / (3.0 * a), lo, hi),
+                           np.clip(c / big, lo, hi)))
+        values = ((a * points + b) * points + c) * points + d
+        scale = np.maximum.reduce((np.abs(a) * hi ** 3, np.abs(b) * hi ** 2,
+                                   np.abs(c) * hi, np.abs(d),
+                                   np.full(hi.shape, 1e-300)))
+        finite = np.isfinite(values).all(axis=0) & np.isfinite(scale)
+        crosses = (values.min(axis=0) <= 0.0) & (values.max(axis=0) >= 0.0)
+        near = (np.abs(values).min(axis=0)
+                <= _SCREEN_MARGIN * CUBIC_RESIDUAL_RTOL * scale)
+    return ~finite | crosses | near
+
+
+def _scan_order(series: np.ndarray, sorted_ratios: np.ndarray):
+    """Splits in scan order: n, then the inner splits the bracket screen
+    keeps, from the top down, then 0.  The screen runs only once split n
+    has failed."""
+    n = sorted_ratios.size
+    yield n
+    kept = np.flatnonzero(_screen_inner_splits(*series, sorted_ratios)) + 1
+    yield from kept[::-1].tolist()
+    yield 0
+
+
 def _scan_partitions(g: np.ndarray, h: np.ndarray, q: float
                      ) -> tuple[float, np.ndarray]:
     """The multiplier ratio mu and the attacker-favored mask.
 
     Scans the threshold partitions of the sorted ratios h_i/g_i, from every
-    battlefield attacker-favored down to none, and keeps the first root of a
-    partition's cubic a mu^3 + b mu^2 + c mu + d = 0 that lies in the
-    partition's consistency interval.  a, b come from the attacker-favored
-    side and c, d from the defender-favored side; all four are read from
-    cumulative sums over the sorted order.
+    battlefield defender-favored (split n) to every battlefield
+    attacker-favored (split 0), and keeps the first root of a partition's
+    cubic a mu^3 + b mu^2 + c mu + d = 0 that lies in the partition's
+    consistency interval.  a, b come from the attacker-favored side and
+    c, d from the defender-favored side; all four are read from cumulative
+    sums over the sorted order.  Inner splits whose interval cannot hold a
+    gate-passing root are screened out before any root solve.
     """
     n = g.size
     ratios = h / g
     order = np.argsort(ratios, kind="stable")
-    sorted_ratios = ratios[order].tolist()
+    sorted_ratios = ratios[order]
     gs, hs = g[order], h[order]
     # Split s puts order[s:] in omega_a and order[:s] on the defender side.
-    coeff_series = list(zip(
-        _tail_sums(gs ** 2 / hs).tolist(), (-q * _tail_sums(gs)).tolist(),
-        _head_sums(hs).tolist(), (-q * _head_sums(hs ** 2 / gs)).tolist()))
+    series = np.stack((_tail_sums(gs ** 2 / hs), -q * _tail_sums(gs),
+                       _head_sums(hs), -q * _head_sums(hs ** 2 / gs)))
 
-    for split in range(n, -1, -1):
-        lo = sorted_ratios[split - 1] if split >= 1 else 0.0
-        hi = sorted_ratios[split] if split < n else np.inf
+    for split in _scan_order(series, sorted_ratios):
+        lo = float(sorted_ratios[split - 1]) if split >= 1 else 0.0
+        hi = float(sorted_ratios[split]) if split < n else np.inf
         if split < n and hi <= lo:
             # Tied ratios collapse this interval; the shared boundary value
             # is reachable through the interval that starts at it.
             continue
-        coeffs = coeff_series[split]
+        coeffs = tuple(series[:, split].tolist())
         for root in _real_roots(coeffs):
             if root <= 0.0:
                 continue
@@ -189,8 +263,7 @@ def _scan_partitions(g: np.ndarray, h: np.ndarray, q: float
             # Polishing clamps into the interval, so a root belonging to a
             # different partition can land on the boundary; only a genuine
             # root of this partition's cubic counts.
-            if abs(_cubic_value(coeffs, mu)) > (CUBIC_RESIDUAL_RTOL
-                                                * _cubic_scale(coeffs, mu)):
+            if not _passes_residual_gate(coeffs, mu):
                 continue
             members = np.zeros(n, dtype=bool)
             members[order[split:]] = True
@@ -207,9 +280,11 @@ def solve_equilibrium(g: np.ndarray, h: np.ndarray, budget_d: float,
 
     Battlefield i is attacker-favored (in omega_a) exactly when h_i/g_i
     exceeds mu = lambda_A / lambda_D, with ratio ties resolved to the
-    defender-favored side.  The solver scans every threshold partition of
+    defender-favored side.  The solver scans the threshold partitions of
     the sorted ratios once, reading each partition's cubic in mu from
-    prefix sums, and keeps the root that is consistent with its partition.
+    prefix sums, solves the cubic only where a closed-form bracket screen
+    shows that the partition's interval can hold a root, and keeps the root
+    that is consistent with its partition.
 
     lambda_D follows from the attacker budget identity; the defender
     identity then holds to the accuracy of the cubic root and is re-checked

@@ -333,14 +333,18 @@ def _parse_scenario(doc: dict) -> tuple[CpsTopology, GameParams]:
                        cyber_adjacency=A), params
 
 
-def _read_scenario(path: str) -> tuple[CpsTopology, GameParams]:
-    """Parse a scenario file without checking the structural invariants."""
+def _read_json(path: str, what: str):
+    """The JSON document in a UTF-8 file; ScenarioError names the path."""
     try:
         with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
+            return json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        raise ScenarioError(f"cannot parse scenario {path}: {exc}") from exc
-    return _parse_scenario(doc)
+        raise ScenarioError(f"cannot parse {what} {path}: {exc}") from exc
+
+
+def _read_scenario(path: str) -> tuple[CpsTopology, GameParams]:
+    """Parse a scenario file without checking the structural invariants."""
+    return _parse_scenario(_read_json(path, "scenario"))
 
 
 def load_scenario(path: str) -> tuple[CpsTopology, GameParams]:

@@ -5,8 +5,9 @@ import json
 import numpy as np
 import pytest
 
-from cpsblotto import (EquilibriumRegimeError, default_params,
-                       generate_concentric, save_scenario)
+from cpsblotto import (EquilibriumRegimeError, battlefield_values,
+                       default_nine_node, default_params,
+                       generate_concentric, metrics, save_scenario)
 from cpsblotto.cli import main
 from cpsblotto.model import scenario_document
 from _support import TABLE_CASES, TABLE_H
@@ -96,6 +97,50 @@ def test_table1_requires_a_well_formed_file(tmp_path, capsys):
     bad.write_text(json.dumps({"h": [0.5, 0.5], "extra": 1}))
     assert main(["table1", "--scenario", str(bad)]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_table1_names_an_unreadable_file(tmp_path, capsys):
+    missing = tmp_path / "missing.json"
+    assert main(["table1", "--scenario", str(missing)]) == 1
+    assert capsys.readouterr().err.startswith(
+        f"error: cannot parse table file {missing}: ")
+    malformed = tmp_path / "malformed.json"
+    malformed.write_text("{\"h\": [0.5, 0.5],")
+    assert main(["table1", "--scenario", str(malformed)]) == 1
+    assert capsys.readouterr().err.startswith(
+        f"error: cannot parse table file {malformed}: ")
+
+
+def test_table1_tiny_column_is_a_regime_error(tmp_path, capsys):
+    # The column's only consistent partitions have roots whose cubic terms
+    # overflow; the CLI must report that, not print a traceback.
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps({"h": [1e-170, 1.0 - 1e-170],
+                                "g_columns": {"tiny": [1.0 - 1e-300,
+                                                       1e-300]}}))
+    assert main(["table1", "--scenario", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: no equilibrium")
+
+
+def test_effects_runs_each_effect_layer_once(tmp_path, monkeypatch):
+    calls = {"cyber": 0, "physical": 0}
+
+    def counting(name, original):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(metrics, "cyber_effect_matrix",
+                        counting("cyber", metrics.cyber_effect_matrix))
+    monkeypatch.setattr(metrics, "physical_effect_matrix",
+                        counting("physical", metrics.physical_effect_matrix))
+    assert main(["effects", "--out", str(tmp_path / "effects")]) == 0
+    assert calls == {"cyber": 1, "physical": 1}
+    values = (tmp_path / "effects" / "defender_values.csv").read_text()
+    expected = battlefield_values(default_nine_node(), default_params(9))
+    assert [float(line.split(",")[1]) for line in values.splitlines()[2:]] \
+        == pytest.approx(expected.defender.tolist(), abs=1e-9)
 
 
 def test_sweep_flow_with_custom_points(tmp_path):

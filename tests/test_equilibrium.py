@@ -9,8 +9,11 @@ from cpsblotto import (EquilibriumRegimeError, complete_info_payoffs,
                        normalize_weights, single_dependency_case,
                        solution_document, solution_from_document,
                        solution_to_json, solve_equilibrium)
+from cpsblotto import equilibrium
 from cpsblotto.equilibrium import (CUBIC_RESIDUAL_RTOL, _cubic_scale,
-                                   _cubic_value, _polish_root, _real_roots)
+                                   _cubic_value, _head_sums,
+                                   _passes_residual_gate, _polish_root,
+                                   _real_roots, _scan_partitions, _tail_sums)
 
 UNIFORM4 = np.full(4, 0.25)
 
@@ -189,6 +192,157 @@ def test_prefix_sum_scan_matches_masked_reference():
         assert abs(sol.lambda_a / sol.lambda_d - sol.mu) <= 1e-12 * sol.mu
         solved += 1
     assert solved >= 60
+
+
+def _unscreened_scan_reference(g, h, q):
+    """The prefix-sum scan without the bracket screen: every split from n
+    down to 0 goes through the root solve.  Returns (mu, mask) or None."""
+    n = g.size
+    ratios = h / g
+    order = np.argsort(ratios, kind="stable")
+    sorted_ratios = ratios[order].tolist()
+    gs, hs = g[order], h[order]
+    coeff_series = list(zip(
+        _tail_sums(gs ** 2 / hs).tolist(), (-q * _tail_sums(gs)).tolist(),
+        _head_sums(hs).tolist(), (-q * _head_sums(hs ** 2 / gs)).tolist()))
+    for split in range(n, -1, -1):
+        lo = sorted_ratios[split - 1] if split >= 1 else 0.0
+        hi = sorted_ratios[split] if split < n else np.inf
+        if split < n and hi <= lo:
+            continue
+        coeffs = coeff_series[split]
+        for root in _real_roots(coeffs):
+            if root <= 0.0:
+                continue
+            mu = _polish_root(coeffs, root,
+                              max(lo, np.nextafter(0.0, 1.0)), hi)
+            if not (lo <= mu < hi) or mu <= 0.0:
+                continue
+            if abs(_cubic_value(coeffs, mu)) > (CUBIC_RESIDUAL_RTOL
+                                                * _cubic_scale(coeffs, mu)):
+                continue
+            members = np.zeros(n, dtype=bool)
+            members[order[split:]] = True
+            if np.array_equal(ratios > mu, members):
+                return mu, members
+    return None
+
+
+def _positive_dirichlet(rng, n, dispersion):
+    # Small dispersions underflow some draws to zero; values must stay
+    # positive.
+    return normalize_weights(
+        np.maximum(rng.dirichlet(np.full(n, dispersion)), 1e-12))
+
+
+def _screen_cases():
+    rng = np.random.default_rng(20261019)
+    for n in (1, 2, 3, 9, 50, 500, 2000):
+        for dispersion in (0.05, 0.3, 1.0, 10.0):
+            g = _positive_dirichlet(rng, n, dispersion)
+            h = _positive_dirichlet(rng, n, dispersion)
+            for q in (1.0, float(rng.uniform(1.0, 4.0)), 10.0):
+                yield g, h, q
+            yield g, g.copy(), float(rng.uniform(1.0, 4.0))
+    for n in (2, 3, 9, 50, 500, 2000):
+        for _ in range(3):
+            # Copies of a few battlefields: each copy's ratio ties with its
+            # source or sits one ulp above or below it.
+            g = _positive_dirichlet(rng, n, 1.0)
+            h = _positive_dirichlet(rng, n, 1.0)
+            picked = rng.permutation(n)
+            copies = max(1, n // 4)
+            for src, dst, step in zip(picked[:copies],
+                                      picked[copies:2 * copies],
+                                      rng.integers(-1, 2, size=copies)):
+                g[dst] = g[src]
+                h[dst] = h[src] if step == 0 else np.nextafter(
+                    h[src], step * np.inf)
+            ratios = np.sort(h / g)
+            assert (np.diff(ratios) <= 2 * np.spacing(ratios[1:])).any()
+            for q in (1.0, float(rng.uniform(1.0, 4.0)), 10.0):
+                yield g, h, q
+    for n in (2, 3, 9, 50):
+        for _ in range(40):
+            # q puts a root of split s's cubic on the interval's lower end,
+            # so rounding alone decides whether p changes sign inside it.
+            g = _positive_dirichlet(rng, n, 1.0)
+            h = _positive_dirichlet(rng, n, 1.0)
+            order = np.argsort(h / g, kind="stable")
+            gs, hs = g[order], h[order]
+            split = int(rng.integers(1, n))
+            lo = hs[split - 1] / gs[split - 1]
+            q = (((gs[split:] ** 2 / hs[split:]).sum() * lo ** 2
+                  + hs[:split].sum()) * lo
+                 / (gs[split:].sum() * lo ** 2
+                    + (hs[:split] ** 2 / gs[:split]).sum()))
+            if q >= 1.0:
+                yield g, h, float(q)
+
+
+def test_bracket_screen_keeps_the_unscreened_result():
+    solved = 0
+    for g, h, q in _screen_cases():
+        expected = _unscreened_scan_reference(g, h, q)
+        if expected is None:
+            with pytest.raises(EquilibriumRegimeError):
+                _scan_partitions(g, h, q)
+            continue
+        mu, members = _scan_partitions(g, h, q)
+        assert mu == expected[0]
+        assert (members == expected[1]).all()
+        solved += 1
+    assert solved >= 180
+
+
+def test_bracket_screen_skips_root_solves(monkeypatch):
+    rng = np.random.default_rng(7)
+    g = _positive_dirichlet(rng, 2000, 0.3)
+    h = _positive_dirichlet(rng, 2000, 0.3)
+    calls = []
+
+    def counted(coeffs):
+        calls.append(coeffs)
+        return _real_roots(coeffs)
+
+    monkeypatch.setattr(equilibrium, "_real_roots", counted)
+    sol = solve_equilibrium(g, h, 1.0, 1.0)
+    assert len(sol.omega_a) >= 100   # the unscreened scan solves 101+ cubics
+    assert len(calls) <= 10
+
+
+# With omega_a empty each of these has a consistent root of order 1 / tiny,
+# whose cubic terms overflow; the solve must move on to the partition that
+# gives the tiny battlefields to the attacker.  In the three-battlefield
+# case the split with only battlefield 2 attacker-favored has a subnormal
+# leading coefficient, which overflows np.roots' companion matrix.
+@pytest.mark.parametrize("g, h, omega_a, mu", [
+    ([1.0 - 1e-170, 1e-170], [0.5, 0.5], {1}, 1.25),
+    ([1.0 - 1e-200, 1e-200], [0.5, 0.5], {1}, 1.25),
+    ([1.0 - 1e-300, 1e-300], [0.5, 0.5], {1}, 1.25),
+    ([1.0, 5e-171, 5e-171], [0.25, 0.25, 0.5], {1, 2}, 0.625),
+])
+def test_tiny_values_find_a_partition_without_overflow(g, h, omega_a, mu):
+    sol = solve_equilibrium(np.array(g), np.array(h), 2.5, 1.0)
+    assert sol.omega_a == frozenset(omega_a)
+    assert sol.mu == pytest.approx(mu, rel=1e-12)
+    assert sol.cubic_residual <= CUBIC_RESIDUAL_RTOL
+    assert np.isfinite([sol.payoff_d, sol.payoff_a]).all()
+
+
+def test_tiny_values_without_a_measurable_partition_are_a_regime_error():
+    g, h = np.array([1.0 - 1e-300, 1e-300]), np.array([1e-170, 1.0 - 1e-170])
+    with pytest.raises(EquilibriumRegimeError):
+        solve_equilibrium(g, h, 2.5, 1.0)
+
+
+def test_overflowing_root_fails_the_residual_gate():
+    coeffs = (1.0, -1.0, 1.0, -1.0)
+    assert _cubic_scale(coeffs, 1e200) == np.inf
+    assert not _passes_residual_gate(coeffs, 1e200)
+    assert _passes_residual_gate(coeffs, 1.0)
+    # A leading coefficient this small overflows np.roots' companion matrix.
+    assert _real_roots((5e-324, -1.0, 1.0, -1.0)) == []
 
 
 def test_input_validation():
