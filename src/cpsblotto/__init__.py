@@ -29,7 +29,7 @@ from .sampling import (allocation_band_probability, draw_marginals,
 from .oracle import (CrossValidationReport, DiscreteGame,
                      FictitiousPlayResult, cross_validate,
                      enumerate_strategies, fictitious_play)
-from .experiments import (SweepSpec, band_probability_table, csv_lines,
+from .experiments import (band_probability_table, csv_lines,
                           flow_capacity_sweep, matrix_rows, payoff_table,
                           symmetry_sweep, vector_rows, write_csv)
 
@@ -52,7 +52,7 @@ __all__ = [
     "sample_allocations",
     "CrossValidationReport", "DiscreteGame", "FictitiousPlayResult",
     "cross_validate", "enumerate_strategies", "fictitious_play",
-    "SweepSpec", "band_probability_table", "csv_lines", "flow_capacity_sweep",
+    "band_probability_table", "csv_lines", "flow_capacity_sweep",
     "matrix_rows", "payoff_table", "symmetry_sweep", "vector_rows",
     "write_csv",
 ]

@@ -14,9 +14,9 @@ import sys
 import numpy as np
 
 from . import __version__
-from .model import (ScenarioError, ValidationError, default_nine_node,
-                    default_params, load_scenario, validate, _read_json,
-                    _read_scenario)
+from .model import (GameParams, ScenarioError, ValidationError,
+                    default_nine_node, default_params, load_scenario, validate,
+                    _read_json, _read_scenario)
 from .metrics import battlefield_values, effect_matrices, effective_values
 from .equilibrium import (EquilibriumRegimeError, solution_to_json,
                           solve_equilibrium)
@@ -31,6 +31,14 @@ def _parse_points(text: str) -> tuple[float, ...]:
     return tuple(float(part) for part in text.split(","))
 
 
+def _overrides(args) -> dict[str, float]:
+    """The GameParams fields set on the command line; the parameter flags
+    store under the field names (--rd as budget_d, --ra as budget_a)."""
+    return {field.name: getattr(args, field.name)
+            for field in dataclasses.fields(GameParams)
+            if getattr(args, field.name, None) is not None}
+
+
 def _load_or_default(args) -> tuple:
     """Scenario from --scenario, or the built-in 9-node system."""
     if args.scenario:
@@ -38,10 +46,7 @@ def _load_or_default(args) -> tuple:
     else:
         topology = default_nine_node()
         params = default_params(topology.n)
-    overrides = {name: value for name, value in (
-        ("alpha", args.alpha), ("beta", args.beta), ("t0", args.t0),
-        ("budget_d", args.rd), ("budget_a", args.ra)) if value is not None}
-    return topology, dataclasses.replace(params, **overrides)
+    return topology, dataclasses.replace(params, **_overrides(args))
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -106,9 +111,8 @@ def cmd_table1(args) -> int:
     h = np.asarray(doc["h"], dtype=float)
     columns = {name: np.asarray(col, dtype=float)
                for name, col in doc["g_columns"].items()}
-    budget_d = args.rd if args.rd is not None else 2.5
-    budget_a = args.ra if args.ra is not None else 1.0
-    rows = payoff_table(h, columns, budget_d, budget_a)
+    params = default_params(h.size, **_overrides(args))
+    rows = payoff_table(h, columns, params.budget_d, params.budget_a)
     text = "\n".join(csv_lines(["column", "payoff_defender", "payoff_attacker"],
                                rows, units="dimensionless payoffs"))
     _emit(text, args.out)
@@ -116,19 +120,8 @@ def cmd_table1(args) -> int:
 
 
 def cmd_sweep_flow(args) -> int:
-    points = _parse_points(args.points) if args.points else DEFAULT_SWEEP_POINTS
-    kwargs = {}
-    if args.rd is not None:
-        kwargs["budget_d"] = args.rd
-    if args.ra is not None:
-        kwargs["budget_a"] = args.ra
-    if args.alpha is not None:
-        kwargs["alpha"] = args.alpha
-    if args.beta is not None:
-        kwargs["beta"] = args.beta
-    if args.t0 is not None:
-        kwargs["t0"] = args.t0
-    rows = flow_capacity_sweep(points=points, levels=DEFAULT_LEVELS, **kwargs)
+    rows = flow_capacity_sweep(points=args.points, levels=DEFAULT_LEVELS,
+                               **_overrides(args))
     text = "\n".join(csv_lines(
         ["flow_capacity_ratio", "defender_payoff_ratio",
          "attacker_payoff_ratio"], rows,
@@ -139,9 +132,8 @@ def cmd_sweep_flow(args) -> int:
 
 def cmd_sweep_symmetry(args) -> int:
     topology, params = _load_or_default(args)
-    points = _parse_points(args.points) if args.points else DEFAULT_SWEEP_POINTS
     values = battlefield_values(topology, params)
-    rows = symmetry_sweep(values.attacker, points=points,
+    rows = symmetry_sweep(values.attacker, points=args.points,
                           budget_d=params.budget_d, budget_a=params.budget_a,
                           g_base=values.defender)
     text = "\n".join(csv_lines(
@@ -158,10 +150,9 @@ def cmd_fig4(args) -> int:
         node_ids = tuple(int(part) for part in args.nodes.split(","))
     else:
         node_ids = (0, 1, 4) if topology.n >= 5 else tuple(range(topology.n))
-    points = _parse_points(args.points) if args.points else DEFAULT_SWEEP_POINTS
     values = battlefield_values(topology, params)
     rows = band_probability_table(
-        values.attacker, node_ids, points=points,
+        values.attacker, node_ids, points=args.points,
         epsilon=args.epsilon, samples=args.samples, seed=args.seed,
         budget_d=params.budget_d, budget_a=params.budget_a,
         g_base=values.defender)
@@ -183,60 +174,76 @@ def cmd_oracle(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1, the code for invalid input; argparse uses 2,
+    which this CLI keeps for solver regime errors."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cpsblotto",
         description="Model failure cascades in an interdependent "
                     "cyber-physical system and solve the attacker/defender "
                     "resource-allocation game.")
     parser.add_argument("--version", action="version",
                         version=f"%(prog)s {__version__}")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--scenario", help="scenario JSON file")
-    common.add_argument("--out", help="output file (default stdout)")
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--rd", type=float, help="defender budget R_D")
-    common.add_argument("--ra", type=float, help="attacker budget R_A")
-    common.add_argument("--alpha", type=float,
-                        help="physical effect weight in [0, 1]")
-    common.add_argument("--beta", type=float,
-                        help="cyber effect weight in [0, 1]")
-    common.add_argument("--t0", type=float, help="baseline cyber effect")
+    # Option groups, each attached only to the subcommands that read it.
+    # The parameter flags store under their GameParams field names.
+    scenario = argparse.ArgumentParser(add_help=False)
+    scenario.add_argument("--scenario", help="scenario JSON file")
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", help="output file (default stdout)")
+    weights = argparse.ArgumentParser(add_help=False)
+    weights.add_argument("--alpha", type=float,
+                         help="physical effect weight in [0, 1]")
+    weights.add_argument("--beta", type=float,
+                         help="cyber effect weight in [0, 1]")
+    weights.add_argument("--t0", type=float, help="baseline cyber effect")
+    budgets = argparse.ArgumentParser(add_help=False)
+    budgets.add_argument("--rd", dest="budget_d", metavar="RD", type=float,
+                         help="defender budget R_D")
+    budgets.add_argument("--ra", dest="budget_a", metavar="RA", type=float,
+                         help="attacker budget R_A")
+    points = argparse.ArgumentParser(add_help=False)
+    points.add_argument("--points", type=_parse_points,
+                        default=DEFAULT_SWEEP_POINTS,
+                        help="comma-separated sweep points in (0, 1]")
+    game = [scenario, out, weights, budgets]
 
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("validate", parents=[common],
+    sub.add_parser("validate", parents=[scenario],
                    help="check a scenario against the structural invariants"
                    ).set_defaults(func=cmd_validate)
-    sub.add_parser("effects", parents=[common],
+    sub.add_parser("effects", parents=[scenario, out, weights],
                    help="dump effect matrices and defender values as CSV"
                    ).set_defaults(func=cmd_effects)
-    sub.add_parser("solve", parents=[common],
+    sub.add_parser("solve", parents=game,
                    help="solve the allocation game, emit the solution as JSON"
                    ).set_defaults(func=cmd_solve)
-    sub.add_parser("table1", parents=[common],
+    sub.add_parser("table1", parents=[scenario, out, budgets],
                    help="payoffs for a file of defender-value columns"
                    ).set_defaults(func=cmd_table1)
+    sub.add_parser("sweep-flow", parents=[out, weights, budgets, points],
+                   help="payoff ratios across flow/capacity fills"
+                   ).set_defaults(func=cmd_sweep_flow)
+    sub.add_parser("sweep-symmetry", parents=game + [points],
+                   help="payoff ratios as defender values symmetrize"
+                   ).set_defaults(func=cmd_sweep_symmetry)
 
-    p = sub.add_parser("sweep-flow", parents=[common],
-                       help="payoff ratios across flow/capacity fills")
-    p.add_argument("--points", help="comma-separated sweep points in (0, 1]")
-    p.set_defaults(func=cmd_sweep_flow)
-
-    p = sub.add_parser("sweep-symmetry", parents=[common],
-                       help="payoff ratios as defender values symmetrize")
-    p.add_argument("--points", help="comma-separated sweep points in (0, 1]")
-    p.set_defaults(func=cmd_sweep_symmetry)
-
-    p = sub.add_parser("fig4", parents=[common],
+    p = sub.add_parser("fig4", parents=game + [points],
                        help="allocation band probabilities across a "
                             "symmetry sweep")
     p.add_argument("--nodes", help="comma-separated node ids to watch")
-    p.add_argument("--points", help="comma-separated sweep points in (0, 1]")
     p.add_argument("--epsilon", type=float, default=0.05)
     p.add_argument("--samples", type=int, default=100_000)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_fig4)
 
-    p = sub.add_parser("oracle", parents=[common],
+    p = sub.add_parser("oracle", parents=game,
                        help="cross-check the analytic payoffs against "
                             "discrete fictitious play")
     p.add_argument("--grid-units", type=int, default=25)

@@ -242,8 +242,11 @@ def _scan_partitions(g: np.ndarray, h: np.ndarray, q: float
     sorted_ratios = ratios[order]
     gs, hs = g[order], h[order]
     # Split s puts order[s:] in omega_a and order[:s] on the defender side.
-    series = np.stack((_tail_sums(gs ** 2 / hs), -q * _tail_sums(gs),
-                       _head_sums(hs), -q * _head_sums(hs ** 2 / gs)))
+    # A subnormal value overflows a squared ratio to inf; the scan handles
+    # non-finite coefficients.
+    with np.errstate(over="ignore"):
+        series = np.stack((_tail_sums(gs ** 2 / hs), -q * _tail_sums(gs),
+                           _head_sums(hs), -q * _head_sums(hs ** 2 / gs)))
 
     for split in _scan_order(series, sorted_ratios):
         lo = float(sorted_ratios[split - 1]) if split >= 1 else 0.0
@@ -272,6 +275,15 @@ def _scan_partitions(g: np.ndarray, h: np.ndarray, q: float
     raise EquilibriumRegimeError(
         "no equilibrium in solver's regime: no threshold partition of "
         "h_i/g_i admits a consistent multiplier ratio")
+
+
+def _by_side(members: np.ndarray, inside: np.ndarray,
+             outside: np.ndarray) -> np.ndarray:
+    """One array from the values on the members and on the rest."""
+    out = np.empty(members.size)
+    out[members] = inside
+    out[~members] = outside
+    return out
 
 
 def solve_equilibrium(g: np.ndarray, h: np.ndarray, budget_d: float,
@@ -306,13 +318,14 @@ def solve_equilibrium(g: np.ndarray, h: np.ndarray, budget_d: float,
     q = budget_d / budget_a
     mu, members = _scan_partitions(g, h, q)
     outside = ~members
+    g_in, h_in, g_out, h_out = g[members], h[members], g[outside], h[outside]
 
     # Masked sums over the chosen partition, recomputed independently of the
     # scan's prefix sums: they give the reported residual and the lambdas.
-    sum_g_in = g[members].sum()
-    sum_sq_in = (g[members] ** 2 / h[members]).sum()
-    sum_h_out = h[outside].sum()
-    sum_sq_out = (h[outside] ** 2 / g[outside]).sum()
+    sum_g_in = g_in.sum()
+    sum_sq_in = (g_in ** 2 / h_in).sum()
+    sum_h_out = h_out.sum()
+    sum_sq_out = (h_out ** 2 / g_out).sum()
     coeffs = (float(sum_sq_in), float(-q * sum_g_in), float(sum_h_out),
               float(-q * sum_sq_out))
     residual = abs(_cubic_value(coeffs, mu)) / _cubic_scale(coeffs, mu)
@@ -326,9 +339,11 @@ def solve_equilibrium(g: np.ndarray, h: np.ndarray, budget_d: float,
             "budget identities are inconsistent at the computed multiplier")
 
     # One player per battlefield has an atom at zero: the defender on
-    # attacker-favored battlefields, the attacker everywhere else.
-    upper = np.where(members, g / lambda_d, h / lambda_a)
-    atom = np.where(members, 1.0 - g * mu / h, 1.0 - h / (g * mu))
+    # attacker-favored battlefields, the attacker everywhere else.  Each
+    # expression is evaluated only on its own side, where it is finite.
+    upper = _by_side(members, g_in / lambda_d, h_out / lambda_a)
+    atom = _by_side(members, 1.0 - g_in * mu / h_in,
+                    1.0 - h_out / (g_out * mu))
     bad = np.flatnonzero((atom < -1e-12) | (atom > 1.0 + 1e-12))
     if bad.size:
         raise EquilibriumRegimeError(
@@ -346,8 +361,8 @@ def solve_equilibrium(g: np.ndarray, h: np.ndarray, budget_d: float,
                              support_upper=up)
         for i, (a, up, inside) in rows)
 
-    p_attacker_wins = np.where(members, 1.0 - g * mu / (2.0 * h),
-                               h / (2.0 * g * mu))
+    p_attacker_wins = _by_side(members, 1.0 - g_in * mu / (2.0 * h_in),
+                               h_out / (2.0 * g_out * mu))
     return EquilibriumSolution(
         mu=float(mu), lambda_d=float(lambda_d), lambda_a=float(lambda_a),
         omega_a=frozenset(np.flatnonzero(members).tolist()),

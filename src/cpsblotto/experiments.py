@@ -2,13 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import __version__
-from .model import (CpsTopology, ValidationError, default_params,
-                    generate_concentric, normalize_weights)
+from .model import (ValidationError, default_params, generate_concentric,
+                    normalize_weights)
 from .metrics import battlefield_values
 from .equilibrium import (EquilibriumSolution, complete_info_payoffs,
                           solve_equilibrium)
@@ -17,24 +15,16 @@ from .sampling import allocation_band_probability
 COLUMN_SUM_TOL = 2e-3
 
 
-@dataclass(frozen=True)
-class SweepSpec:
-    """A one-dimensional sweep: kind, strictly increasing points in (0, 1]."""
-
-    kind: str
-    points: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("flow", "symmetry"):
-            raise ValidationError(f"unknown sweep kind {self.kind!r}")
-        if not self.points:
-            raise ValidationError("sweep needs at least one point")
-        last = 0.0
-        for p in self.points:
-            if not (0.0 < p <= 1.0) or p <= last:
-                raise ValidationError(
-                    "sweep points must be strictly increasing within (0, 1]")
-            last = p
+def _check_points(points: tuple[float, ...]) -> None:
+    """Sweep points must be strictly increasing within (0, 1]."""
+    if not points:
+        raise ValidationError("sweep needs at least one point")
+    last = 0.0
+    for p in points:
+        if not (0.0 < p <= 1.0) or p <= last:
+            raise ValidationError(
+                "sweep points must be strictly increasing within (0, 1]")
+        last = p
 
 
 DEFAULT_SWEEP_POINTS = tuple(round(0.1 * k, 10) for k in range(1, 11))
@@ -78,29 +68,29 @@ def _payoff_ratios(solution: EquilibriumSolution, budget_d: float,
 
 def flow_capacity_sweep(points: tuple[float, ...] = DEFAULT_SWEEP_POINTS,
                         levels: tuple[tuple[int, float], ...] = DEFAULT_LEVELS,
-                        budget_d: float = 2.5, budget_a: float = 1.0,
-                        alpha: float = 0.3, beta: float = 0.7,
-                        t0: float | None = None
+                        **overrides: float
                         ) -> list[tuple[float, float, float]]:
     """Payoff ratios versus the flow/capacity fill of a layered topology.
 
     Each point regenerates the topology with flows = point * capacity, runs
     the full value pipeline, solves the game, and reports both payoffs
-    relative to their no-interdependency baselines.
+    relative to their no-interdependency baselines.  The game parameters
+    come from default_params, with `overrides` (budget_d, budget_a, alpha,
+    beta, t0) passed to it at every point.
 
     Returns:
         Rows (fill ratio, defender payoff ratio, attacker payoff ratio).
     """
-    SweepSpec(kind="flow", points=tuple(points))
+    _check_points(tuple(points))
     rows = []
     for fill in points:
         topology = generate_concentric(list(levels), flow_fill=fill)
-        params = default_params(topology.n, budget_d, budget_a, alpha, beta,
-                                t0)
+        params = default_params(topology.n, **overrides)
         values = battlefield_values(topology, params)
         solution = solve_equilibrium(values.defender, values.attacker,
-                                     budget_d, budget_a)
-        ratio_d, ratio_a = _payoff_ratios(solution, budget_d, budget_a)
+                                     params.budget_d, params.budget_a)
+        ratio_d, ratio_a = _payoff_ratios(solution, params.budget_d,
+                                          params.budget_a)
         rows.append((float(fill), ratio_d, ratio_a))
     return rows
 
@@ -112,7 +102,7 @@ def _symmetry_path(h: np.ndarray, points: tuple[float, ...],
 
     g(theta) = (1 - theta) * g_base + theta * uniform, g_base defaulting to h.
     """
-    SweepSpec(kind="symmetry", points=tuple(points))
+    _check_points(tuple(points))
     h = normalize_weights(np.asarray(h, dtype=float))
     if g_base is None:
         g_base = h
@@ -168,8 +158,15 @@ def band_probability_table(h: np.ndarray, node_ids: tuple[int, ...],
 
     Returns:
         Rows (theta, deviation of g, node, owner, share, probability).
+
+    Raises:
+        ValueError: a watched node id lies outside 0..n-1.
     """
     h, path = _symmetry_path(h, points, g_base)
+    for node in node_ids:
+        if not 0 <= node < h.size:
+            raise ValueError(f"node {node} is not a node id of this "
+                             f"{h.size}-node system (0..{h.size - 1})")
     rows = []
     for index, (theta, g) in enumerate(zip(points, path)):
         solution = solve_equilibrium(g, h, budget_d, budget_a)

@@ -18,6 +18,9 @@ import numpy as np
 # Conservation is enforced at nodes that both receive and send flow.
 FLOW_BALANCE_TOL = 1e-6
 WEIGHT_SUM_TOL = 1e-9
+# Supply parents per node in generate_concentric (fewer when the tier above
+# is smaller).
+_PARENTS_PER_NODE = 2
 
 _SCENARIO_KEYS = {"nodes", "edges", "cyber_edges", "params"}
 _NODE_KEYS = {"id", "level", "h"}
@@ -68,6 +71,9 @@ class GameParams:
     budget_a: float
 
     def __post_init__(self) -> None:
+        for name, budget in (("R_D", self.budget_d), ("R_A", self.budget_a)):
+            if not np.isfinite(budget):
+                raise ValidationError(f"{name} must be finite")
         if not (0.0 <= self.alpha <= 1.0 and 0.0 <= self.beta <= 1.0):
             raise ValidationError("alpha and beta must lie in [0, 1]")
         if abs(self.alpha + self.beta - 1.0) > 1e-12:
@@ -113,6 +119,8 @@ def normalize_weights(h: np.ndarray) -> np.ndarray:
     load/save round trips stay bit-exact.
     """
     h = np.asarray(h, dtype=float)
+    if not np.isfinite(h).all():
+        raise ValidationError("human-interaction weights must be finite")
     if np.any(h <= 0.0):
         raise ValidationError("human-interaction weights must be positive")
     for _ in range(32):
@@ -207,6 +215,8 @@ def validate(topology: CpsTopology) -> list[str]:
     for mat, name in ((F, "flows"), (C, "capacities"), (A, "cyber_adjacency")):
         if mat.shape != (n, n):
             problems.append(f"{name} matrix must be {n}x{n}, got {mat.shape}")
+        elif not np.isfinite(mat).all():
+            problems.append(f"{name} must be finite")
     if problems:
         return problems
 
@@ -402,12 +412,12 @@ def save_scenario(topology: CpsTopology, params: GameParams, path: str) -> None:
 # generators
 # ---------------------------------------------------------------------------
 
-def generate_concentric(levels: list[tuple[int, float]], flow_fill: float,
-                        redundancy: int = 2) -> CpsTopology:
+def generate_concentric(levels: list[tuple[int, float]],
+                        flow_fill: float) -> CpsTopology:
     """Build a layered topology around a single reference node.
 
     The first level must hold exactly one node (the reference).  Every node
-    in level L+1 draws supply from min(redundancy, |level L|) parents chosen
+    in level L+1 draws supply from min(2, |level L|) parents chosen
     round-robin.  Leaves demand one flow unit each; edge capacities split a
     node's required inflow equally across its parents, so flow conservation
     holds exactly at every fill level.  Each edge carries
@@ -417,7 +427,6 @@ def generate_concentric(levels: list[tuple[int, float]], flow_fill: float,
     Args:
         levels: list of (node_count, h_weight) per tier, outermost last.
         flow_fill: fraction of capacity in use on every edge, in (0, 1].
-        redundancy: parents per node (capped by the size of the tier above).
 
     Returns:
         A validated CpsTopology.
@@ -426,8 +435,6 @@ def generate_concentric(levels: list[tuple[int, float]], flow_fill: float,
         raise ValidationError("levels must be non-empty")
     if not (0.0 < flow_fill <= 1.0):
         raise ValidationError("flow_fill must lie in (0, 1]")
-    if redundancy < 1:
-        raise ValidationError("redundancy must be at least 1")
     if levels[0][0] != 1:
         raise ValidationError("the first level must hold exactly one node")
     for count, weight in levels:
@@ -457,7 +464,7 @@ def generate_concentric(levels: list[tuple[int, float]], flow_fill: float,
     parents: dict[int, list[int]] = {}
     for depth in range(1, len(tiers)):
         upper = tiers[depth - 1]
-        take = min(redundancy, len(upper))
+        take = min(_PARENTS_PER_NODE, len(upper))
         for k, child in enumerate(tiers[depth]):
             parents[child] = [upper[(k + t) % len(upper)] for t in range(take)]
 

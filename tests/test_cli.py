@@ -1,5 +1,6 @@
 """End-to-end command-line interface behavior and exit codes."""
 
+import argparse
 import json
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from cpsblotto import (EquilibriumRegimeError, battlefield_values,
                        default_nine_node, default_params,
                        generate_concentric, metrics, save_scenario)
-from cpsblotto.cli import main
+from cpsblotto.cli import build_parser, main
 from cpsblotto.model import scenario_document
 from _support import TABLE_CASES, TABLE_H
 
@@ -37,6 +38,25 @@ def test_validate_flags_broken_scenario(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "INVALID:" in out
     assert "exceeds capacity" in out
+
+
+@pytest.mark.parametrize("section, key", [
+    ("edges", "flow"), ("edges", "capacity"), ("cyber_edges", "weight"),
+    ("nodes", "h"), ("params", "R_D")])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_non_finite_scenario_numbers_are_exit_one(tmp_path, capsys, section,
+                                                  key, value):
+    topology = generate_concentric([(1, 2.0), (2, 1.0)], flow_fill=0.7)
+    doc = scenario_document(topology, default_params(3))
+    entry = doc["params"] if section == "params" else doc[section][0]
+    entry[key] = value
+    path = tmp_path / "non_finite.json"
+    path.write_text(json.dumps(doc))  # writes NaN / Infinity literals
+    assert main(["validate", "--scenario", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert "finite" in captured.out + captured.err
+    assert main(["solve", "--scenario", str(path)]) == 1
+    assert "finite" in capsys.readouterr().err
 
 
 def test_missing_scenario_file_is_exit_one(capsys):
@@ -206,6 +226,60 @@ def test_regime_error_has_its_own_exit_code(monkeypatch, capsys):
 
 
 def test_version_flag():
+    # --version and --help keep exit 0 although usage errors exit 1
+    for argv in (["--version"], ["--help"], ["solve", "--help"]):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--seed", "1"],
+    ["sweep-flow", "--scenario", "x.json"],
+    ["validate", "--out", "x.txt"],
+    ["effects", "--rd", "3"],
+    ["table1", "--alpha", "0.5"],
+    ["solve", "--bogus"],
+    ["sweep-flow", "--points", "a,b"],
+    [],
+])
+def test_usage_errors_exit_one(capsys, argv):
     with pytest.raises(SystemExit) as excinfo:
-        main(["--version"])
-    assert excinfo.value.code == 0
+        main(argv)
+    assert excinfo.value.code == 1
+    assert "error:" in capsys.readouterr().err
+
+
+def test_fig4_rejects_unknown_node_ids(capsys):
+    for node in ("99", "9", "-1"):
+        assert main(["fig4", "--nodes", node, "--points", "1.0",
+                     "--samples", "10"]) == 1
+        assert capsys.readouterr().err.startswith(f"error: node {node} ")
+
+
+# Each subcommand's exact option set: every option listed is read by the
+# subcommand, so none is accepted and then ignored.
+_GAME = {"--scenario", "--out", "--alpha", "--beta", "--t0", "--rd", "--ra"}
+SUBCOMMAND_OPTIONS = {
+    "validate": {"--scenario"},
+    "effects": {"--scenario", "--out", "--alpha", "--beta", "--t0"},
+    "solve": _GAME,
+    "table1": {"--scenario", "--out", "--rd", "--ra"},
+    "sweep-flow": _GAME - {"--scenario"} | {"--points"},
+    "sweep-symmetry": _GAME | {"--points"},
+    "fig4": _GAME | {"--points", "--nodes", "--epsilon", "--samples",
+                     "--seed"},
+    "oracle": _GAME | {"--grid-units", "--iterations"},
+}
+
+
+def test_each_subcommand_takes_only_the_options_it_reads():
+    parser = build_parser()
+    subparsers = next(action for action in parser._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    options = {name: {flag for action in sub._actions
+                      for flag in action.option_strings
+                      if flag not in ("-h", "--help")}
+               for name, sub in subparsers.choices.items()}
+    assert options == SUBCOMMAND_OPTIONS
+    assert sum(len(flags) for flags in options.values()) == 53

@@ -1,6 +1,7 @@
 """Analytic equilibrium: multipliers, marginals, payoffs, closed forms."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -334,6 +335,21 @@ def test_tiny_values_without_a_measurable_partition_are_a_regime_error():
     g, h = np.array([1.0 - 1e-300, 1e-300]), np.array([1e-170, 1.0 - 1e-170])
     with pytest.raises(EquilibriumRegimeError):
         solve_equilibrium(g, h, 2.5, 1.0)
+
+
+def test_subnormal_value_solves_without_runtime_warnings():
+    # The chosen partition leaves both battlefields defender-favored, so the
+    # attacker-favored expressions (g_i mu / h_i, g_i^2 / h_i) would overflow
+    # at h_1 = 1e-310; the solve must not evaluate them there.
+    g, h = np.array([0.5, 0.5]), np.array([1.0 - 1e-310, 1e-310])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sol = solve_equilibrium(g, h, 2.5, 1.0)
+    assert sol.mu == 5.0
+    assert sol.omega_a == frozenset()
+    assert sol.payoff_d == pytest.approx(0.9, abs=1e-12)
+    assert [m.atom_at_zero for m in sol.marginals_a] == pytest.approx(
+        [0.6, 1.0], abs=1e-12)
 
 
 def test_overflowing_root_fails_the_residual_gate():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from cpsblotto import (SweepSpec, ValidationError, band_probability_table,
+from cpsblotto import (ValidationError, band_probability_table,
                        battlefield_values, csv_lines, default_nine_node,
                        default_params, flow_capacity_sweep, matrix_rows,
                        payoff_table, symmetry_sweep, vector_rows, write_csv)
@@ -81,17 +81,27 @@ def test_band_probability_table_frozen_at_uniform():
 
 
 def test_sweep_spec_validation():
-    SweepSpec(kind="flow", points=(0.1, 0.5, 1.0))
-    with pytest.raises(ValidationError, match="unknown sweep kind"):
-        SweepSpec(kind="wavy", points=(0.5,))
-    with pytest.raises(ValidationError, match="at least one"):
-        SweepSpec(kind="flow", points=())
-    with pytest.raises(ValidationError, match="strictly increasing"):
-        SweepSpec(kind="flow", points=(0.5, 0.4))
-    with pytest.raises(ValidationError, match="strictly increasing"):
-        SweepSpec(kind="flow", points=(0.0, 0.5))
-    with pytest.raises(ValidationError, match="strictly increasing"):
-        flow_capacity_sweep(points=(0.9, 0.1))
+    h = np.full(4, 0.25)
+    for sweep in (flow_capacity_sweep, lambda points: symmetry_sweep(h, points)):
+        assert len(sweep((0.1, 0.5, 1.0))) == 3
+        with pytest.raises(ValidationError, match="at least one"):
+            sweep(())
+        for points in ((0.5, 0.4), (0.9, 0.1), (0.0, 0.5), (0.5, 1.5),
+                       (0.5, 0.5)):
+            with pytest.raises(ValidationError, match="strictly increasing"):
+                sweep(points)
+
+
+def test_flow_capacity_sweep_overrides_reach_default_params():
+    budgets = flow_capacity_sweep(points=(0.5,), budget_d=3.0, budget_a=1.5)
+    assert budgets != flow_capacity_sweep(points=(0.5,))
+    # the ratios divide by the complete-information payoffs at the same
+    # budgets, and the attacker payoff stays at that baseline here
+    assert abs(budgets[0][2] - 1.0) < 1e-12
+    weighted = flow_capacity_sweep(points=(0.5,), alpha=0.6, beta=0.4)
+    assert weighted != flow_capacity_sweep(points=(0.5,))
+    with pytest.raises(TypeError):
+        flow_capacity_sweep(points=(0.5,), budget=3.0)
 
 
 def test_csv_formatting(tmp_path):
