@@ -28,7 +28,12 @@ from .experiments import (DEFAULT_LEVELS, DEFAULT_SWEEP_POINTS,
 
 
 def _parse_points(text: str) -> tuple[float, ...]:
-    return tuple(float(part) for part in text.split(","))
+    try:
+        return tuple(float(part) for part in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated numbers such as 0.5,1.0, got {text!r}"
+        ) from None
 
 
 def _overrides(args) -> dict[str, float]:

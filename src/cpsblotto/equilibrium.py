@@ -177,23 +177,23 @@ def _tail_sums(x: np.ndarray) -> np.ndarray:
     return np.concatenate((np.cumsum(x[::-1])[::-1], [0.0]))
 
 
-def _screen_inner_splits(a: np.ndarray, b: np.ndarray, c: np.ndarray,
-                         d: np.ndarray, sorted_ratios: np.ndarray
-                         ) -> np.ndarray:
-    """Flags the inner splits s = 1..n-1 (entry s - 1) whose consistency
-    interval [lo, hi] = [sorted_ratios[s-1], sorted_ratios[s]] can hold a
-    root of the split's cubic p that passes the residual gate.
+def _screen_splits(a: np.ndarray, b: np.ndarray, c: np.ndarray,
+                   d: np.ndarray, lo: np.ndarray, hi: np.ndarray
+                   ) -> np.ndarray:
+    """Flags the splits whose consistency interval [lo, hi) can hold a root
+    of the split's cubic p that passes the residual gate.
 
     An accepted mu lies in [lo, hi) with |p(mu)| <= rtol * scale(mu), and
     every term of the scale grows with mu > 0, so scale(mu) <= scale(hi).
     Where p keeps its sign on [lo, hi], the smallest |p| lies at an end or
-    at a critical point.  A split is dropped only when p keeps one sign at
-    both ends and at its critical points clipped into [lo, hi], all of
-    those values are finite, and the smallest exceeds _SCREEN_MARGIN times
-    rtol * scale(hi).
+    at a critical point.  A split is dropped when its interval is empty
+    (tied ratios, whose shared value lies in the interval that starts at
+    it), or when p keeps one sign at both ends and at its
+    critical points clipped into [lo, hi], all of those values are finite,
+    and the smallest exceeds _SCREEN_MARGIN times rtol * scale(hi).  Split n
+    (hi = inf) has a non-finite scale and split 0 has p(0) = 0, so both are
+    always kept.
     """
-    a, b, c, d = a[1:-1], b[1:-1], c[1:-1], d[1:-1]
-    lo, hi = sorted_ratios[:-1], sorted_ratios[1:]
     with np.errstate(all="ignore"):
         # Roots of p' = 3a x^2 + 2b x + c in the cancellation-free form
         # (b = -q * sum g <= 0); where p' has no real roots these are two
@@ -209,18 +209,7 @@ def _screen_inner_splits(a: np.ndarray, b: np.ndarray, c: np.ndarray,
         crosses = (values.min(axis=0) <= 0.0) & (values.max(axis=0) >= 0.0)
         near = (np.abs(values).min(axis=0)
                 <= _SCREEN_MARGIN * CUBIC_RESIDUAL_RTOL * scale)
-    return ~finite | crosses | near
-
-
-def _scan_order(series: np.ndarray, sorted_ratios: np.ndarray):
-    """Splits in scan order: n, then the inner splits the bracket screen
-    keeps, from the top down, then 0.  The screen runs only once split n
-    has failed."""
-    n = sorted_ratios.size
-    yield n
-    kept = np.flatnonzero(_screen_inner_splits(*series, sorted_ratios)) + 1
-    yield from kept[::-1].tolist()
-    yield 0
+    return (hi > lo) & (~finite | crosses | near)
 
 
 def _scan_partitions(g: np.ndarray, h: np.ndarray, q: float
@@ -233,8 +222,8 @@ def _scan_partitions(g: np.ndarray, h: np.ndarray, q: float
     cubic a mu^3 + b mu^2 + c mu + d = 0 that lies in the partition's
     consistency interval.  a, b come from the attacker-favored side and
     c, d from the defender-favored side; all four are read from cumulative
-    sums over the sorted order.  Inner splits whose interval cannot hold a
-    gate-passing root are screened out before any root solve.
+    sums over the sorted order.  Splits whose interval is empty or cannot
+    hold a gate-passing root are screened out before any root solve.
     """
     n = g.size
     ratios = h / g
@@ -248,20 +237,20 @@ def _scan_partitions(g: np.ndarray, h: np.ndarray, q: float
         series = np.stack((_tail_sums(gs ** 2 / hs), -q * _tail_sums(gs),
                            _head_sums(hs), -q * _head_sums(hs ** 2 / gs)))
 
-    for split in _scan_order(series, sorted_ratios):
-        lo = float(sorted_ratios[split - 1]) if split >= 1 else 0.0
-        hi = float(sorted_ratios[split]) if split < n else np.inf
-        if split < n and hi <= lo:
-            # Tied ratios collapse this interval; the shared boundary value
-            # is reachable through the interval that starts at it.
-            continue
+    lo = np.concatenate(([0.0], sorted_ratios))
+    hi = np.append(sorted_ratios, np.inf)
+    kept = np.flatnonzero(_screen_splits(*series, lo, hi))
+    for split in kept[::-1].tolist():
+        # Python floats: a numpy bound can become mu, and its overflowing
+        # mu ** 3 in the residual gate would warn instead of raising.
+        low, high = float(lo[split]), float(hi[split])
         coeffs = tuple(series[:, split].tolist())
         for root in _real_roots(coeffs):
             if root <= 0.0:
                 continue
             mu = _polish_root(coeffs, root,
-                              max(lo, np.nextafter(0.0, 1.0)), hi)
-            if not (lo <= mu < hi) or mu <= 0.0:
+                              max(low, np.nextafter(0.0, 1.0)), high)
+            if not (low <= mu < high) or mu <= 0.0:
                 continue
             # Polishing clamps into the interval, so a root belonging to a
             # different partition can land on the boundary; only a genuine
@@ -473,6 +462,7 @@ def solution_document(solution: EquilibriumSolution) -> dict:
         "marginals": marginals,
         "payoff_D": solution.payoff_d,
         "payoff_A": solution.payoff_a,
+        "cubic_residual": solution.cubic_residual,
     }
 
 
@@ -497,7 +487,7 @@ def solution_from_document(doc: dict) -> EquilibriumSolution:
         omega_a=frozenset(int(i) for i in doc["omega_A"]),
         marginals_d=tuple(marginals_d), marginals_a=tuple(marginals_a),
         payoff_d=float(doc["payoff_D"]), payoff_a=float(doc["payoff_A"]),
-        cubic_residual=0.0)
+        cubic_residual=float(doc["cubic_residual"]))
 
 
 def solution_to_json(solution: EquilibriumSolution) -> str:

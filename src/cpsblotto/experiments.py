@@ -5,8 +5,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import __version__
-from .model import (ValidationError, default_params, generate_concentric,
-                    normalize_weights)
+from .model import (DEFAULT_BUDGET_A, DEFAULT_BUDGET_D, ValidationError,
+                    default_params, generate_concentric, normalize_weights)
 from .metrics import battlefield_values
 from .equilibrium import (EquilibriumSolution, complete_info_payoffs,
                           solve_equilibrium)
@@ -116,7 +116,8 @@ def _symmetry_path(h: np.ndarray, points: tuple[float, ...],
 
 def symmetry_sweep(h: np.ndarray,
                    points: tuple[float, ...] = DEFAULT_SWEEP_POINTS,
-                   budget_d: float = 2.5, budget_a: float = 1.0,
+                   budget_d: float = DEFAULT_BUDGET_D,
+                   budget_a: float = DEFAULT_BUDGET_A,
                    g_base: np.ndarray | None = None
                    ) -> list[tuple[float, float, float, float]]:
     """Payoff ratios as defender values interpolate toward uniform.
@@ -144,8 +145,9 @@ def symmetry_sweep(h: np.ndarray,
 def band_probability_table(h: np.ndarray, node_ids: tuple[int, ...],
                            points: tuple[float, ...] = DEFAULT_SWEEP_POINTS,
                            epsilon: float = 0.05, samples: int = 100_000,
-                           seed: int = 0, budget_d: float = 2.5,
-                           budget_a: float = 1.0,
+                           seed: int = 0,
+                           budget_d: float = DEFAULT_BUDGET_D,
+                           budget_a: float = DEFAULT_BUDGET_A,
                            g_base: np.ndarray | None = None
                            ) -> list[tuple[float, float, int, str, float, float]]:
     """Probability of allocating near the value share, across a symmetry sweep.

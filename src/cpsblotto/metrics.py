@@ -17,7 +17,6 @@ class ShortestPathTable:
     """All-pairs shortest path lengths; inf marks unreachable pairs."""
 
     lengths: np.ndarray
-    reachable: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -81,8 +80,7 @@ def all_pairs_shortest_paths(adjacency: np.ndarray,
         dist[removed, :] = np.inf
         dist[:, removed] = np.inf
         dist[removed, removed] = 0.0
-    reachable = np.isfinite(dist)
-    return ShortestPathTable(lengths=dist, reachable=reachable)
+    return ShortestPathTable(lengths=dist)
 
 
 def _without(A: np.ndarray, removed: int) -> csr_matrix:
@@ -145,13 +143,13 @@ def cyber_effect_matrix(topology: CpsTopology, t0: float,
     n = topology.n
     adjacency = topology.cyber_adjacency
     base = all_pairs_shortest_paths(adjacency)
-    if not base.reachable.all():
-        bad = np.argwhere(~base.reachable)
+    reachable = np.isfinite(base.lengths)
+    if not reachable.all():
+        bad = np.argwhere(~reachable)
         raise ValidationError(
             f"cyber graph is disconnected (e.g. pair {tuple(bad[0])})")
     if disconnection_penalty is None:
-        longest = base.lengths[np.isfinite(base.lengths)].max() if n > 1 else 0.0
-        disconnection_penalty = n * longest
+        disconnection_penalty = n * base.lengths.max()
 
     T = np.full((n, n), t0, dtype=float)
     others = ~np.eye(n, dtype=bool)

@@ -86,7 +86,13 @@ class GameParams:
             raise ValidationError("defender budget must be >= attacker budget")
 
 
-def default_params(n_nodes: int, budget_d: float = 2.5, budget_a: float = 1.0,
+# The budgets R_D and R_A of the paper's experiments.
+DEFAULT_BUDGET_D = 2.5
+DEFAULT_BUDGET_A = 1.0
+
+
+def default_params(n_nodes: int, budget_d: float = DEFAULT_BUDGET_D,
+                   budget_a: float = DEFAULT_BUDGET_A,
                    alpha: float = 0.3, beta: float = 0.7,
                    t0: float | None = None) -> GameParams:
     """Build a GameParams with the conventional t0 = 1/(n-1) fallback.
@@ -207,7 +213,9 @@ def validate(topology: CpsTopology) -> list[str]:
     if len(refs) != 1:
         problems.append(f"expected exactly one reference node, found {refs}")
     for node in topology.nodes:
-        if node.h <= 0.0:
+        if not np.isfinite(node.h):
+            problems.append(f"node {node.id} has non-finite weight h={node.h}")
+        elif node.h <= 0.0:
             problems.append(f"node {node.id} has non-positive weight h={node.h}")
 
     F, C = topology.flows, topology.capacities

@@ -86,7 +86,7 @@ def test_solve_emits_parseable_solution(capsys, tmp_path):
     assert main(["solve"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert set(doc) == {"mu", "lambda_A", "lambda_D", "omega_A", "marginals",
-                        "payoff_D", "payoff_A"}
+                        "payoff_D", "payoff_A", "cubic_residual"}
     assert doc["payoff_A"] == pytest.approx(0.2, abs=1e-12)
 
     out = tmp_path / "solution.json"
@@ -248,6 +248,15 @@ def test_usage_errors_exit_one(capsys, argv):
         main(argv)
     assert excinfo.value.code == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_malformed_points_name_the_expected_format(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["sweep-flow", "--points", "a,b"])
+    assert excinfo.value.code == 1
+    err = capsys.readouterr().err
+    assert "0.5,1.0" in err
+    assert "_parse_points" not in err
 
 
 def test_fig4_rejects_unknown_node_ids(capsys):

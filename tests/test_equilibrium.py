@@ -14,7 +14,8 @@ from cpsblotto import equilibrium
 from cpsblotto.equilibrium import (CUBIC_RESIDUAL_RTOL, _cubic_scale,
                                    _cubic_value, _head_sums,
                                    _passes_residual_gate, _polish_root,
-                                   _real_roots, _scan_partitions, _tail_sums)
+                                   _real_roots, _scan_partitions,
+                                   _screen_splits, _tail_sums)
 
 UNIFORM4 = np.full(4, 0.25)
 
@@ -296,6 +297,22 @@ def test_bracket_screen_keeps_the_unscreened_result():
     assert solved >= 180
 
 
+def test_screen_keeps_both_end_splits_and_drops_tied_intervals():
+    tied = 0
+    for g, h, q in _screen_cases():
+        order = np.argsort(h / g, kind="stable")
+        gs, hs = g[order], h[order]
+        lo = np.concatenate(([0.0], hs / gs))
+        hi = np.append(hs / gs, np.inf)
+        kept = _screen_splits(
+            _tail_sums(gs ** 2 / hs), -q * _tail_sums(gs), _head_sums(hs),
+            -q * _head_sums(hs ** 2 / gs), lo, hi)
+        assert kept[0] and kept[-1]
+        assert not kept[hi <= lo].any()
+        tied += int((hi <= lo).sum())
+    assert tied > 0
+
+
 def test_bracket_screen_skips_root_solves(monkeypatch):
     rng = np.random.default_rng(7)
     g = _positive_dirichlet(rng, 2000, 0.3)
@@ -437,8 +454,10 @@ def test_solution_document_round_trip():
     sol = solve_equilibrium(g, h, 1.5, 1.0)
     doc = json.loads(solution_to_json(sol))
     assert set(doc) == {"mu", "lambda_A", "lambda_D", "omega_A", "marginals",
-                        "payoff_D", "payoff_A"}
+                        "payoff_D", "payoff_A", "cubic_residual"}
     rebuilt = solution_from_document(solution_document(sol))
+    assert sol.cubic_residual > 0.0
+    assert rebuilt.cubic_residual == sol.cubic_residual
     assert rebuilt.mu == sol.mu
     assert rebuilt.omega_a == sol.omega_a
     assert rebuilt.marginals_d == sol.marginals_d

@@ -80,6 +80,19 @@ def test_band_probability_table_frozen_at_uniform():
             assert abs(row[4] - values.attacker[row[2]]) < 1e-12
 
 
+def test_sweep_budgets_default_to_default_params():
+    values = battlefield_values(default_nine_node(), default_params(9))
+    params = default_params(9)
+    budgets = {"budget_d": params.budget_d, "budget_a": params.budget_a}
+    assert (symmetry_sweep(values.attacker, g_base=values.defender)
+            == symmetry_sweep(values.attacker, g_base=values.defender,
+                              **budgets))
+    assert (band_probability_table(values.attacker, (0, 4), points=(0.5,),
+                                   samples=1000)
+            == band_probability_table(values.attacker, (0, 4), points=(0.5,),
+                                      samples=1000, **budgets))
+
+
 def test_sweep_spec_validation():
     h = np.full(4, 0.25)
     for sweep in (flow_capacity_sweep, lambda points: symmetry_sweep(h, points)):

@@ -68,6 +68,14 @@ def expect_violation(topology: CpsTopology, fragment: str):
     assert any(fragment in m for m in messages), messages
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_validate_flags_non_finite_node_weight(bad):
+    base = default_nine_node()
+    nodes = (dataclasses.replace(base.nodes[0], h=bad),) + base.nodes[1:]
+    expect_violation(dataclasses.replace(base, nodes=nodes),
+                     "node 0 has non-finite weight")
+
+
 def test_validate_flags_each_violation():
     base = small_valid_topology()
 
