@@ -146,14 +146,12 @@ def cascade_failure(topology: CpsTopology, failed: int) -> CascadeResult:
     F[failed, :] = 0.0
     F[:, failed] = 0.0
 
-    customers = sorted(int(j) for j in np.flatnonzero(F0[failed] > 0))
-    first_order = {int(j) for j in np.flatnonzero(
-        (F0[failed] > 0) | (F0[:, failed] > 0))}
-    second_order: set[int] = set()
-    for j in first_order:
-        touches = (F0[j] > 0) | (F0[:, j] > 0)
-        second_order.update(int(k) for k in np.flatnonzero(touches))
-    second_order -= first_order | {failed}
+    supplies = F0[failed] > 0
+    customers = np.flatnonzero(supplies).tolist()
+    first_order = supplies | (F0[:, failed] > 0)
+    second_order = ((F0[first_order] > 0).any(axis=0)
+                    | (F0[:, first_order] > 0).any(axis=1)) & ~first_order
+    second_order[failed] = False
 
     per_node_loss = np.zeros(n)
     records: list[RebalanceRecord] = []
@@ -174,7 +172,7 @@ def cascade_failure(topology: CpsTopology, failed: int) -> CascadeResult:
     pending = list(customers)
     run_phase(pending, incoming=False)
     run_phase(pending, incoming=True)
-    run_phase(sorted(second_order), incoming=True)
+    run_phase(np.flatnonzero(second_order).tolist(), incoming=True)
 
     F.setflags(write=False)
     per_node_loss.setflags(write=False)

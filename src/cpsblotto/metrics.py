@@ -14,9 +14,17 @@ from .cascade import physical_effect_matrix
 
 @dataclass(frozen=True)
 class ShortestPathTable:
-    """All-pairs shortest path lengths; inf marks unreachable pairs."""
+    """All-pairs shortest path lengths; inf marks unreachable pairs.
+
+    Attributes:
+        lengths: n x n table, row j holding the lengths from source j.
+        resolved: ascending source rows this call solved with Dijkstra;
+            every row when no base table was given.  A row outside it is
+            bitwise the base row.
+    """
 
     lengths: np.ndarray
+    resolved: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -36,11 +44,16 @@ class BattlefieldValues:
     defender: np.ndarray
 
 
-def all_pairs_shortest_paths(adjacency: np.ndarray,
+def all_pairs_shortest_paths(adjacency: np.ndarray | csr_matrix,
                              removed: int | None = None,
                              base: ShortestPathTable | None = None
                              ) -> ShortestPathTable:
     """Exact shortest-path lengths between all node pairs.
+
+    Dijkstra runs directed on the symmetric CSR, which gives the undirected
+    lengths without csgraph's per-call transpose.  A removal cuts the links
+    out of `removed` by setting their weights to inf; an explicit zero
+    would be a zero-weight link to csgraph.
 
     With `removed` and `base` given, only the source rows the removal can
     change are re-solved.  Call an edge (u, k) tight for source j when
@@ -56,57 +69,71 @@ def all_pairs_shortest_paths(adjacency: np.ndarray,
     re-solve, never a wrong row.
 
     Args:
-        adjacency: symmetric weight matrix, 0 meaning no link.
+        adjacency: symmetric weight matrix, dense (0 meaning no link) or
+            CSR (each stored entry a link).
         removed: optional node to exclude; its row/column come back inf.
         base: the same adjacency's table without a removal; it changes the
-            cost of a removal, never its result.
+            cost of a removal, never its lengths.
 
     Returns:
         ShortestPathTable over the full index set.
     """
-    A = np.asarray(adjacency, dtype=float)
-    if removed is None:
-        dist = shortest_path(csr_matrix(A), method="D", directed=False)
-    elif base is None:
-        dist = shortest_path(_without(A, removed), method="D",
-                             directed=False)
+    G = csr_matrix(adjacency, dtype=float)
+    if removed is None or base is None:
+        rows = np.arange(G.shape[0])
+        dist = shortest_path(G if removed is None else _without(G, removed),
+                             method="D", directed=True)
     else:
         dist = base.lengths.copy()
-        rows = np.flatnonzero(_rows_through(A, base.lengths, removed))
+        rows = np.flatnonzero(_rows_through(G, base.lengths, removed))
         if rows.size:
-            dist[rows] = shortest_path(_without(A, removed), method="D",
-                                       directed=False, indices=rows)
+            dist[rows] = shortest_path(_without(G, removed), method="D",
+                                       directed=True, indices=rows)
     if removed is not None:
         dist[removed, :] = np.inf
         dist[:, removed] = np.inf
         dist[removed, removed] = 0.0
-    return ShortestPathTable(lengths=dist)
+    return ShortestPathTable(lengths=dist, resolved=rows)
 
 
-def _without(A: np.ndarray, removed: int) -> csr_matrix:
-    """The graph of `A` with every link of node `removed` cut."""
-    A = A.copy()
-    A[removed, :] = 0.0
-    A[:, removed] = 0.0
-    return csr_matrix(A)
+def _without(G: csr_matrix, removed: int) -> csr_matrix:
+    """`G` with every out-link of node `removed` cut by an inf weight.
+
+    Dijkstra runs directed, so a path may still reach `removed` but never
+    leaves it; no other length changes, and the caller sets its row and
+    column to inf.
+    """
+    data = G.data.copy()
+    data[G.indptr[removed]:G.indptr[removed + 1]] = np.inf
+    return csr_matrix((data, G.indices, G.indptr), shape=G.shape)
 
 
-def _rows_through(A: np.ndarray, lengths: np.ndarray,
+def _rows_through(G: csr_matrix, lengths: np.ndarray,
                   removed: int) -> np.ndarray:
     """Sources whose shortest-path rows may change when `removed` goes.
 
     Marks source j when some neighbour k of `removed` has `removed` as a
     tight predecessor and no other tight predecessor strictly closer to j.
-    The row of `removed` itself is left unmarked: it comes back all inf.
+    The edges (u, k) into every neighbour k are gathered from the
+    symmetric CSR in one step, one segment per k, and each segment holds
+    exactly one edge from `removed`.  The row of `removed` itself is left
+    unmarked: it comes back all inf.
     """
-    through = np.zeros(lengths.shape[0], dtype=bool)
-    for k in np.flatnonzero(A[removed] > 0):
-        preds = np.flatnonzero(A[:, k] > 0)
-        via = preds == removed
-        tight = lengths[:, preds] + A[preds, k] == lengths[:, k, None]
-        closer = lengths[:, preds[~via]] < lengths[:, k, None]
-        through |= (tight[:, via].any(axis=1)
-                    & ~(tight[:, ~via] & closer).any(axis=1))
+    lo, hi = G.indptr[removed], G.indptr[removed + 1]
+    if hi == lo:
+        return np.zeros(lengths.shape[0], dtype=bool)
+    ks = G.indices[lo:hi]
+    starts, counts = G.indptr[ks], G.indptr[ks + 1] - G.indptr[ks]
+    segments = np.cumsum(counts) - counts
+    edges = np.arange(counts.sum()) + np.repeat(starts - segments, counts)
+    via = G.indices[edges] == removed
+    to_u = lengths[:, G.indices[edges]]
+    to_k = lengths[:, np.repeat(ks, counts)]
+    tight = to_u + G.data[edges] == to_k
+    detour = tight & (to_u < to_k)
+    detour[:, via] = False
+    spared = np.logical_or.reduceat(detour, segments, axis=1)
+    through = (tight[:, via] & ~spared).any(axis=1)
     through[removed] = False
     return through
 
@@ -121,12 +148,13 @@ def cyber_effect_matrix(topology: CpsTopology, t0: float,
     baseline t0.  Pairs disconnected by the removal contribute a fixed
     penalty, by default n times the longest finite base path length.
 
-    Each removal's table is built from the base table, re-solving only the
+    The cyber CSR is built once and shared by every removal.  Each
+    removal's table is built from the base table, re-solving only the
     sources for which some neighbour of i has i as its only tight
     predecessor (see all_pairs_shortest_paths); the other rows are bitwise
     equal to the base.  A row equal to its base row sums to the same float,
     so its ratio is exactly 1 and its entry exactly t0; the ratio is
-    computed only for rows that differ.
+    computed only for the re-solved rows.
 
     Args:
         topology: validated topology; its cyber graph must be connected.
@@ -141,8 +169,8 @@ def cyber_effect_matrix(topology: CpsTopology, t0: float,
         ValidationError: the base cyber graph is disconnected.
     """
     n = topology.n
-    adjacency = topology.cyber_adjacency
-    base = all_pairs_shortest_paths(adjacency)
+    graph = csr_matrix(topology.cyber_adjacency, dtype=float)
+    base = all_pairs_shortest_paths(graph)
     reachable = np.isfinite(base.lengths)
     if not reachable.all():
         bad = np.argwhere(~reachable)
@@ -154,22 +182,20 @@ def cyber_effect_matrix(topology: CpsTopology, t0: float,
     T = np.full((n, n), t0, dtype=float)
     others = ~np.eye(n, dtype=bool)
     for i in range(n):
-        sub = all_pairs_shortest_paths(adjacency, removed=i, base=base)
-        differs = sub.lengths != base.lengths
-        differs[:, i] = False
-        changed = np.flatnonzero(differs.any(axis=1))
-        if changed.size:
-            keep = others[changed]
+        sub = all_pairs_shortest_paths(graph, removed=i, base=base)
+        rows = sub.resolved
+        if rows.size:
+            keep = others[rows]
             keep[:, i] = False
-            lengths = sub.lengths[changed]
+            lengths = sub.lengths[rows]
             capped = np.where(np.isfinite(lengths), lengths,
                               disconnection_penalty)
             num = (capped * keep).sum(axis=1)
-            den = (base.lengths[changed] * keep).sum(axis=1)
+            den = (base.lengths[rows] * keep).sum(axis=1)
             with np.errstate(divide="ignore", invalid="ignore"):
                 ratio = np.where(den > 0, num / np.where(den > 0, den, 1.0),
                                  1.0)
-            T[changed, i] = ratio - 1.0 + t0
+            T[rows, i] = ratio - 1.0 + t0
         T[i, i] = 0.0
     return T
 

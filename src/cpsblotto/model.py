@@ -268,7 +268,7 @@ def validate(topology: CpsTopology) -> list[str]:
         for j in np.flatnonzero(~reach):
             problems.append(f"node {j} unreachable from reference node")
 
-    if not np.allclose(A, A.T, atol=0):
+    if not np.array_equal(A, A.T):
         problems.append("cyber adjacency must be symmetric")
     if np.any(np.diag(A) != 0):
         problems.append("cyber adjacency diagonal must be zero")

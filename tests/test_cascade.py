@@ -202,3 +202,31 @@ def test_processing_order_customers_before_suppliers():
     assert first <= {1, 2, 3}
     flat = [n for group in result.processing_order for n in group]
     assert flat == sorted(set(flat), key=flat.index)  # no node twice
+
+
+def _second_order_by_loop(F: np.ndarray, failed: int) -> set[int]:
+    """Nodes two flow links from `failed`, one neighbour at a time."""
+    n = F.shape[0]
+    first = {j for j in range(n) if F[failed, j] > 0 or F[j, failed] > 0}
+    second = set()
+    for j in first:
+        second |= {k for k in range(n) if F[j, k] > 0 or F[k, j] > 0}
+    return second - first - {failed}
+
+
+def test_cascade_processes_customers_then_the_second_order_neighbourhood():
+    # acyclic flows let every phase drain, so each customer and each
+    # second-order neighbour is processed exactly once
+    rng = np.random.default_rng(41)
+    topologies = [routed_dag(rng) for _ in range(10)]
+    topologies += [generate_concentric(random_level_spec(rng), 0.7)
+                   for _ in range(3)]
+    for topo in topologies:
+        for failed in range(topo.n):
+            customers = set(np.flatnonzero(topo.flows[failed] > 0).tolist())
+            second = _second_order_by_loop(topo.flows, failed)
+            flat = [j for group in cascade_failure(topo, failed)
+                    .processing_order for j in group]
+            assert len(flat) == len(set(flat))
+            assert set(flat[:len(customers)]) == customers
+            assert set(flat[len(customers):]) == second

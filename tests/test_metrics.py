@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import shortest_path
 
 from cpsblotto import (ValidationError, all_pairs_shortest_paths,
                        battlefield_values, cyber_effect_matrix,
@@ -9,6 +11,7 @@ from cpsblotto import (ValidationError, all_pairs_shortest_paths,
                        effective_values, generate_concentric,
                        interdependency_matrix, normalize_weights,
                        solve_equilibrium)
+from cpsblotto.metrics import _rows_through
 from _support import (cyber_topology, path_adjacency, random_level_spec,
                       star_adjacency)
 
@@ -114,25 +117,65 @@ def _removal_test_graphs():
     return graphs
 
 
+def _undirected_lengths(A):
+    """csgraph's undirected Dijkstra on a CSR: a dense input would drop
+    weights within 1e-8 of zero as missing links."""
+    return shortest_path(csr_matrix(A), method="D", directed=False)
+
+
+def _table_without(A, i):
+    """Undirected Dijkstra on A with node i deleted, i's row and column
+    put back as inf around a zero self-distance."""
+    n = A.shape[0]
+    kept = np.delete(np.arange(n), i)
+    table = np.full((n, n), np.inf)
+    table[i, i] = 0.0
+    table[np.ix_(kept, kept)] = _undirected_lengths(
+        np.delete(np.delete(A, i, 0), i, 1))
+    return table
+
+
 def test_base_table_leaves_removal_tables_unchanged():
     for A in _removal_test_graphs():
-        base = all_pairs_shortest_paths(A)
+        graph = csr_matrix(A)  # as cyber_effect_matrix passes it
+        base = all_pairs_shortest_paths(graph)
+        assert np.array_equal(base.lengths, _undirected_lengths(A))
         for i in range(A.shape[0]):
-            fast = all_pairs_shortest_paths(A, removed=i, base=base)
+            fast = all_pairs_shortest_paths(graph, removed=i, base=base)
             full = all_pairs_shortest_paths(A, removed=i)
-            assert np.array_equal(fast.lengths, full.lengths)
-            assert np.array_equal(np.isfinite(fast.lengths),
-                                  np.isfinite(full.lengths))
+            reference = _table_without(A, i)
+            assert np.array_equal(fast.lengths, reference)
+            assert np.array_equal(full.lengths, reference)
+
+
+def test_resolved_rows_are_the_marked_rows():
+    graphs = _removal_test_graphs() + [path_adjacency(n) for n in (1, 2, 3)]
+    for A in graphs:
+        n = A.shape[0]
+        base = all_pairs_shortest_paths(A)
+        assert np.array_equal(base.resolved, np.arange(n))
+        for i in range(n):
+            marked = _rows_through(csr_matrix(A), base.lengths, i)
+            table = all_pairs_shortest_paths(A, removed=i, base=base)
+            assert np.array_equal(table.resolved, np.flatnonzero(marked))
+            outside = ~marked
+            outside[i] = False
+            # column i is cut to inf; every other entry is the base's
+            assert np.array_equal(np.delete(table.lengths[outside], i, 1),
+                                  np.delete(base.lengths[outside], i, 1))
+            assert np.array_equal(
+                all_pairs_shortest_paths(A, removed=i).resolved,
+                np.arange(n))
 
 
 def _cyber_effects_from_full_tables(A, t0):
     """cyber_effect_matrix's definition, one full table per removal."""
     n = A.shape[0]
-    base = all_pairs_shortest_paths(A).lengths
+    base = _undirected_lengths(A)
     penalty = n * base.max()
     T = np.zeros((n, n))
     for i in range(n):
-        sub = all_pairs_shortest_paths(A, removed=i).lengths
+        sub = _table_without(A, i)
         capped = np.where(np.isfinite(sub), sub, penalty)
         keep = ~np.eye(n, dtype=bool)
         keep[:, i] = False

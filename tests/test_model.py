@@ -76,6 +76,15 @@ def test_validate_flags_non_finite_node_weight(bad):
                      "node 0 has non-finite weight")
 
 
+def test_validate_flags_one_ulp_cyber_asymmetry():
+    # Dijkstra runs directed on the cyber CSR, so a link must weigh the
+    # same both ways to the bit.
+    base = small_valid_topology()
+    A = base.cyber_adjacency.copy()
+    A[0, 2] = np.nextafter(1.0, 2.0)
+    expect_violation(dataclasses.replace(base, cyber_adjacency=A), "symmetric")
+
+
 def test_validate_flags_each_violation():
     base = small_valid_topology()
 
