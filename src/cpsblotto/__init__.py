@@ -14,7 +14,7 @@ from .model import (CpsTopology, GameParams, NodeLevel, NodeSpec,
                     default_params, generate_concentric, load_scenario,
                     normalize_weights, save_scenario, validate)
 from .cascade import (CascadeResult, RebalanceRecord, cascade_failure,
-                      node_throughput, physical_effect_matrix, rebalance_node)
+                      node_throughput, physical_effect_matrix)
 from .metrics import (BattlefieldValues, EffectMatrices, ShortestPathTable,
                       all_pairs_shortest_paths, battlefield_values,
                       cyber_effect_matrix, effect_matrices, effective_values,
@@ -40,7 +40,7 @@ __all__ = [
     "generate_concentric", "load_scenario", "normalize_weights",
     "save_scenario", "validate",
     "CascadeResult", "RebalanceRecord", "cascade_failure", "node_throughput",
-    "physical_effect_matrix", "rebalance_node",
+    "physical_effect_matrix",
     "BattlefieldValues", "EffectMatrices", "ShortestPathTable",
     "all_pairs_shortest_paths", "battlefield_values", "cyber_effect_matrix",
     "effect_matrices", "effective_values", "interdependency_matrix",

@@ -82,39 +82,16 @@ def _rebalance(F: np.ndarray, C: np.ndarray, failed: int, node: int,
                            lost=float(deficit - absorbed))
 
 
-def rebalance_node(flows: np.ndarray, capacities: np.ndarray, failed: int,
-                   node: int) -> tuple[np.ndarray, RebalanceRecord]:
-    """Rebalance a single node after `failed` is removed (unit operation).
-
-    Args:
-        flows: pre-failure flow matrix; the failed row/column is zeroed here.
-        capacities: edge capacity matrix.
-        failed: id of the removed node.
-        node: id of the node to rebalance.
-
-    Returns:
-        (updated flow matrix copy, RebalanceRecord for `node`).
-    """
-    F = np.array(flows, dtype=float)
-    pre_in = F.sum(axis=0)
-    pre_out = F.sum(axis=1)
-    F[failed, :] = 0.0
-    F[:, failed] = 0.0
-    record = _rebalance(F, np.asarray(capacities, dtype=float), failed, node,
-                        pre_in, pre_out)
-    return F, record
-
-
 def _pop_group(pending: list[int], F: np.ndarray, incoming: bool) -> list[int]:
     """Extract the next processable group from `pending` (ascending ids).
 
     incoming=False selects members with no outgoing edge to the remaining
     members; incoming=True selects members with no incoming edge from them.
+    The group is empty only when the remaining members' links hold a cycle
+    (a self-loop counts as one).
     """
     idx = np.array(pending, dtype=int)
-    links = F[idx[:, None], idx] > 0
-    links.flat[::idx.size + 1] = False  # the diagonal: no self-links
-    linked = links.any(axis=0 if incoming else 1)
+    linked = (F[idx[:, None], idx] > 0).any(axis=0 if incoming else 1)
     group = [j for j, held in zip(pending, linked) if not held]
     pending[:] = [j for j, held in zip(pending, linked) if held]
     return group
@@ -124,9 +101,11 @@ def cascade_failure(topology: CpsTopology, failed: int) -> CascadeResult:
     """Simulate the flow cascade triggered by removing one node.
 
     Customers of the failed node are rebalanced first, most-downstream
-    members first; any left over are then taken most-upstream first.  The
-    second-order neighborhood follows, most-upstream first.  Groups are
-    processed in ascending node id.  Each node is rebalanced at most once.
+    members first.  The second-order neighborhood follows, most-upstream
+    first.  Groups are processed in ascending node id.  Each node is
+    rebalanced once.  Rebalancing a node writes only its own column, so the
+    links among the nodes still pending are pre-failure links, and acyclic
+    flows (which `validate` checks) leave no group empty.
 
     Args:
         topology: validated topology.
@@ -134,11 +113,18 @@ def cascade_failure(topology: CpsTopology, failed: int) -> CascadeResult:
 
     Returns:
         CascadeResult with the post-cascade flows and per-node losses.
+
+    Raises:
+        ValueError: `failed` is out of range, or the flows hold a cycle
+            through the nodes the cascade visits.
     """
     n = topology.n
     if not (0 <= failed < n):
         raise ValueError(f"failed node id {failed} out of range")
     F0 = topology.flows
+    if F0[failed, failed] > 0:
+        # Its own customer: the zeroed row would hide the self-loop.
+        raise ValueError("cycle in flow graph")
     C = topology.capacities
     pre_in = F0.sum(axis=0)
     pre_out = F0.sum(axis=1)
@@ -147,7 +133,6 @@ def cascade_failure(topology: CpsTopology, failed: int) -> CascadeResult:
     F[:, failed] = 0.0
 
     supplies = F0[failed] > 0
-    customers = np.flatnonzero(supplies).tolist()
     first_order = supplies | (F0[:, failed] > 0)
     second_order = ((F0[first_order] > 0).any(axis=0)
                     | (F0[:, first_order] > 0).any(axis=1)) & ~first_order
@@ -156,23 +141,18 @@ def cascade_failure(topology: CpsTopology, failed: int) -> CascadeResult:
     per_node_loss = np.zeros(n)
     records: list[RebalanceRecord] = []
     order: list[tuple[int, ...]] = []
-
-    def run_phase(pending: list[int], incoming: bool) -> None:
+    for members, incoming in ((supplies, False), (second_order, True)):
+        pending = np.flatnonzero(members).tolist()
         while pending:
             group = _pop_group(pending, F, incoming)
             if not group:
-                break
+                raise ValueError("cycle in flow graph")
             order.append(tuple(group))
             for j in group:
                 record = _rebalance(F, C, failed, j, pre_in, pre_out)
                 if record.deficit > 0.0:
                     records.append(record)
-                    per_node_loss[j] += record.lost
-
-    pending = list(customers)
-    run_phase(pending, incoming=False)
-    run_phase(pending, incoming=True)
-    run_phase(np.flatnonzero(second_order).tolist(), incoming=True)
+                    per_node_loss[j] = record.lost
 
     F.setflags(write=False)
     per_node_loss.setflags(write=False)
@@ -192,7 +172,7 @@ def physical_effect_matrix(topology: CpsTopology) -> np.ndarray:
 
     Entry (j, i) is the fraction of node j's pre-failure throughput lost when
     node i fails, clipped to [0, 1].  Nodes with zero pre-failure throughput
-    and the diagonal are 0.
+    are 0, and so is the diagonal: a cascade never rebalances the failed node.
 
     Args:
         topology: validated topology.
@@ -201,15 +181,10 @@ def physical_effect_matrix(topology: CpsTopology) -> np.ndarray:
         n x n effect matrix with entries in [0, 1] and zero diagonal.
     """
     n = topology.n
-    throughput = node_throughput(topology)
-    effects = np.zeros((n, n))
+    throughput = node_throughput(topology)[:, None]
+    losses = np.zeros((n, n))
     for i in range(n):
-        result = cascade_failure(topology, i)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            column = np.where(throughput > 0,
-                              result.per_node_loss / np.where(throughput > 0,
-                                                              throughput, 1.0),
-                              0.0)
-        effects[:, i] = np.clip(column, 0.0, 1.0)
-        effects[i, i] = 0.0
-    return effects
+        losses[:, i] = cascade_failure(topology, i).per_node_loss
+    effects = np.divide(losses, throughput, out=np.zeros((n, n)),
+                        where=throughput > 0)
+    return np.clip(effects, 0.0, 1.0)

@@ -192,9 +192,7 @@ def cyber_effect_matrix(topology: CpsTopology, t0: float,
                               disconnection_penalty)
             num = (capped * keep).sum(axis=1)
             den = (base.lengths[rows] * keep).sum(axis=1)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ratio = np.where(den > 0, num / np.where(den > 0, den, 1.0),
-                                 1.0)
+            ratio = np.divide(num, den, out=np.ones_like(num), where=den > 0)
             T[rows, i] = ratio - 1.0 + t0
         T[i, i] = 0.0
     return T

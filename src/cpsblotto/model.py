@@ -14,6 +14,8 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import breadth_first_order, connected_components
 
 # Conservation is enforced at nodes that both receive and send flow.
 FLOW_BALANCE_TOL = 1e-6
@@ -179,22 +181,6 @@ class CpsTopology:
         raise ValidationError("topology has no reference node")
 
 
-def _flow_cycle(flows: np.ndarray) -> bool:
-    """True when the positive entries of `flows` contain a directed cycle."""
-    n = flows.shape[0]
-    indegree = (flows > 0).sum(axis=0)
-    queue = [i for i in range(n) if indegree[i] == 0]
-    seen = 0
-    while queue:
-        i = queue.pop()
-        seen += 1
-        for j in np.flatnonzero(flows[i] > 0):
-            indegree[j] -= 1
-            if indegree[j] == 0:
-                queue.append(int(j))
-    return seen < n
-
-
 def validate(topology: CpsTopology) -> list[str]:
     """Check every structural invariant; return violation messages.
 
@@ -241,7 +227,9 @@ def validate(topology: CpsTopology) -> list[str]:
             problems.append(f"flow must be one-directional between nodes {i} and {j}")
     if np.any(np.diag(F) > 0) or np.any(np.diag(C) > 0):
         problems.append("self-loop flows are not allowed")
-    if _flow_cycle(F):
+    # A cycle is a strong component of two or more nodes, or a self-loop.
+    strong, _ = connected_components(csr_matrix(F > 0), connection="strong")
+    if strong < n or np.any(np.diag(F) > 0):
         problems.append("cycle in flow graph")
 
     inflow = F.sum(axis=0)
@@ -255,16 +243,10 @@ def validate(topology: CpsTopology) -> list[str]:
 
     if refs and not problems:
         # Reachability over the union of physical and cyber links.
+        link = csr_matrix((F > 0) | (F.T > 0) | (A > 0))
         reach = np.zeros(n, dtype=bool)
-        stack = [refs[0]]
-        reach[refs[0]] = True
-        link = (F > 0) | (F.T > 0) | (A > 0)
-        while stack:
-            i = stack.pop()
-            for j in np.flatnonzero(link[i]):
-                if not reach[j]:
-                    reach[j] = True
-                    stack.append(int(j))
+        reach[breadth_first_order(link, refs[0],
+                                  return_predecessors=False)] = True
         for j in np.flatnonzero(~reach):
             problems.append(f"node {j} unreachable from reference node")
 

@@ -10,6 +10,7 @@ analytic ones.  This route shares no code with the analytic solver.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, combinations
 from math import comb
 
 import numpy as np
@@ -36,21 +37,15 @@ def enumerate_strategies(units: int, battlefields: int) -> np.ndarray:
     if count > MAX_STRATEGIES:
         raise ValueError(
             f"{count} strategies exceed the {MAX_STRATEGIES} cap")
-    out = np.empty((count, battlefields), dtype=np.int64)
-    row = 0
-
-    def fill(prefix: list[int], remaining: int, slots: int) -> None:
-        nonlocal row
-        if slots == 1:
-            out[row, :len(prefix)] = prefix
-            out[row, -1] = remaining
-            row += 1
-            return
-        for value in range(remaining + 1):
-            fill(prefix + [value], remaining - value, slots - 1)
-
-    fill([], units, battlefields)
-    return out
+    # Stars and bars: the parts are the gaps between battlefields - 1 bars
+    # among `slots` positions; combinations() keeps lexicographic order.
+    slots = units + battlefields - 1
+    bars = np.fromiter(
+        chain.from_iterable(combinations(range(slots), battlefields - 1)),
+        dtype=np.int64, count=count * (battlefields - 1))
+    edges = np.pad(bars.reshape(count, battlefields - 1), ((0, 0), (1, 1)),
+                   constant_values=(-1, slots))
+    return np.diff(edges, axis=1) - 1
 
 
 @dataclass(frozen=True)

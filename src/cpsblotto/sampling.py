@@ -54,9 +54,8 @@ def sample_allocation(marginals: tuple[MarginalDistribution, ...],
                       budget: float, rng: np.random.Generator | int | None = None
                       ) -> np.ndarray:
     """Single joint allocation summing exactly to `budget`."""
-    if not isinstance(rng, np.random.Generator):
-        rng = np.random.default_rng(rng)
-    return sample_allocations(marginals, budget, 1, rng)[0]
+    return sample_allocations(marginals, budget, 1,
+                              np.random.default_rng(rng))[0]
 
 
 def allocation_band_probability(marginals: tuple[MarginalDistribution, ...],
@@ -80,9 +79,8 @@ def allocation_band_probability(marginals: tuple[MarginalDistribution, ...],
         raise ValueError(f"samples must be >= {MIN_BAND_SAMPLES}")
     if not (0.0 < share < 1.0 and 0.0 < epsilon < 1.0):
         raise ValueError("share and epsilon must lie in (0, 1)")
-    rng = seed if isinstance(seed, np.random.Generator) \
-        else np.random.default_rng(seed)
     # The budget cancels out of r_i / budget, so sample on the unit simplex.
-    allocations = sample_allocations(marginals, 1.0, samples, rng)
+    allocations = sample_allocations(marginals, 1.0, samples,
+                                     np.random.default_rng(seed))
     fractions = allocations[:, battlefield]
     return float(np.mean(np.abs(fractions - share) <= epsilon))

@@ -3,11 +3,11 @@
 import dataclasses
 
 import numpy as np
+import pytest
 
 from cpsblotto import (CpsTopology, NodeLevel, NodeSpec, cascade_failure,
                        default_nine_node, generate_concentric,
-                       node_throughput, physical_effect_matrix,
-                       rebalance_node, validate)
+                       node_throughput, physical_effect_matrix, validate)
 from _support import routed_dag, random_level_spec
 
 
@@ -27,10 +27,12 @@ def test_rebalance_single_supplier_within_headroom():
     F[0, 1] = 4.0; C[0, 1] = 8.0
     F[1, 3] = 4.0; C[1, 3] = 8.0
     F[2, 3] = 2.0; C[2, 3] = 10.0
-    updated, record = rebalance_node(F, C, failed=1, node=3)
-    assert updated[1, 3] == 0.0   # failed row removed by the call
-    assert updated[2, 3] == 6.0
-    assert F[1, 3] == 4.0         # input untouched
+    topo = topology_from_flows(F, C)
+    result = cascade_failure(topo, 1)
+    assert result.flows[1, 3] == 0.0   # failed row removed by the cascade
+    assert result.flows[2, 3] == 6.0
+    assert topo.flows[1, 3] == 4.0     # input untouched
+    record = next(r for r in result.records if r.node == 3)
     assert record.deficit == 4.0
     assert record.absorbed == 4.0
     assert record.lost == 0.0
@@ -41,9 +43,29 @@ def test_rebalance_saturates_at_capacity():
     F[0, 1] = 4.0; C[0, 1] = 8.0
     F[1, 3] = 4.0; C[1, 3] = 8.0
     F[2, 3] = 2.0; C[2, 3] = 5.0   # headroom 3 < deficit 4
-    updated, record = rebalance_node(F, C, failed=1, node=3)
-    assert updated[2, 3] == 5.0
+    result = cascade_failure(topology_from_flows(F, C), 1)
+    assert result.flows[2, 3] == 5.0
+    record = next(r for r in result.records if r.node == 3)
     assert record.lost == 1.0
+
+
+def test_cascade_rejects_cyclic_flows():
+    # node 0 supplies 1, 2 and 3, which pass flow round the cycle 1->2->3->1:
+    # no customer can go first, so the cascade cannot order them
+    F = np.zeros((4, 4))
+    F[0, 1] = F[0, 2] = F[0, 3] = 1.0
+    F[1, 2] = F[2, 3] = F[3, 1] = 1.0
+    topo = topology_from_flows(F, F * 2)
+    assert "cycle in flow graph" in validate(topo)
+    with pytest.raises(ValueError, match="cycle in flow graph"):
+        cascade_failure(topo, 0)
+    # a self-loop is a cycle too, also on the failed node itself
+    F = np.zeros((3, 3))
+    F[0, 1] = F[1, 2] = F[1, 1] = 1.0
+    topo = topology_from_flows(F, F * 2)
+    for failed in (0, 1):
+        with pytest.raises(ValueError, match="cycle in flow graph"):
+            cascade_failure(topo, failed)
 
 
 def test_leaf_failure_only_zeroes_the_failed_node():

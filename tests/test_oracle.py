@@ -1,5 +1,7 @@
 """Discrete-grid oracle: enumeration, payoff matrices, fictitious play."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,14 @@ def test_enumerate_strategies_counts_and_order():
     # ascending lexicographic order
     as_tuples = [tuple(row) for row in S]
     assert as_tuples == sorted(as_tuples)
+    # every composition, in the order a filtered product yields them
+    for units in range(9):
+        for battlefields in range(1, 5):
+            expected = [row for row in itertools.product(
+                range(units + 1), repeat=battlefields) if sum(row) == units]
+            S = enumerate_strategies(units, battlefields)
+            assert S.dtype == np.int64
+            assert np.array_equal(S, np.array(expected, dtype=np.int64))
 
 
 def test_enumerate_strategies_guards():
