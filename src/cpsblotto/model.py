@@ -159,8 +159,9 @@ class CpsTopology:
     cyber_adjacency: np.ndarray
 
     def __post_init__(self) -> None:
+        # A copy, so that freezing it leaves the caller's array writable.
         for name in ("flows", "capacities", "cyber_adjacency"):
-            arr = np.asarray(getattr(self, name), dtype=float)
+            arr = np.array(getattr(self, name), dtype=float)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 

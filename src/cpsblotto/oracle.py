@@ -107,21 +107,36 @@ def fictitious_play(game: DiscreteGame, iterations: int = 40_000
     score_a = U_a.mean(axis=0)
     counts_d = np.zeros(n_d)
     counts_a = np.zeros(n_a)
+    # The loop is Python-bound at these sizes: bound argmax methods skip
+    # numpy's dispatch wrapper, the transposed copy makes the defender's
+    # payoff read a contiguous row, and the best responses are counted once
+    # per checkpoint instead of once per iteration.
+    argmax_d = score_d.argmax
+    argmax_a = score_a.argmax
+    U_d_by_attack = np.ascontiguousarray(U_d.T)
+    played_d: list[int] = []
+    played_a: list[int] = []
 
     checkpoints: list[tuple[float, float]] = []
     step = max(1, iterations // 200)
-    for t in range(1, iterations + 1):
-        br_d = int(np.argmax(score_d))
-        br_a = int(np.argmax(score_a))
-        counts_d[br_d] += 1.0
-        counts_a[br_a] += 1.0
-        score_d += U_d[:, br_a]
-        score_a += U_a[br_d, :]
-        if t % step == 0 or t == iterations:
-            p_d = counts_d / t
-            p_a = counts_a / t
-            checkpoints.append((float(p_d @ U_d @ p_a),
-                                float(p_d @ U_a @ p_a)))
+    t = 0
+    for end in (*range(step, iterations, step), iterations):
+        for _ in range(end - t):
+            br_d = argmax_d()
+            br_a = argmax_a()
+            played_d.append(br_d)
+            played_a.append(br_a)
+            score_d += U_d_by_attack[br_a]
+            score_a += U_a[br_d]
+        t = end
+        counts_d += np.bincount(played_d, minlength=n_d)
+        counts_a += np.bincount(played_a, minlength=n_a)
+        played_d.clear()
+        played_a.clear()
+        p_d = counts_d / t
+        p_a = counts_a / t
+        checkpoints.append((float(p_d @ U_d @ p_a),
+                            float(p_d @ U_a @ p_a)))
 
     tail = checkpoints[max(0, int(len(checkpoints) * 0.9) - 1):]
     series = np.array(tail)

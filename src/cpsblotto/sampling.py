@@ -16,12 +16,16 @@ def draw_marginals(marginals: tuple[MarginalDistribution, ...],
 
     Atom draws yield 0; otherwise the value is uniform on the support.
     """
-    n = len(marginals)
     atoms = np.array([m.atom_at_zero for m in marginals])
     uppers = np.array([m.support_upper for m in marginals])
-    hit_atom = rng.random((count, n)) < atoms
-    values = rng.random((count, n)) * uppers
-    return np.where(hit_atom, 0.0, values)
+    draws = rng.random((count, len(marginals)))
+    kept = draws >= atoms
+    # Refilling the first buffer draws the same stream as a second array.
+    rng.random(out=draws)
+    draws *= uppers
+    # Exact zeroing: the scaled values are finite and non-negative.
+    draws *= kept
+    return draws
 
 
 def sample_allocations(marginals: tuple[MarginalDistribution, ...],
@@ -31,7 +35,8 @@ def sample_allocations(marginals: tuple[MarginalDistribution, ...],
 
     Each row is drawn independently from the marginals and rescaled by
     budget / row-sum so it lands exactly on the simplex; all-zero rows (every
-    marginal hit its atom) are redrawn.
+    marginal hit its atom) are redrawn.  Each row is summed once: a resample
+    round sums only the rows it redraws.
 
     Returns:
         (count, n) array whose rows sum to `budget`.
@@ -39,15 +44,18 @@ def sample_allocations(marginals: tuple[MarginalDistribution, ...],
     if budget <= 0:
         raise ValueError("budget must be positive")
     samples = draw_marginals(marginals, rng, count)
+    sums = samples.sum(axis=1)
     for _ in range(_MAX_RESAMPLE):
-        sums = samples.sum(axis=1)
-        dead = sums == 0.0
-        if not dead.any():
+        dead = np.flatnonzero(sums == 0.0)
+        if dead.size == 0:
             break
-        samples[dead] = draw_marginals(marginals, rng, int(dead.sum()))
+        redrawn = draw_marginals(marginals, rng, dead.size)
+        samples[dead] = redrawn
+        sums[dead] = redrawn.sum(axis=1)
     else:
         raise RuntimeError("could not draw a non-zero allocation")
-    return samples * (budget / samples.sum(axis=1, keepdims=True))
+    samples *= (budget / sums)[:, None]
+    return samples
 
 
 def sample_allocation(marginals: tuple[MarginalDistribution, ...],

@@ -49,6 +49,12 @@ def test_topology_arrays_are_read_only():
         topo.flows[0, 1] = 5.0
     with pytest.raises(ValueError):
         topo.cyber_adjacency[0, 1] = 5.0
+    # freezing the topology leaves the caller's own float64 arrays writable
+    F = np.array(topo.flows)
+    frozen = dataclasses.replace(topo, flows=F)
+    F[0, 1] = 3.0
+    assert frozen.flows[0, 1] == 1.0
+    assert not frozen.flows.flags.writeable
 
 
 def test_human_interaction_normalized():

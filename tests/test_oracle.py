@@ -80,6 +80,52 @@ def test_fictitious_play_is_deterministic():
         fictitious_play(game, iterations=5)
 
 
+def reference_fictitious_play(game, iterations):
+    """Fictitious play before the lean loop: module-level argmax, a strided
+    column read and a per-iteration count update."""
+    U_d, U_a = game.payoff_matrices()
+    score_d = U_d.mean(axis=1)
+    score_a = U_a.mean(axis=0)
+    counts_d = np.zeros(U_d.shape[0])
+    counts_a = np.zeros(U_d.shape[1])
+    checkpoints = []
+    step = max(1, iterations // 200)
+    for t in range(1, iterations + 1):
+        br_d = int(np.argmax(score_d))
+        br_a = int(np.argmax(score_a))
+        counts_d[br_d] += 1.0
+        counts_a[br_a] += 1.0
+        score_d += U_d[:, br_a]
+        score_a += U_a[br_d, :]
+        if t % step == 0 or t == iterations:
+            p_d = counts_d / t
+            p_a = counts_a / t
+            checkpoints.append((float(p_d @ U_d @ p_a),
+                                float(p_d @ U_a @ p_a)))
+    series = np.array(checkpoints[max(0, int(len(checkpoints) * 0.9) - 1):])
+    gap = float((series.max(axis=0) - series.min(axis=0)).max())
+    return (*checkpoints[-1], counts_d / iterations, counts_a / iterations,
+            gap)
+
+
+@pytest.mark.parametrize("iterations", [10, 1999, 3000])
+def test_fictitious_play_matches_the_reference_bitwise(iterations):
+    for game in (DiscreteGame(values_d=np.array([0.52, 0.48]),
+                              values_a=np.array([0.51, 0.49]),
+                              units_d=24, units_a=20),
+                 DiscreteGame(values_d=np.array([0.4, 0.35, 0.25]),
+                              values_a=np.array([0.5, 0.3, 0.2]),
+                              units_d=25, units_a=20)):
+        result = fictitious_play(game, iterations=iterations)
+        payoff_d, payoff_a, mixed_d, mixed_a, gap = reference_fictitious_play(
+            game, iterations)
+        assert result.payoff_d == payoff_d
+        assert result.payoff_a == payoff_a
+        assert result.mixed_d.tobytes() == mixed_d.tobytes()
+        assert result.mixed_a.tobytes() == mixed_a.tobytes()
+        assert result.convergence_gap == gap
+
+
 def test_two_field_shutout_is_reported_honestly():
     # with twice the budget on two equal fields the defender can cover both
     # possible attacks outright; the relaxed analytic value cannot see that,

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cpsblotto import (MarginalDistribution, allocation_band_probability,
+                       battlefield_values, default_nine_node, default_params,
                        draw_marginals, sample_allocation, sample_allocations,
                        solve_equilibrium)
 
@@ -97,3 +98,57 @@ def test_draw_marginals_respects_atoms_and_supports():
     assert draws[:, 1].max() <= 0.5
     assert draws[:, 1].min() > 0.0
     assert draws[:, 0].max() <= 1.25
+
+
+def reference_sample_allocations(marginals, budget, count, rng):
+    """The sampler before the one-pass rewrite: two fresh uniform arrays and
+    np.where per draw, and every row re-summed on each resample round."""
+    def draw(k):
+        atoms = np.array([m.atom_at_zero for m in marginals])
+        uppers = np.array([m.support_upper for m in marginals])
+        hit_atom = rng.random((k, len(marginals))) < atoms
+        values = rng.random((k, len(marginals))) * uppers
+        return np.where(hit_atom, 0.0, values)
+
+    samples = draw(count)
+    while True:
+        dead = samples.sum(axis=1) == 0.0
+        if not dead.any():
+            break
+        samples[dead] = draw(int(dead.sum()))
+    return samples * (budget / samples.sum(axis=1, keepdims=True))
+
+
+def test_resampler_matches_the_reference_bitwise():
+    # an all-atom row has probability 0.8**3 = 0.512, so about half the rows
+    # are redrawn in the first round and several rounds follow
+    heavy = tuple(MarginalDistribution(i, "attacker", 0.8, 1.0 + 0.5 * i)
+                  for i in range(3))
+    for seed in range(4):
+        for count in (1, 5, 4000):
+            rows = sample_allocations(heavy, 2.5, count,
+                                      np.random.default_rng(seed))
+            expected = reference_sample_allocations(
+                heavy, 2.5, count, np.random.default_rng(seed))
+            assert rows.tobytes() == expected.tobytes()
+        for battlefield in range(3):
+            rows = sample_allocations(heavy, 1.0, 5000,
+                                      np.random.default_rng(seed))
+            band = float(np.mean(np.abs(rows[:, battlefield] - 0.4) <= 0.1))
+            assert allocation_band_probability(heavy, battlefield, 0.4, 0.1,
+                                               5000, seed=seed) == band
+
+
+def test_draws_keep_each_marginal_within_monte_carlo_error():
+    values = battlefield_values(default_nine_node(), default_params(9))
+    sol = solve_equilibrium(values.defender, values.attacker, 2.5, 1.0)
+    count = 200_000
+    for marginals in (sol.marginals_d, sol.marginals_a):
+        draws = draw_marginals(marginals, np.random.default_rng(11), count)
+        for m, column in zip(marginals, draws.T):
+            atom, upper = m.atom_at_zero, m.support_upper
+            atom_se = np.sqrt(atom * (1.0 - atom) / count)
+            assert abs(np.mean(column == 0.0) - atom) <= 4.0 * atom_se
+            variance = (1.0 - atom) * upper**2 / 3.0 - m.mean()**2
+            assert abs(column.mean() - m.mean()) <= 4.0 * np.sqrt(
+                variance / count)
