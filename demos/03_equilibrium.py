@@ -28,8 +28,8 @@ def main():
     print(f"cubic residual = {solution.cubic_residual:.2e}")
 
     print("\nper-node marginals (atom at zero, support upper end, mean):")
-    for m_d, m_a in zip(solution.marginals_d, solution.marginals_a):
-        i = m_d.battlefield
+    for i, (m_d, m_a) in enumerate(zip(solution.marginals_d,
+                                       solution.marginals_a)):
         print(f"  node {i}: defender ({m_d.atom_at_zero:.3f}, "
               f"{m_d.support_upper:.3f}, {m_d.mean():.3f})   "
               f"attacker ({m_a.atom_at_zero:.3f}, "

@@ -36,6 +36,16 @@ def _parse_points(text: str) -> tuple[float, ...]:
         ) from None
 
 
+def _parse_nodes(text: str) -> tuple[int, ...]:
+    """Node ids; the empty string selects the default nodes."""
+    try:
+        return tuple(int(part) for part in text.split(",")) if text else ()
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated node ids such as 0,1,4, got {text!r}"
+        ) from None
+
+
 def _overrides(args) -> dict[str, float]:
     """The GameParams fields set on the command line; the parameter flags
     store under the field names (--rd as budget_d, --ra as budget_a)."""
@@ -151,10 +161,8 @@ def cmd_sweep_symmetry(args) -> int:
 
 def cmd_fig4(args) -> int:
     topology, params = _load_or_default(args)
-    if args.nodes:
-        node_ids = tuple(int(part) for part in args.nodes.split(","))
-    else:
-        node_ids = (0, 1, 4) if topology.n >= 5 else tuple(range(topology.n))
+    node_ids = args.nodes or (
+        (0, 1, 4) if topology.n >= 5 else tuple(range(topology.n)))
     values = battlefield_values(topology, params)
     rows = band_probability_table(
         values.attacker, node_ids, points=args.points,
@@ -242,7 +250,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fig4", parents=game + [points],
                        help="allocation band probabilities across a "
                             "symmetry sweep")
-    p.add_argument("--nodes", help="comma-separated node ids to watch")
+    p.add_argument("--nodes", type=_parse_nodes,
+                   help="comma-separated node ids to watch")
     p.add_argument("--epsilon", type=float, default=0.05)
     p.add_argument("--samples", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=0)

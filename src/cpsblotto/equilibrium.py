@@ -39,11 +39,10 @@ class MarginalDistribution:
 
     CDF(r) = atom_at_zero + (1 - atom_at_zero) * r / support_upper for
     r in [0, support_upper], so the distribution is an atom at zero plus a
-    uniform segment.
+    uniform segment.  Its position in a solution's marginals_d/marginals_a
+    is its battlefield, and the tuple that holds it names its owner.
     """
 
-    battlefield: int
-    owner: str  # "defender" or "attacker"
     atom_at_zero: float
     support_upper: float
 
@@ -61,7 +60,8 @@ class MarginalDistribution:
 
 @dataclass(frozen=True)
 class EquilibriumSolution:
-    """Full analytic solution of one game instance."""
+    """Full analytic solution of one game instance; marginals_d[i] and
+    marginals_a[i] are the two players' marginals on battlefield i."""
 
     mu: float
     lambda_d: float
@@ -337,18 +337,12 @@ def solve_equilibrium(g: np.ndarray, h: np.ndarray, budget_d: float,
     if bad.size:
         raise EquilibriumRegimeError(
             f"atom mass {atom[bad[0]]} outside [0, 1] on battlefield {bad[0]}")
-    rows = list(enumerate(zip(np.clip(atom, 0.0, 1.0).tolist(),
-                              upper.tolist(), members.tolist())))
-    marginals_d = tuple(
-        MarginalDistribution(battlefield=i, owner="defender",
-                             atom_at_zero=a if inside else 0.0,
-                             support_upper=up)
-        for i, (a, up, inside) in rows)
-    marginals_a = tuple(
-        MarginalDistribution(battlefield=i, owner="attacker",
-                             atom_at_zero=0.0 if inside else a,
-                             support_upper=up)
-        for i, (a, up, inside) in rows)
+    atom = np.clip(atom, 0.0, 1.0)
+    uppers = upper.tolist()
+    marginals_d = tuple(map(MarginalDistribution,
+                            np.where(members, atom, 0.0).tolist(), uppers))
+    marginals_a = tuple(map(MarginalDistribution,
+                            np.where(members, 0.0, atom).tolist(), uppers))
 
     p_attacker_wins = _by_side(members, 1.0 - g_in * mu / (2.0 * h_in),
                                h_out / (2.0 * g_out * mu))
@@ -448,12 +442,13 @@ def single_dependency_case(h: np.ndarray, budget_d: float, budget_a: float
 
 
 def solution_document(solution: EquilibriumSolution) -> dict:
-    """Serialize a solution to the documented JSON schema."""
-    marginals = []
-    for marginal in solution.marginals_a + solution.marginals_d:
-        marginals.append({"i": marginal.battlefield, "owner": marginal.owner,
-                          "atom": marginal.atom_at_zero,
-                          "upper": marginal.support_upper})
+    """Serialize a solution to the documented JSON schema: the attacker's
+    marginals, then the defender's, each with "i" its tuple position."""
+    marginals = [{"i": i, "owner": owner, "atom": marginal.atom_at_zero,
+                  "upper": marginal.support_upper}
+                 for owner, side in (("attacker", solution.marginals_a),
+                                     ("defender", solution.marginals_d))
+                 for i, marginal in enumerate(side)]
     return {
         "mu": solution.mu,
         "lambda_A": solution.lambda_a,
@@ -467,25 +462,29 @@ def solution_document(solution: EquilibriumSolution) -> dict:
 
 
 def solution_from_document(doc: dict) -> EquilibriumSolution:
-    """Rebuild a solution from its JSON document (inverse of solution_document)."""
-    marginals_d = []
-    marginals_a = []
+    """Inverse of solution_document; raises ValueError unless the marginals
+    hold one "defender" and one "attacker" entry per battlefield 0..n-1."""
+    n = len(doc["marginals"]) // 2
+    sides = {"defender": {}, "attacker": {}}
     for entry in doc["marginals"]:
-        marginal = MarginalDistribution(
-            battlefield=int(entry["i"]), owner=entry["owner"],
-            atom_at_zero=float(entry["atom"]),
-            support_upper=float(entry["upper"]))
-        if marginal.owner == "defender":
-            marginals_d.append(marginal)
-        else:
-            marginals_a.append(marginal)
-    marginals_d.sort(key=lambda m: m.battlefield)
-    marginals_a.sort(key=lambda m: m.battlefield)
+        owner, i = entry["owner"], int(entry["i"])
+        if owner not in sides:
+            raise ValueError(f"marginal owner {owner!r} is neither "
+                             "'defender' nor 'attacker'")
+        if i in sides[owner]:
+            raise ValueError(f"two {owner} marginals for battlefield {i}")
+        sides[owner][i] = MarginalDistribution(float(entry["atom"]),
+                                               float(entry["upper"]))
+    for owner, side in sides.items():
+        if sorted(side) != list(range(n)):
+            raise ValueError(f"{owner} marginals cover battlefields "
+                             f"{sorted(side)}, not 0..{n - 1}")
     return EquilibriumSolution(
         mu=float(doc["mu"]), lambda_d=float(doc["lambda_D"]),
         lambda_a=float(doc["lambda_A"]),
         omega_a=frozenset(int(i) for i in doc["omega_A"]),
-        marginals_d=tuple(marginals_d), marginals_a=tuple(marginals_a),
+        marginals_d=tuple(sides["defender"][i] for i in range(n)),
+        marginals_a=tuple(sides["attacker"][i] for i in range(n)),
         payoff_d=float(doc["payoff_D"]), payoff_a=float(doc["payoff_A"]),
         cubic_residual=float(doc["cubic_residual"]))
 

@@ -19,7 +19,6 @@ from scipy.sparse.csgraph import breadth_first_order, connected_components
 
 # Conservation is enforced at nodes that both receive and send flow.
 FLOW_BALANCE_TOL = 1e-6
-WEIGHT_SUM_TOL = 1e-9
 # Supply parents per node in generate_concentric (fewer when the tier above
 # is smaller).
 _PARENTS_PER_NODE = 2
@@ -173,13 +172,6 @@ class CpsTopology:
     def human_interaction(self) -> np.ndarray:
         """Normalized human-interaction weights (sum exactly restored to 1)."""
         return normalize_weights(np.array([node.h for node in self.nodes]))
-
-    @property
-    def reference_node(self) -> int:
-        for node in self.nodes:
-            if node.level is NodeLevel.REFERENCE:
-                return node.id
-        raise ValidationError("topology has no reference node")
 
 
 def validate(topology: CpsTopology) -> list[str]:

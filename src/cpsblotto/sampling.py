@@ -82,7 +82,15 @@ def allocation_band_probability(marginals: tuple[MarginalDistribution, ...],
 
     Returns:
         The estimated probability.
+
+    Raises:
+        ValueError: battlefield lies outside 0..n-1, samples is below
+            MIN_BAND_SAMPLES, or share or epsilon lies outside (0, 1).
     """
+    n = len(marginals)
+    if not 0 <= battlefield < n:
+        raise ValueError(f"battlefield {battlefield} is not a battlefield "
+                         f"id of these {n} marginals (0..{n - 1})")
     if samples < MIN_BAND_SAMPLES:
         raise ValueError(f"samples must be >= {MIN_BAND_SAMPLES}")
     if not (0.0 < share < 1.0 and 0.0 < epsilon < 1.0):

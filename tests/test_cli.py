@@ -259,6 +259,24 @@ def test_malformed_points_name_the_expected_format(capsys):
     assert "_parse_points" not in err
 
 
+def test_malformed_nodes_name_the_option_and_format(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["fig4", "--nodes", "a,b"])
+    assert excinfo.value.code == 1
+    err = capsys.readouterr().err
+    assert "--nodes" in err
+    assert "0,1,4" in err
+    assert "_parse_nodes" not in err
+
+
+def test_fig4_empty_nodes_watch_the_default_nodes(tmp_path):
+    out = tmp_path / "bands.csv"
+    assert main(["fig4", "--nodes", "", "--points", "1.0",
+                 "--samples", "1000", "--out", str(out)]) == 0
+    nodes = {line.split(",")[2] for line in out.read_text().splitlines()[2:]}
+    assert nodes == {"0", "1", "4"}
+
+
 def test_fig4_rejects_unknown_node_ids(capsys):
     for node in ("99", "9", "-1"):
         assert main(["fig4", "--nodes", node, "--points", "1.0",

@@ -1,13 +1,15 @@
 """Analytic equilibrium: multipliers, marginals, payoffs, closed forms."""
 
+import dataclasses
 import json
 import warnings
 
 import numpy as np
 import pytest
 
-from cpsblotto import (EquilibriumRegimeError, complete_info_payoffs,
-                       normalize_weights, single_dependency_case,
+from cpsblotto import (EquilibriumRegimeError, MarginalDistribution,
+                       complete_info_payoffs, normalize_weights,
+                       single_dependency_case,
                        solution_document, solution_from_document,
                        solution_to_json, solve_equilibrium)
 from cpsblotto import equilibrium
@@ -463,6 +465,48 @@ def test_solution_document_round_trip():
     assert rebuilt.marginals_d == sol.marginals_d
     assert rebuilt.marginals_a == sol.marginals_a
     assert rebuilt.payoff_d == sol.payoff_d
+
+
+def test_solution_document_lists_attacker_then_defender_by_position():
+    g = np.array([0.2, 0.4, 0.4])
+    h = np.array([0.7, 0.2, 0.1])
+    sol = solve_equilibrium(g, h, 1.2, 1.0)
+    assert sol.omega_a == frozenset({0})  # the two sides' atoms differ
+    assert [field.name for field in dataclasses.fields(MarginalDistribution)
+            ] == ["atom_at_zero", "support_upper"]
+    entries = solution_document(sol)["marginals"]
+    assert [(entry["owner"], entry["i"]) for entry in entries] == [
+        ("attacker", 0), ("attacker", 1), ("attacker", 2),
+        ("defender", 0), ("defender", 1), ("defender", 2)]
+    for entry in entries:
+        side = sol.marginals_a if entry["owner"] == "attacker" else (
+            sol.marginals_d)
+        assert MarginalDistribution(entry["atom"], entry["upper"]) == (
+            side[entry["i"]])
+
+
+@pytest.mark.parametrize("edit, message", [
+    pytest.param(lambda entries: entries.pop(4),  # defender i = 1
+                 r"defender marginals cover battlefields \[0, 2\], not 0..1",
+                 id="missing"),
+    pytest.param(lambda entries: entries[5].update(i=1),
+                 "two defender marginals for battlefield 1", id="repeated"),
+    pytest.param(lambda entries: entries[5].update(i=3),
+                 r"defender marginals cover battlefields \[0, 1, 3\], "
+                 r"not 0..2", id="out_of_range"),
+    pytest.param(lambda entries: entries[3].update(i=-1),
+                 r"defender marginals cover battlefields \[-1, 1, 2\], "
+                 r"not 0..2", id="negative"),
+    pytest.param(lambda entries: entries[3].update(owner="defnder"),
+                 "marginal owner 'defnder' is neither", id="unknown_owner"),
+])
+def test_solution_from_document_rejects_malformed_marginals(edit, message):
+    sol = solve_equilibrium(np.array([0.2, 0.4, 0.4]),
+                            np.array([0.7, 0.2, 0.1]), 1.5, 1.0)
+    doc = solution_document(sol)
+    edit(doc["marginals"])
+    with pytest.raises(ValueError, match=message):
+        solution_from_document(doc)
 
 
 def test_marginal_distribution_cdf_shape():

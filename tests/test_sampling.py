@@ -12,9 +12,7 @@ UNIFORM4 = np.full(4, 0.25)
 
 
 def uniform_marginals(n: int, upper: float = 1.0):
-    return tuple(MarginalDistribution(battlefield=i, owner="attacker",
-                                      atom_at_zero=0.0, support_upper=upper)
-                 for i in range(n))
+    return (MarginalDistribution(atom_at_zero=0.0, support_upper=upper),) * n
 
 
 def test_rows_land_exactly_on_the_budget_simplex():
@@ -80,17 +78,25 @@ def test_band_probability_validates_inputs():
         sample_allocations(marginals, 0.0, 10, np.random.default_rng(0))
 
 
+def test_band_probability_rejects_unknown_battlefields():
+    values = battlefield_values(default_nine_node(), default_params(9))
+    sol = solve_equilibrium(values.defender, values.attacker, 2.5, 1.0)
+    for battlefield in (-1, 9):
+        with pytest.raises(ValueError, match=rf"battlefield {battlefield} "
+                           r"is not a battlefield id .*\(0..8\)"):
+            allocation_band_probability(sol.marginals_a, battlefield, 0.2,
+                                        0.05, 2000)
+
+
 def test_all_atom_marginals_exhaust_the_resampler():
-    dead = tuple(MarginalDistribution(battlefield=i, owner="attacker",
-                                      atom_at_zero=1.0, support_upper=1.0)
-                 for i in range(3))
+    dead = (MarginalDistribution(atom_at_zero=1.0, support_upper=1.0),) * 3
     with pytest.raises(RuntimeError, match="non-zero allocation"):
         sample_allocations(dead, 1.0, 4, np.random.default_rng(2))
 
 
 def test_draw_marginals_respects_atoms_and_supports():
-    marginals = (MarginalDistribution(0, "attacker", 0.6, 1.25),
-                 MarginalDistribution(1, "attacker", 0.0, 0.5))
+    marginals = (MarginalDistribution(0.6, 1.25),
+                 MarginalDistribution(0.0, 0.5))
     rng = np.random.default_rng(7)
     draws = draw_marginals(marginals, rng, 20_000)
     zero_rate = np.mean(draws[:, 0] == 0.0)
@@ -122,7 +128,7 @@ def reference_sample_allocations(marginals, budget, count, rng):
 def test_resampler_matches_the_reference_bitwise():
     # an all-atom row has probability 0.8**3 = 0.512, so about half the rows
     # are redrawn in the first round and several rounds follow
-    heavy = tuple(MarginalDistribution(i, "attacker", 0.8, 1.0 + 0.5 * i)
+    heavy = tuple(MarginalDistribution(0.8, 1.0 + 0.5 * i)
                   for i in range(3))
     for seed in range(4):
         for count in (1, 5, 4000):
