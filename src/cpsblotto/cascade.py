@@ -11,11 +11,12 @@ second-order neighbors of the failed node; nodes further out keep their flows.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import CpsTopology
+from .model import CpsTopology, FlowLinks
 
 _TOL = 1e-12
 
@@ -49,51 +50,118 @@ class CascadeResult:
     records: tuple[RebalanceRecord, ...]
 
 
-def _rebalance(F: np.ndarray, C: np.ndarray, failed: int, node: int,
-               pre_in: np.ndarray, pre_out: np.ndarray) -> RebalanceRecord:
-    """Restore `node`'s balance in-place; return the accounting record.
+# NumPy sums a float vector pairwise, in blocks of at most this length.
+_PAIRWISE_BLOCK = 128
+
+
+def _block_sum(entries: list[tuple[int, float]], lo: int, size: int
+               ) -> float:
+    """`_dense_sum` of the block [lo, lo + size), `lo` a multiple of 8."""
+    if not entries:
+        return 0.0
+    if size > _PAIRWISE_BLOCK:
+        half = size // 2 - size // 2 % 8
+        cut = bisect_left(entries, (lo + half,))
+        return (_block_sum(entries[:cut], lo, half)
+                + _block_sum(entries[cut:], lo + half, size - half))
+    total = 0.0
+    if size >= 8:
+        body = lo + size - size % 8
+        s = [0.0] * 8
+        for i, value in entries:
+            if i < body:
+                s[(i - lo) % 8] += value
+        total = ((s[0] + s[1]) + (s[2] + s[3])) + ((s[4] + s[5]) + (s[6] + s[7]))
+        entries = [entry for entry in entries if entry[0] >= body]
+    for _, value in entries:
+        total += value
+    return total
+
+
+def _dense_sum(size: int, entries: list[tuple[int, float]]) -> float:
+    """Bitwise the float `np.sum` of a length-`size` vector that holds
+    `entries` ((index, value) pairs, ascending, values >= 0) and zeros.
+
+    NumPy halves a vector longer than 128 elements at a multiple of 8.  It
+    sums a block of 8 to 128 elements in eight interleaved partial sums,
+    combined as ((s0 + s1) + (s2 + s3)) + ((s4 + s5) + (s6 + s7)), and then
+    adds the block's last size % 8 elements in order; a shorter block is
+    summed in order.  Adding a zero changes no partial sum, so only the
+    entries are visited, and two terms round alike in any grouping.
+    """
+    if len(entries) > 2:
+        return _block_sum(entries, 0, size)
+    total = 0.0
+    for _, value in entries:
+        total += value
+    return total
+
+
+def _rebalance(links: FlowLinks, n: int, failed: int, node: int,
+               raised: dict[int, dict[int, float]]
+               ) -> RebalanceRecord | None:
+    """Restore `node`'s balance; return the accounting record, or None when
+    the node has no deficit.
 
     The deficit is the inflow the node is missing relative to its pre-failure
     balance plus any outflow increase it has committed to since: deficit =
     (pre_in - cur_in) + (cur_out - pre_out).  It is spread over surviving
     incoming edges proportionally to headroom; when total headroom is smaller,
     every surviving incoming edge saturates and the remainder is lost.
-    """
-    cur_in = F[:, node].sum()
-    cur_out = F[node, :].sum()
-    deficit = (pre_in[node] - cur_in) + (cur_out - pre_out[node])
-    if deficit <= _TOL:
-        return RebalanceRecord(node=node, deficit=0.0, absorbed=0.0, lost=0.0)
 
-    suppliers = np.flatnonzero(C[:, node] > 0)
-    suppliers = suppliers[(suppliers != failed) & (suppliers != node)]
-    headroom = C[suppliers, node] - F[suppliers, node]
-    headroom = np.maximum(headroom, 0.0)
-    total = headroom.sum()
+    A node's inflow changes only in its own rebalance, so cur_in sums its
+    pre-failure in-links without the failed node.  cur_out overlays the
+    flows its customers' rebalances set, kept in raised[node][customer], on
+    its pre-failure out-links; an unchanged row sums to pre_out.  New flows
+    go to raised[supplier][node].  Both sums add as numpy adds the node's
+    column and row of the flow matrix, so the record is bitwise the dense
+    computation's.
+    """
+    inflow = links.inflow[node]
+    cur_in = _dense_sum(n, [(i, flow) for i, flow in inflow.items()
+                            if i != failed])
+    outflow, changed = links.outflow[node], raised.get(node)
+    if changed is None and failed not in outflow:
+        cur_out = links.pre_out[node]
+    else:
+        row = dict(outflow)
+        row.pop(failed, None)
+        row.update(changed or ())
+        cur_out = _dense_sum(n, sorted(row.items()))
+    deficit = (links.pre_in[node] - cur_in) + (cur_out - links.pre_out[node])
+    if deficit <= _TOL:
+        return None
+
+    suppliers = [link for link in links.suppliers[node]
+                 if link[0] != failed and link[0] != node]
+    headroom = [max(capacity - flow, 0.0) for _, capacity, flow in suppliers]
+    total = _dense_sum(len(headroom), list(enumerate(headroom)))
     if total >= deficit:
         if total > 0.0:
-            F[suppliers, node] += headroom * (deficit / total)
+            share = deficit / total
+            for (i, _, flow), room in zip(suppliers, headroom):
+                raised.setdefault(i, {})[node] = flow + room * share
         absorbed = deficit
     else:
-        F[suppliers, node] = C[suppliers, node]
+        for i, capacity, _ in suppliers:
+            raised.setdefault(i, {})[node] = capacity
         absorbed = total
-    return RebalanceRecord(node=node, deficit=float(deficit),
-                           absorbed=float(absorbed),
-                           lost=float(deficit - absorbed))
+    return RebalanceRecord(node=node, deficit=deficit, absorbed=absorbed,
+                           lost=deficit - absorbed)
 
 
-def _pop_group(pending: list[int], F: np.ndarray, incoming: bool) -> list[int]:
+def _pop_group(pending: list[int], links: tuple[dict[int, float], ...]
+               ) -> list[int]:
     """Extract the next processable group from `pending` (ascending ids).
 
-    incoming=False selects members with no outgoing edge to the remaining
-    members; incoming=True selects members with no incoming edge from them.
-    The group is empty only when the remaining members' links hold a cycle
-    (a self-loop counts as one).
+    Selects the members none of whose `links` (out-links or in-links) leads
+    to a remaining member.  The group is empty only when the remaining
+    members' links hold a cycle (a self-loop counts as one).
     """
-    idx = np.array(pending, dtype=int)
-    linked = (F[idx[:, None], idx] > 0).any(axis=0 if incoming else 1)
-    group = [j for j, held in zip(pending, linked) if not held]
-    pending[:] = [j for j, held in zip(pending, linked) if held]
+    waiting = set(pending)
+    held = [not waiting.isdisjoint(links[j]) for j in pending]
+    group = [j for j, hold in zip(pending, held) if not hold]
+    pending[:] = [j for j, hold in zip(pending, held) if hold]
     return group
 
 
@@ -106,6 +174,10 @@ def cascade_failure(topology: CpsTopology, failed: int) -> CascadeResult:
     rebalanced once.  Rebalancing a node writes only its own column, so the
     links among the nodes still pending are pre-failure links, and acyclic
     flows (which `validate` checks) leave no group empty.
+
+    The cascade walks the topology's `flow_links`, built once per
+    topology, and touches only the nodes it rebalances; the dense `flows`
+    of the result is the one n x n array it writes.
 
     Args:
         topology: validated topology.
@@ -120,40 +192,41 @@ def cascade_failure(topology: CpsTopology, failed: int) -> CascadeResult:
     """
     n = topology.n
     if not (0 <= failed < n):
-        raise ValueError(f"failed node id {failed} out of range")
-    F0 = topology.flows
-    if F0[failed, failed] > 0:
+        raise ValueError(f"failed node id {failed} out of range 0..{n - 1}")
+    F = np.array(topology.flows)
+    if F[failed, failed] > 0:
         # Its own customer: the zeroed row would hide the self-loop.
         raise ValueError("cycle in flow graph")
-    C = topology.capacities
-    pre_in = F0.sum(axis=0)
-    pre_out = F0.sum(axis=1)
-    F = np.array(F0, dtype=float)
-    F[failed, :] = 0.0
-    F[:, failed] = 0.0
-
-    supplies = F0[failed] > 0
-    first_order = supplies | (F0[:, failed] > 0)
-    second_order = ((F0[first_order] > 0).any(axis=0)
-                    | (F0[:, first_order] > 0).any(axis=1)) & ~first_order
-    second_order[failed] = False
+    links = topology.flow_links
+    customers = list(links.outflow[failed])
+    first_order = set(customers).union(links.inflow[failed])
+    second_order = set()
+    for j in first_order:
+        second_order.update(links.outflow[j], links.inflow[j])
+    second_order -= first_order
+    second_order.discard(failed)
 
     per_node_loss = np.zeros(n)
+    raised: dict[int, dict[int, float]] = {}
     records: list[RebalanceRecord] = []
     order: list[tuple[int, ...]] = []
-    for members, incoming in ((supplies, False), (second_order, True)):
-        pending = np.flatnonzero(members).tolist()
+    for pending, held_by in ((customers, links.outflow),
+                             (sorted(second_order), links.inflow)):
         while pending:
-            group = _pop_group(pending, F, incoming)
+            group = _pop_group(pending, held_by)
             if not group:
                 raise ValueError("cycle in flow graph")
             order.append(tuple(group))
             for j in group:
-                record = _rebalance(F, C, failed, j, pre_in, pre_out)
-                if record.deficit > 0.0:
+                record = _rebalance(links, n, failed, j, raised)
+                if record is not None:
                     records.append(record)
                     per_node_loss[j] = record.lost
 
+    F[failed, :] = 0.0
+    F[:, failed] = 0.0
+    for i, row in raised.items():
+        F[i, list(row)] = list(row.values())
     F.setflags(write=False)
     per_node_loss.setflags(write=False)
     return CascadeResult(failed_node=failed, flows=F,

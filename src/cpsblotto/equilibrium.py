@@ -27,6 +27,9 @@ BUDGET_IDENTITY_RTOL = 1e-9
 # within this multiple of the residual gate; the slack dwarfs the rounding
 # of the screen's own evaluations.
 _SCREEN_MARGIN = 1e3
+# A root this close below a partition's lower breakpoint is taken to lie
+# on it, where the partition's cubic and the one below it meet.
+_BREAKPOINT_RTOL = 1e-12
 
 
 class EquilibriumRegimeError(RuntimeError):
@@ -245,11 +248,14 @@ def _scan_partitions(g: np.ndarray, h: np.ndarray, q: float
         # mu ** 3 in the residual gate would warn instead of raising.
         low, high = float(lo[split]), float(hi[split])
         coeffs = tuple(series[:, split].tolist())
+        floor = max(low, np.nextafter(0.0, 1.0))
         for root in _real_roots(coeffs):
             if root <= 0.0:
                 continue
-            mu = _polish_root(coeffs, root,
-                              max(low, np.nextafter(0.0, 1.0)), high)
+            if low * (1.0 - _BREAKPOINT_RTOL) <= root < low:
+                # Rounding can move a root on the breakpoint below it.
+                root = low
+            mu = _polish_root(coeffs, root, floor, high)
             if not (low <= mu < high) or mu <= 0.0:
                 continue
             # Polishing clamps into the interval, so a root belonging to a
@@ -322,6 +328,10 @@ def solve_equilibrium(g: np.ndarray, h: np.ndarray, budget_d: float,
     spend_a = sum_g_in / 2.0 + sum_sq_out / (2.0 * mu ** 2)
     lambda_d = spend_a / budget_a
     lambda_a = mu * lambda_d
+    if not (np.isfinite((lambda_d, lambda_a)).all() and lambda_d > 0.0):
+        raise EquilibriumRegimeError(
+            f"multipliers lambda_D = {lambda_d}, lambda_A = {lambda_a} at "
+            f"mu = {mu} are not positive and finite")
     spend_d = mu * sum_sq_in / 2.0 + sum_h_out / (2.0 * mu)
     if abs(spend_d / lambda_d - budget_d) > BUDGET_IDENTITY_RTOL * budget_d:
         raise EquilibriumRegimeError(
@@ -331,6 +341,8 @@ def solve_equilibrium(g: np.ndarray, h: np.ndarray, budget_d: float,
     # attacker-favored battlefields, the attacker everywhere else.  Each
     # expression is evaluated only on its own side, where it is finite.
     upper = _by_side(members, g_in / lambda_d, h_out / lambda_a)
+    if not np.isfinite(upper).all():
+        raise EquilibriumRegimeError("a marginal's support is not finite")
     atom = _by_side(members, 1.0 - g_in * mu / h_in,
                     1.0 - h_out / (g_out * mu))
     bad = np.flatnonzero((atom < -1e-12) | (atom > 1.0 + 1e-12))

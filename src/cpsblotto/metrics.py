@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import shortest_path
+from scipy.sparse.csgraph import dijkstra
 
 from .model import CpsTopology, GameParams, ValidationError
 from .cascade import physical_effect_matrix
@@ -21,10 +21,14 @@ class ShortestPathTable:
         resolved: ascending source rows this call solved with Dijkstra;
             every row when no base table was given.  A row outside it is
             bitwise the base row.
+        removal_rows: on a table without a removal, the n x n boolean map
+            whose row i marks the source rows a removal of node i re-solves
+            (see all_pairs_shortest_paths); None on a removal's table.
     """
 
     lengths: np.ndarray
     resolved: np.ndarray
+    removal_rows: np.ndarray | None
 
 
 @dataclass(frozen=True)
@@ -56,44 +60,60 @@ def all_pairs_shortest_paths(adjacency: np.ndarray | csr_matrix,
     would be a zero-weight link to csgraph.
 
     With `removed` and `base` given, only the source rows the removal can
-    change are re-solved.  Call an edge (u, k) tight for source j when
-    base[j, u] + A[u, k] == base[j, k] in float64.  Row j is re-solved when
-    some neighbour k of `removed` has `removed` as a tight predecessor and
-    no other tight predecessor strictly closer to j.  Otherwise every node
-    keeps a tight chain back to j that avoids `removed`: a neighbour of
-    `removed` steps to its other tight predecessor, any other node to its
-    parent in the base search, each settled earlier.  Dijkstra's length is
-    the least float sum, taken left to right, over paths, and such a chain
-    already attains the base length, so the row comes back bitwise
-    unchanged.  A tie that exact equality misses only costs a needless
-    re-solve, never a wrong row.
+    change are re-solved, read from `base.removal_rows[removed]`.  Call an
+    edge (u, k) tight for source j when base[j, u] + A[u, k] == base[j, k]
+    in float64.  Row j is re-solved when some neighbour k of `removed` has
+    `removed` as a tight predecessor and no other tight predecessor
+    strictly closer to j.  Otherwise every node keeps a tight chain back to
+    j that avoids `removed`: a neighbour of `removed` steps to its other
+    tight predecessor, any other node to its parent in the base search,
+    each settled earlier.  Dijkstra's length is the least float sum, taken
+    left to right, over paths, and such a chain already attains the base
+    length, so the row comes back bitwise unchanged.  A tie that exact
+    equality misses only costs a needless re-solve, never a wrong row.
 
     Args:
         adjacency: symmetric weight matrix, dense (0 meaning no link) or
             CSR (each stored entry a link).
-        removed: optional node to exclude; its row/column come back inf.
+        removed: optional node to exclude, in 0..n-1; its row/column come
+            back inf.
         base: the same adjacency's table without a removal; it changes the
             cost of a removal, never its lengths.
 
     Returns:
-        ShortestPathTable over the full index set.
+        ShortestPathTable over the full index set; only a table without a
+        removal carries `removal_rows`.
+
+    Raises:
+        ValueError: `removed` is not a node id in 0..n-1, or `base` is a
+            removal's table.
     """
     G = csr_matrix(adjacency, dtype=float)
-    if removed is None or base is None:
-        rows = np.arange(G.shape[0])
-        dist = shortest_path(G if removed is None else _without(G, removed),
-                             method="D", directed=True)
+    n = G.shape[0]
+    if removed is None:
+        dist = dijkstra(G, directed=True)
+        return ShortestPathTable(lengths=dist, resolved=np.arange(n),
+                                 removal_rows=_removal_rows(G, dist))
+    if (isinstance(removed, (bool, np.bool_))
+            or not isinstance(removed, (int, np.integer))
+            or not 0 <= removed < n):
+        raise ValueError(
+            f"removed node id {removed!r} out of range 0..{n - 1}")
+    if base is None:
+        rows = np.arange(n)
+        dist = dijkstra(_without(G, removed), directed=True)
     else:
+        if base.removal_rows is None:
+            raise ValueError("base must be a table without a removal")
         dist = base.lengths.copy()
-        rows = np.flatnonzero(_rows_through(G, base.lengths, removed))
+        rows = np.flatnonzero(base.removal_rows[removed])
         if rows.size:
-            dist[rows] = shortest_path(_without(G, removed), method="D",
-                                       directed=True, indices=rows)
-    if removed is not None:
-        dist[removed, :] = np.inf
-        dist[:, removed] = np.inf
-        dist[removed, removed] = 0.0
-    return ShortestPathTable(lengths=dist, resolved=rows)
+            dist[rows] = dijkstra(_without(G, removed), directed=True,
+                                  indices=rows)
+    dist[removed, :] = np.inf
+    dist[:, removed] = np.inf
+    dist[removed, removed] = 0.0
+    return ShortestPathTable(lengths=dist, resolved=rows, removal_rows=None)
 
 
 def _without(G: csr_matrix, removed: int) -> csr_matrix:
@@ -108,34 +128,41 @@ def _without(G: csr_matrix, removed: int) -> csr_matrix:
     return csr_matrix((data, G.indices, G.indptr), shape=G.shape)
 
 
-def _rows_through(G: csr_matrix, lengths: np.ndarray,
-                  removed: int) -> np.ndarray:
-    """Sources whose shortest-path rows may change when `removed` goes.
+# (source, edge) pairs _removal_rows tests at once; bounds its temporaries.
+_REMOVAL_BLOCK = 1 << 20
 
-    Marks source j when some neighbour k of `removed` has `removed` as a
-    tight predecessor and no other tight predecessor strictly closer to j.
-    The edges (u, k) into every neighbour k are gathered from the
-    symmetric CSR in one step, one segment per k, and each segment holds
-    exactly one edge from `removed`.  The row of `removed` itself is left
-    unmarked: it comes back all inf.
+
+def _removal_rows(G: csr_matrix, lengths: np.ndarray) -> np.ndarray:
+    """Row r marks the sources whose shortest-path rows may change when r
+    goes.
+
+    Marks source j for r when some neighbour k of r has r as a tight
+    predecessor and no other tight predecessor strictly closer to j.  Each
+    stored entry (k, u) of the symmetric CSR stands for the edge u -> k, so
+    row k's entries are k's incoming edges.  The test runs over every
+    (source, edge) pair, for blocks of sources: an edge u -> k is the sole
+    way in when it is tight and no other edge into k is a strict detour,
+    and r is marked for j when one of its edges is.  The diagonal stays
+    unmarked: the removed node's row comes back all inf.
     """
-    lo, hi = G.indptr[removed], G.indptr[removed + 1]
-    if hi == lo:
-        return np.zeros(lengths.shape[0], dtype=bool)
-    ks = G.indices[lo:hi]
-    starts, counts = G.indptr[ks], G.indptr[ks + 1] - G.indptr[ks]
-    segments = np.cumsum(counts) - counts
-    edges = np.arange(counts.sum()) + np.repeat(starts - segments, counts)
-    via = G.indices[edges] == removed
-    to_u = lengths[:, G.indices[edges]]
-    to_k = lengths[:, np.repeat(ks, counts)]
-    tight = to_u + G.data[edges] == to_k
-    detour = tight & (to_u < to_k)
-    detour[:, via] = False
-    spared = np.logical_or.reduceat(detour, segments, axis=1)
-    through = (tight[:, via] & ~spared).any(axis=1)
-    through[removed] = False
-    return through
+    n = lengths.shape[0]
+    nnz = G.indices.size
+    entries = np.arange(nnz)
+    target = np.repeat(np.arange(n), np.diff(G.indptr))
+    # Sum over the edges into each node, and over the edges out of each.
+    into = csr_matrix((np.ones(nnz), entries, G.indptr), shape=(n, nnz))
+    out_of = csr_matrix((np.ones(nnz), (G.indices, entries)), shape=(n, nnz))
+    marked = np.zeros((n, n), dtype=bool)
+    step = max(1, _REMOVAL_BLOCK // max(nnz, 1))
+    for lo in range(0, n, step):
+        to_u = lengths[lo:lo + step, G.indices].T
+        to_k = lengths[lo:lo + step, target].T
+        tight = to_u + G.data[:, None] == to_k
+        detour = tight & (to_u < to_k)
+        sole = tight & ((into @ detour)[target] == detour)
+        marked[:, lo:lo + step] = (out_of @ sole) > 0
+    np.fill_diagonal(marked, False)
+    return marked
 
 
 def cyber_effect_matrix(topology: CpsTopology, t0: float,

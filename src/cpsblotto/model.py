@@ -12,6 +12,7 @@ from __future__ import annotations
 import enum
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -142,6 +143,40 @@ def normalize_weights(h: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
+class FlowLinks:
+    """A topology's flow and capacity links as per-node lists.
+
+    Each node's links list only the positive entries of the matrix they
+    come from, in ascending order of the other node's id.  They are shared
+    by every cascade on the topology and must not be modified.
+
+    Attributes:
+        inflow: inflow[j] maps i to the flow on each edge i -> j with flow.
+        outflow: outflow[i] maps j to the flow on each edge i -> j with flow.
+        suppliers: suppliers[j] holds (i, capacity, flow) for every edge
+            i -> j with capacity, the flow being 0 on an unused edge.
+        pre_in: total inflow of each node, flows.sum(axis=0).
+        pre_out: total outflow of each node, flows.sum(axis=1).
+    """
+
+    inflow: tuple[dict[int, float], ...]
+    outflow: tuple[dict[int, float], ...]
+    suppliers: tuple[tuple[tuple[int, float, float], ...], ...]
+    pre_in: tuple[float, ...]
+    pre_out: tuple[float, ...]
+
+
+def _link_lists(matrix: np.ndarray, *values: np.ndarray) -> list[list]:
+    """Per row, (column, *values[row, column]) for each positive entry."""
+    rows, cols = np.nonzero(matrix > 0)
+    lists: list[list[tuple]] = [[] for _ in range(matrix.shape[0])]
+    for row, *entry in zip(rows.tolist(), cols.tolist(),
+                           *(v[rows, cols].tolist() for v in values)):
+        lists[row].append(tuple(entry))
+    return lists
+
+
+@dataclass(frozen=True)
 class CpsTopology:
     """Validated system topology.
 
@@ -158,9 +193,10 @@ class CpsTopology:
     cyber_adjacency: np.ndarray
 
     def __post_init__(self) -> None:
-        # A copy, so that freezing it leaves the caller's array writable.
+        # A C-ordered copy, so that freezing it leaves the caller's array
+        # writable and every row sum adds in numpy's pairwise order.
         for name in ("flows", "capacities", "cyber_adjacency"):
-            arr = np.array(getattr(self, name), dtype=float)
+            arr = np.array(getattr(self, name), dtype=float, order="C")
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
@@ -172,6 +208,21 @@ class CpsTopology:
     def human_interaction(self) -> np.ndarray:
         """Normalized human-interaction weights (sum exactly restored to 1)."""
         return normalize_weights(np.array([node.h for node in self.nodes]))
+
+    @cached_property
+    def flow_links(self) -> FlowLinks:
+        """The flow and capacity links as node lists, built on first use.
+
+        The arrays are frozen, so one build serves every cascade on this
+        topology; a `dataclasses.replace` copy builds its own.
+        """
+        F, C = self.flows, self.capacities
+        return FlowLinks(inflow=tuple(map(dict, _link_lists(F.T, F.T))),
+                         outflow=tuple(map(dict, _link_lists(F, F))),
+                         suppliers=tuple(map(tuple,
+                                             _link_lists(C.T, C.T, F.T))),
+                         pre_in=tuple(F.sum(axis=0).tolist()),
+                         pre_out=tuple(F.sum(axis=1).tolist()))
 
 
 def validate(topology: CpsTopology) -> list[str]:

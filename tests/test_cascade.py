@@ -5,9 +5,10 @@ import dataclasses
 import numpy as np
 import pytest
 
-from cpsblotto import (CpsTopology, NodeLevel, NodeSpec, cascade_failure,
-                       default_nine_node, generate_concentric,
+from cpsblotto import (CpsTopology, NodeLevel, NodeSpec, RebalanceRecord,
+                       cascade_failure, default_nine_node, generate_concentric,
                        node_throughput, physical_effect_matrix, validate)
+from cpsblotto import cascade
 from _support import routed_dag, random_level_spec
 
 
@@ -252,3 +253,137 @@ def test_cascade_processes_customers_then_the_second_order_neighbourhood():
             assert len(flat) == len(set(flat))
             assert set(flat[:len(customers)]) == customers
             assert set(flat[len(customers):]) == second
+
+
+# ---------------------------------------------------------------------------
+# parity with the dense cascade the link-list cascade replaced
+# ---------------------------------------------------------------------------
+
+_TOL = 1e-12
+
+
+def _dense_rebalance(F, C, failed, node, pre_in, pre_out):
+    cur_in = F[:, node].sum()
+    cur_out = F[node, :].sum()
+    deficit = (pre_in[node] - cur_in) + (cur_out - pre_out[node])
+    if deficit <= _TOL:
+        return RebalanceRecord(node=node, deficit=0.0, absorbed=0.0, lost=0.0)
+    suppliers = np.flatnonzero(C[:, node] > 0)
+    suppliers = suppliers[(suppliers != failed) & (suppliers != node)]
+    headroom = np.maximum(C[suppliers, node] - F[suppliers, node], 0.0)
+    total = headroom.sum()
+    if total >= deficit:
+        if total > 0.0:
+            F[suppliers, node] += headroom * (deficit / total)
+        absorbed = deficit
+    else:
+        F[suppliers, node] = C[suppliers, node]
+        absorbed = total
+    return RebalanceRecord(node=node, deficit=float(deficit),
+                           absorbed=float(absorbed),
+                           lost=float(deficit - absorbed))
+
+
+def _dense_pop_group(pending, F, incoming):
+    idx = np.array(pending, dtype=int)
+    linked = (F[idx[:, None], idx] > 0).any(axis=0 if incoming else 1)
+    group = [j for j, held in zip(pending, linked) if not held]
+    pending[:] = [j for j, held in zip(pending, linked) if held]
+    return group
+
+
+def _dense_cascade(topology, failed):
+    """The cascade on the dense flow matrix, with numpy column and row
+    sums: (flows, per_node_loss, processing_order, records)."""
+    n = topology.n
+    F0, C = topology.flows, topology.capacities
+    pre_in, pre_out = F0.sum(axis=0), F0.sum(axis=1)
+    F = np.array(F0, dtype=float)
+    F[failed, :] = 0.0
+    F[:, failed] = 0.0
+    supplies = F0[failed] > 0
+    first_order = supplies | (F0[:, failed] > 0)
+    second_order = ((F0[first_order] > 0).any(axis=0)
+                    | (F0[:, first_order] > 0).any(axis=1)) & ~first_order
+    second_order[failed] = False
+    per_node_loss = np.zeros(n)
+    records, order = [], []
+    for members, incoming in ((supplies, False), (second_order, True)):
+        pending = np.flatnonzero(members).tolist()
+        while pending:
+            group = _dense_pop_group(pending, F, incoming)
+            assert group, "cycle in flow graph"
+            order.append(tuple(group))
+            for j in group:
+                record = _dense_rebalance(F, C, failed, j, pre_in, pre_out)
+                if record.deficit > 0.0:
+                    records.append(record)
+                    per_node_loss[j] = record.lost
+    return F, per_node_loss, tuple(order), tuple(records)
+
+
+def _parity_systems():
+    """Concentric systems at n = 9, 41 and 131, each also with spare
+    capacity on unused edges into every third leaf, so that a rebalance
+    opens links that carried no flow and sums over eight or more
+    suppliers."""
+    rng = np.random.default_rng(43)
+    for tiers in ((1, 3, 5), (1, 8, 32), (1, 10, 40, 80)):
+        for fill in (0.5, 0.8, 1.0):
+            topo = generate_concentric(
+                [(count, float(rng.uniform(0.5, 4.0))) for count in tiers],
+                fill)
+            yield topo
+            C = topo.capacities.copy()
+            upper = range(topo.n - tiers[-1] - tiers[-2], topo.n - tiers[-1])
+            for leaf in range(topo.n - tiers[-1], topo.n, 3):
+                for parent in upper:
+                    if C[parent, leaf] == 0.0:
+                        C[parent, leaf] = float(rng.uniform(0.1, 1.0))
+            spare = dataclasses.replace(topo, capacities=C)
+            assert validate(spare) == []
+            yield spare
+
+
+def test_cascade_matches_the_dense_cascade_bitwise():
+    opened = cascades = 0
+    for topo in _parity_systems():
+        for failed in range(topo.n):
+            result = cascade_failure(topo, failed)
+            flows, loss, order, records = _dense_cascade(topo, failed)
+            assert np.array_equal(result.flows, flows)
+            assert np.array_equal(result.per_node_loss, loss)
+            assert result.processing_order == order
+            assert result.records == records
+            opened += int(((flows > 0) & (topo.flows == 0)).sum())
+            cascades += 1
+    assert cascades == 6 * (9 + 41 + 131)
+    assert opened > 0
+
+
+def test_link_list_sums_match_numpy():
+    # every length through the pairwise split points, sparse and dense
+    rng = np.random.default_rng(47)
+    for size in list(range(1, 40)) + [127, 128, 129, 200, 256, 301, 1000]:
+        for _ in range(20):
+            vector = np.zeros(size)
+            picked = rng.choice(size, int(rng.integers(1, size + 1)),
+                                replace=False)
+            vector[picked] = rng.uniform(0.0, 3.0, picked.size)
+            entries = [(i, vector[i]) for i in np.flatnonzero(vector).tolist()]
+            assert cascade._dense_sum(size, entries) == vector.sum()
+
+
+def test_flow_links_are_built_once_per_topology():
+    topo = default_nine_node(0.7)
+    links = topo.flow_links
+    assert topo.flow_links is links
+    cascade_failure(topo, 1)
+    assert topo.flow_links is links
+    assert links.outflow[0] == {1: topo.flows[0, 1], 2: topo.flows[0, 2],
+                                3: topo.flows[0, 3]}
+    assert list(links.inflow[4]) == np.flatnonzero(topo.flows[:, 4]).tolist()
+    assert links.pre_in == tuple(topo.flows.sum(axis=0).tolist())
+    # a replaced topology builds its own
+    wider = dataclasses.replace(topo, capacities=topo.capacities * 2.0)
+    assert wider.flow_links is not links

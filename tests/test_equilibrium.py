@@ -13,8 +13,8 @@ from cpsblotto import (EquilibriumRegimeError, MarginalDistribution,
                        solution_document, solution_from_document,
                        solution_to_json, solve_equilibrium)
 from cpsblotto import equilibrium
-from cpsblotto.equilibrium import (CUBIC_RESIDUAL_RTOL, _cubic_scale,
-                                   _cubic_value, _head_sums,
+from cpsblotto.equilibrium import (_BREAKPOINT_RTOL, CUBIC_RESIDUAL_RTOL,
+                                   _cubic_scale, _cubic_value, _head_sums,
                                    _passes_residual_gate, _polish_root,
                                    _real_roots, _scan_partitions,
                                    _screen_splits, _tail_sums)
@@ -218,6 +218,8 @@ def _unscreened_scan_reference(g, h, q):
         for root in _real_roots(coeffs):
             if root <= 0.0:
                 continue
+            if lo * (1.0 - _BREAKPOINT_RTOL) <= root < lo:
+                root = lo
             mu = _polish_root(coeffs, root,
                               max(lo, np.nextafter(0.0, 1.0)), hi)
             if not (lo <= mu < hi) or mu <= 0.0:
@@ -354,6 +356,57 @@ def test_tiny_values_without_a_measurable_partition_are_a_regime_error():
     g, h = np.array([1.0 - 1e-300, 1e-300]), np.array([1e-170, 1.0 - 1e-170])
     with pytest.raises(EquilibriumRegimeError):
         solve_equilibrium(g, h, 2.5, 1.0)
+
+
+def test_root_on_a_breakpoint_solves_with_finite_multipliers():
+    # Input 171's root is the breakpoint h_1/g_1.  Rounding puts the upper
+    # partition's root one ulp below it and clamps the lower one's onto its
+    # excluded end; the solve must not fall through to the double root at
+    # zero of the all-attacker partition.
+    g, h, q = list(_screen_cases())[171]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sol = solve_equilibrium(g, h, q, 1.0)
+    assert sol.mu == h[1] / g[1]
+    assert sol.omega_a == frozenset({0})
+    assert np.isfinite([sol.lambda_d, sol.lambda_a]).all()
+    assert sol.lambda_d > 0.0 and sol.lambda_a > 0.0
+    assert sol.cubic_residual <= CUBIC_RESIDUAL_RTOL
+    assert 0.0 < sol.payoff_a < 1.0
+
+
+def test_equal_values_at_equal_budgets_split_the_payoff():
+    # g = h puts every ratio on the breakpoint mu = 1, the paper's
+    # symmetric baseline
+    rng = np.random.default_rng(22)
+    for n in (1, 2, 3, 9, 50, 100, 300, 500):
+        for _ in range(5):
+            g = _positive_dirichlet(rng, n, 1.0)
+            sol = solve_equilibrium(g, g.copy(), 1.0, 1.0)
+            assert sol.payoff_d == pytest.approx(0.5, abs=1e-12)
+            assert sol.payoff_a == pytest.approx(0.5, abs=1e-12)
+            assert sol.mu == pytest.approx(1.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("field", ["lambda_d", "upper"])
+def test_non_finite_multiplier_or_support_is_a_regime_error(monkeypatch,
+                                                            field):
+    # A scan that hands back a mu whose multiplier or support is not finite
+    # must end in a typed error, never in a returned solution.
+    g, h = np.array([0.25, 0.75]), np.array([0.5, 0.5])
+    mu, members = _scan_partitions(g, h, 2.5)
+    if field == "lambda_d":
+        bad = (5e-324, members)          # lambda_D = spend / R_A overflows
+    else:
+        bad = (mu, np.zeros(2, dtype=bool))
+        monkeypatch.setattr(equilibrium, "_by_side",
+                            lambda m, inside, outside: np.full(2, np.inf))
+    monkeypatch.setattr(equilibrium, "_scan_partitions",
+                        lambda *args: bad)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        with pytest.raises(EquilibriumRegimeError, match="finite"):
+            solve_equilibrium(g, h, 2.5, 1.0)
 
 
 def test_subnormal_value_solves_without_runtime_warnings():

@@ -5,13 +5,13 @@ import pytest
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import shortest_path
 
+from cpsblotto import metrics
 from cpsblotto import (ValidationError, all_pairs_shortest_paths,
                        battlefield_values, cyber_effect_matrix,
                        default_nine_node, default_params, effect_matrices,
                        effective_values, generate_concentric,
                        interdependency_matrix, normalize_weights,
                        solve_equilibrium)
-from cpsblotto.metrics import _rows_through
 from _support import (cyber_topology, path_adjacency, random_level_spec,
                       star_adjacency)
 
@@ -148,6 +148,29 @@ def test_base_table_leaves_removal_tables_unchanged():
             assert np.array_equal(full.lengths, reference)
 
 
+def _rows_through(G, lengths, removed):
+    """The per-removal test the one-pass removal map replaced: sources
+    whose rows may change when `removed` goes, from the tight edges into
+    each neighbour of `removed`."""
+    lo, hi = G.indptr[removed], G.indptr[removed + 1]
+    if hi == lo:
+        return np.zeros(lengths.shape[0], dtype=bool)
+    ks = G.indices[lo:hi]
+    starts, counts = G.indptr[ks], G.indptr[ks + 1] - G.indptr[ks]
+    segments = np.cumsum(counts) - counts
+    edges = np.arange(counts.sum()) + np.repeat(starts - segments, counts)
+    via = G.indices[edges] == removed
+    to_u = lengths[:, G.indices[edges]]
+    to_k = lengths[:, np.repeat(ks, counts)]
+    tight = to_u + G.data[edges] == to_k
+    detour = tight & (to_u < to_k)
+    detour[:, via] = False
+    spared = np.logical_or.reduceat(detour, segments, axis=1)
+    through = (tight[:, via] & ~spared).any(axis=1)
+    through[removed] = False
+    return through
+
+
 def test_resolved_rows_are_the_marked_rows():
     graphs = _removal_test_graphs() + [path_adjacency(n) for n in (1, 2, 3)]
     for A in graphs:
@@ -166,6 +189,50 @@ def test_resolved_rows_are_the_marked_rows():
             assert np.array_equal(
                 all_pairs_shortest_paths(A, removed=i).resolved,
                 np.arange(n))
+
+
+@pytest.mark.parametrize("block", [None, 1, 50])
+def test_removal_map_matches_the_per_removal_test(monkeypatch, block):
+    # unit links with ties, weighted links, a star, paths, n = 1 and 2; the
+    # small blocks split the sources into several passes
+    if block is not None:
+        monkeypatch.setattr(metrics, "_REMOVAL_BLOCK", block)
+    rng = np.random.default_rng(53)
+    graphs = _removal_test_graphs() + [path_adjacency(1), path_adjacency(2),
+                                       star_adjacency(1)]
+    concentric = generate_concentric(
+        [(1, 4.0), (6, 2.0), (24, 1.5), (60, 1.0)], 0.7).cyber_adjacency
+    weights = np.triu(np.where(concentric > 0,
+                               rng.uniform(0.5, 2.0, concentric.shape), 0.0))
+    graphs += [concentric, weights + weights.T]
+    for A in graphs:
+        G = csr_matrix(A)
+        base = all_pairs_shortest_paths(G)
+        assert base.removal_rows.shape == A.shape
+        for i in range(A.shape[0]):
+            assert np.array_equal(base.removal_rows[i],
+                                  _rows_through(G, base.lengths, i))
+
+
+@pytest.mark.parametrize("removed", [-3, 4, True, np.bool_(False), 1.0,
+                                     "1"])
+def test_removed_node_out_of_range_is_a_value_error(removed):
+    A = path_adjacency(4)
+    base = all_pairs_shortest_paths(A)
+    for kwargs in ({}, {"base": base}):
+        with pytest.raises(ValueError, match=r"out of range 0\.\.3"):
+            all_pairs_shortest_paths(A, removed=removed, **kwargs)
+    # a numpy integer id is a node id
+    table = all_pairs_shortest_paths(A, removed=np.int64(2), base=base)
+    assert np.isinf(table.lengths[1, 3])
+
+
+def test_base_must_be_a_table_without_a_removal():
+    A = path_adjacency(4)
+    removal = all_pairs_shortest_paths(A, removed=1)
+    assert removal.removal_rows is None
+    with pytest.raises(ValueError, match="without a removal"):
+        all_pairs_shortest_paths(A, removed=2, base=removal)
 
 
 def _cyber_effects_from_full_tables(A, t0):
