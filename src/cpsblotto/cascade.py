@@ -71,7 +71,8 @@ def _block_sum(entries: list[tuple[int, float]], lo: int, size: int
         for i, value in entries:
             if i < body:
                 s[(i - lo) % 8] += value
-        total = ((s[0] + s[1]) + (s[2] + s[3])) + ((s[4] + s[5]) + (s[6] + s[7]))
+        total = (((s[0] + s[1]) + (s[2] + s[3]))
+                 + ((s[4] + s[5]) + (s[6] + s[7])))
         entries = [entry for entry in entries if entry[0] >= body]
     for _, value in entries:
         total += value
@@ -117,8 +118,7 @@ def _rebalance(links: FlowLinks, n: int, failed: int, node: int,
     column and row of the flow matrix, so the record is bitwise the dense
     computation's.
     """
-    inflow = links.inflow[node]
-    cur_in = _dense_sum(n, [(i, flow) for i, flow in inflow.items()
+    cur_in = _dense_sum(n, [(i, flow) for i, flow in links.inflow[node].items()
                             if i != failed])
     outflow, changed = links.outflow[node], raised.get(node)
     if changed is None and failed not in outflow:

@@ -291,7 +291,12 @@ def solve_equilibrium(g: np.ndarray, h: np.ndarray, budget_d: float,
     the sorted ratios once, reading each partition's cubic in mu from
     prefix sums, solves the cubic only where a closed-form bracket screen
     shows that the partition's interval can hold a root, and keeps the root
-    that is consistent with its partition.
+    that is consistent with its partition.  When several partitions hold a
+    consistent root, the scan runs from the largest ratios down, so it
+    returns the root of the partition with the largest mu interval; within
+    that partition it keeps the first consistent root in numpy.roots'
+    order, which need not be the largest.  A root within _BREAKPOINT_RTOL
+    below a partition's lower breakpoint is taken to lie on it.
 
     lambda_D follows from the attacker budget identity; the defender
     identity then holds to the accuracy of the cubic root and is re-checked
@@ -306,8 +311,8 @@ def solve_equilibrium(g: np.ndarray, h: np.ndarray, budget_d: float,
     Raises:
         ValueError: g, h or a budget is malformed or non-finite.
         EquilibriumRegimeError: a value is non-positive, no partition admits
-            a consistent root, a budget identity fails, or an atom mass
-            falls outside [0, 1].
+            a consistent root, a multiplier or support is not finite, a
+            budget identity fails, or an atom mass falls outside [0, 1].
     """
     g, h = _check_values(g, h, budget_d, budget_a)
     q = budget_d / budget_a
