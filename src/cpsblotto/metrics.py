@@ -178,8 +178,9 @@ def cyber_effect_matrix(topology: CpsTopology, t0: float,
     The cyber CSR is built once and shared by every removal.  Each
     removal's table is built from the base table, re-solving only the
     sources for which some neighbour of i has i as its only tight
-    predecessor (see all_pairs_shortest_paths); the other rows are bitwise
-    equal to the base.  A row equal to its base row sums to the same float,
+    predecessor, as the base table's removal map, built with it in one
+    pass, marks them (see all_pairs_shortest_paths); the other rows are
+    bitwise equal to the base.  A row equal to its base row sums to the same float,
     so its ratio is exactly 1 and its entry exactly t0; the ratio is
     computed only for the re-solved rows.
 
