@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import CpsTopology, FlowLinks
+from .model import CpsTopology, FlowLinks, check_node_id
 
 _TOL = 1e-12
 
@@ -187,12 +187,11 @@ def cascade_failure(topology: CpsTopology, failed: int) -> CascadeResult:
         CascadeResult with the post-cascade flows and per-node losses.
 
     Raises:
-        ValueError: `failed` is out of range, or the flows hold a cycle
-            through the nodes the cascade visits.
+        ValueError: `failed` is not a node id in 0..n-1, or the flows hold
+            a cycle through the nodes the cascade visits.
     """
     n = topology.n
-    if not (0 <= failed < n):
-        raise ValueError(f"failed node id {failed} out of range 0..{n - 1}")
+    check_node_id(failed, n, "failed")
     F = np.array(topology.flows)
     if F[failed, failed] > 0:
         # Its own customer: the zeroed row would hide the self-loop.

@@ -292,11 +292,12 @@ def solve_equilibrium(g: np.ndarray, h: np.ndarray, budget_d: float,
     prefix sums, solves the cubic only where a closed-form bracket screen
     shows that the partition's interval can hold a root, and keeps the root
     that is consistent with its partition.  When several partitions hold a
-    consistent root, the scan runs from the largest ratios down, so it
-    returns the root of the partition with the largest mu interval; within
-    that partition it keeps the first consistent root in numpy.roots'
-    order, which need not be the largest.  A root within _BREAKPOINT_RTOL
-    below a partition's lower breakpoint is taken to lie on it.
+    consistent root, it returns the largest mu: the scan runs from the
+    largest ratios down, and every root in a higher partition's interval
+    exceeds every root in a lower one's.  Within one partition it keeps
+    the first consistent root in numpy.roots' order.  A root within
+    _BREAKPOINT_RTOL below a partition's lower breakpoint is taken to lie
+    on it.
 
     lambda_D follows from the attacker budget identity; the defender
     identity then holds to the accuracy of the cubic root and is re-checked

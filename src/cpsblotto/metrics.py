@@ -8,7 +8,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
-from .model import CpsTopology, GameParams, ValidationError
+from .model import CpsTopology, GameParams, ValidationError, check_node_id
 from .cascade import physical_effect_matrix
 
 
@@ -94,11 +94,7 @@ def all_pairs_shortest_paths(adjacency: np.ndarray | csr_matrix,
         dist = dijkstra(G, directed=True)
         return ShortestPathTable(lengths=dist, resolved=np.arange(n),
                                  removal_rows=_removal_rows(G, dist))
-    if (isinstance(removed, (bool, np.bool_))
-            or not isinstance(removed, (int, np.integer))
-            or not 0 <= removed < n):
-        raise ValueError(
-            f"removed node id {removed!r} out of range 0..{n - 1}")
+    check_node_id(removed, n, "removed")
     if base is None:
         rows = np.arange(n)
         dist = dijkstra(_without(G, removed), directed=True)
@@ -180,9 +176,9 @@ def cyber_effect_matrix(topology: CpsTopology, t0: float,
     sources for which some neighbour of i has i as its only tight
     predecessor, as the base table's removal map, built with it in one
     pass, marks them (see all_pairs_shortest_paths); the other rows are
-    bitwise equal to the base.  A row equal to its base row sums to the same float,
-    so its ratio is exactly 1 and its entry exactly t0; the ratio is
-    computed only for the re-solved rows.
+    bitwise equal to the base.  A row equal to its base row sums to the
+    same float, so its ratio is exactly 1 and its entry exactly t0; the
+    ratio is computed only for the re-solved rows.
 
     Args:
         topology: validated topology; its cyber graph must be connected.

@@ -225,6 +225,16 @@ class CpsTopology:
                          pre_out=tuple(F.sum(axis=1).tolist()))
 
 
+def check_node_id(node: object, n: int, what: str) -> None:
+    """Raise ValueError unless `node` is an integer node id in 0..n-1.
+
+    A bool is not a node id, although Python counts it as an int.
+    """
+    if (isinstance(node, (bool, np.bool_))
+            or not isinstance(node, (int, np.integer)) or not 0 <= node < n):
+        raise ValueError(f"{what} node id {node!r} out of range 0..{n - 1}")
+
+
 def validate(topology: CpsTopology) -> list[str]:
     """Check every structural invariant; return violation messages.
 

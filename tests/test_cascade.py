@@ -69,6 +69,12 @@ def test_cascade_rejects_cyclic_flows():
             cascade_failure(topo, failed)
 
 
+@pytest.mark.parametrize("failed", [-1, 9, True, 1.0])
+def test_failed_node_out_of_range_is_a_value_error(failed):
+    with pytest.raises(ValueError, match=r"out of range 0\.\.8"):
+        cascade_failure(default_nine_node(0.7), failed)
+
+
 def test_leaf_failure_only_zeroes_the_failed_node():
     F = np.array([[0.0, 1.0, 1.0],
                   [0.0, 0.0, 0.0],

@@ -396,7 +396,7 @@ def test_non_finite_multiplier_or_support_is_a_regime_error(monkeypatch,
     g, h = np.array([0.25, 0.75]), np.array([0.5, 0.5])
     mu, members = _scan_partitions(g, h, 2.5)
     if field == "lambda_d":
-        bad = (5e-324, members)          # lambda_D = spend / R_A overflows
+        bad = (5e-324, members)          # mu ** 2 underflows: lambda_D inf
     else:
         bad = (mu, np.zeros(2, dtype=bool))
         monkeypatch.setattr(equilibrium, "_by_side",
