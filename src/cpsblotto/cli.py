@@ -166,9 +166,8 @@ def cmd_fig4(args) -> int:
     values = battlefield_values(topology, params)
     rows = band_probability_table(
         values.attacker, node_ids, points=args.points,
-        epsilon=args.epsilon, samples=args.samples, seed=args.seed,
-        budget_d=params.budget_d, budget_a=params.budget_a,
-        g_base=values.defender)
+        epsilon=args.epsilon, budget_d=params.budget_d,
+        budget_a=params.budget_a, g_base=values.defender)
     text = "\n".join(csv_lines(
         ["theta", "defender_value_std", "node", "owner", "share",
          "probability"], rows, units="probabilities; share of budget"))
@@ -253,8 +252,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nodes", type=_parse_nodes,
                    help="comma-separated node ids to watch")
     p.add_argument("--epsilon", type=float, default=0.05)
-    p.add_argument("--samples", type=int, default=100_000)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_fig4)
 
     p = sub.add_parser("oracle", parents=game,

@@ -144,8 +144,9 @@ def symmetry_sweep(h: np.ndarray,
 
 def band_probability_table(h: np.ndarray, node_ids: tuple[int, ...],
                            points: tuple[float, ...] = DEFAULT_SWEEP_POINTS,
-                           epsilon: float = 0.05, samples: int = 100_000,
-                           seed: int = 0,
+                           epsilon: float = 0.05,
+                           samples: int | None = None,
+                           seed: int | None = None,
                            budget_d: float = DEFAULT_BUDGET_D,
                            budget_a: float = DEFAULT_BUDGET_A,
                            g_base: np.ndarray | None = None
@@ -153,10 +154,17 @@ def band_probability_table(h: np.ndarray, node_ids: tuple[int, ...],
     """Probability of allocating near the value share, across a symmetry sweep.
 
     For every sweep point theta (defender values interpolating from g_base,
-    default h, toward uniform) and every watched node, estimates the
-    probability that a sampled allocation puts within epsilon of the value
-    share on that node: share g_i(theta) for the defender, h_i for the
-    attacker.
+    default h, toward uniform) and every watched node, gives the exact
+    probability that the owner's equilibrium marginal puts within
+    epsilon * R of the value share s * R on that node, where R is the
+    owner's budget and s is g_i(theta) for the defender and h_i for the
+    attacker.  With lo = (s - epsilon) * R, hi = (s + epsilon) * R, atom a
+    at zero and support upper bound u, the probability is
+    a * [lo <= 0] + (1 - a) * max(0, min(hi, u) - max(lo, 0)) / u
+    (see allocation_band_probability).
+
+    `samples` and `seed` are read by nothing: they stay only because the
+    benchmark harness passes them, and ROADMAP item 5 deletes them.
 
     Returns:
         Rows (theta, deviation of g, node, owner, share, probability).
@@ -170,17 +178,17 @@ def band_probability_table(h: np.ndarray, node_ids: tuple[int, ...],
             raise ValueError(f"node {node} is not a node id of this "
                              f"{h.size}-node system (0..{h.size - 1})")
     rows = []
-    for index, (theta, g) in enumerate(zip(points, path)):
+    for theta, g in zip(points, path):
         solution = solve_equilibrium(g, h, budget_d, budget_a)
         deviation = float(g.std())
         for node in node_ids:
-            for owner, marginals, share in (
-                    ("defender", solution.marginals_d, float(g[node])),
-                    ("attacker", solution.marginals_a, float(h[node]))):
-                prob = allocation_band_probability(
-                    marginals, node, share, epsilon, samples,
-                    seed=seed + 7919 * index + 13 * node
-                    + (1 if owner == "attacker" else 0))
+            for owner, marginals, share, budget in (
+                    ("defender", solution.marginals_d, float(g[node]),
+                     budget_d),
+                    ("attacker", solution.marginals_a, float(h[node]),
+                     budget_a)):
+                prob = allocation_band_probability(marginals, node, share,
+                                                   epsilon, budget)
                 rows.append((float(theta), deviation, int(node), owner,
                              share, prob))
     return rows

@@ -182,7 +182,6 @@ def test_criterion_6_sweep_trends():
 
 
 def test_criterion_7_band_probability_ordering():
-    samples = 100_000
     values = battlefield_values(default_nine_node(), default_params(9))
     h = values.attacker
     uniform = np.full(9, 1.0 / 9.0)
@@ -190,16 +189,13 @@ def test_criterion_7_band_probability_ordering():
     probs = {}
     for node in (0, 1, 4):  # one node per tier, h = 4/15, 2/15, 1/15
         probs[node] = allocation_band_probability(
-            solution.marginals_d, node, float(uniform[node]), 0.05,
-            samples, seed=node)
-    se = {node: np.sqrt(p * (1.0 - p) / samples) for node, p in probs.items()}
-    for high_h, low_h in ((0, 1), (1, 4)):
-        gap = probs[low_h] - probs[high_h]
-        two_se = 2.0 * np.hypot(se[low_h], se[high_h])
-        assert gap > two_se, (high_h, low_h, gap, two_se)
+            solution.marginals_d, node, float(uniform[node]), 0.05, 2.5)
+    for node, exact in ((0, 3.0 / 16.0), (1, 3.0 / 8.0), (4, 13.0 / 24.0)):
+        assert abs(probs[node] - exact) <= 1e-12, (node, probs[node], exact)
+    assert probs[0] < probs[1] < probs[4]
     print(f"criterion 7: PASS — defender band probabilities "
-          f"{probs[0]:.3f} < {probs[1]:.3f} < {probs[4]:.3f}, "
-          f"gaps exceed 2 standard errors")
+          f"{probs[0]:.4f} < {probs[1]:.4f} < {probs[4]:.4f}, "
+          f"exactly 3/16 < 3/8 < 13/24")
 
 
 def test_criterion_8_solver_internal_consistency():

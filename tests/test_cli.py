@@ -188,13 +188,13 @@ def test_sweep_symmetry_reaches_uniform_ceiling(tmp_path):
 def test_fig4_band_probabilities(tmp_path):
     out = tmp_path / "bands.csv"
     assert main(["fig4", "--nodes", "0", "--points", "1.0",
-                 "--samples", "2000", "--out", str(out)]) == 0
+                 "--out", str(out)]) == 0
     lines = out.read_text().splitlines()
     assert lines[1] == ("theta,defender_value_std,node,owner,share,"
                         "probability")
-    assert len(lines) == 2 + 2  # one node, both owners
-    for line in lines[2:]:
-        assert 0.0 <= float(line.split(",")[-1]) <= 1.0
+    # one node, both owners; exact values, 3/16 and 3/55
+    assert lines[2:] == ["1,0,0,defender,0.111111111,0.1875",
+                         "1,0,0,attacker,0.266666667,0.0545454545"]
 
 
 def test_oracle_cross_check_on_a_small_scenario(tmp_path):
@@ -235,6 +235,8 @@ def test_version_flag():
 
 @pytest.mark.parametrize("argv", [
     ["solve", "--seed", "1"],
+    ["fig4", "--samples", "1000"],
+    ["fig4", "--seed", "0"],
     ["sweep-flow", "--scenario", "x.json"],
     ["validate", "--out", "x.txt"],
     ["effects", "--rd", "3"],
@@ -272,15 +274,14 @@ def test_malformed_nodes_name_the_option_and_format(capsys):
 def test_fig4_empty_nodes_watch_the_default_nodes(tmp_path):
     out = tmp_path / "bands.csv"
     assert main(["fig4", "--nodes", "", "--points", "1.0",
-                 "--samples", "1000", "--out", str(out)]) == 0
+                 "--out", str(out)]) == 0
     nodes = {line.split(",")[2] for line in out.read_text().splitlines()[2:]}
     assert nodes == {"0", "1", "4"}
 
 
 def test_fig4_rejects_unknown_node_ids(capsys):
     for node in ("99", "9", "-1"):
-        assert main(["fig4", "--nodes", node, "--points", "1.0",
-                     "--samples", "10"]) == 1
+        assert main(["fig4", "--nodes", node, "--points", "1.0"]) == 1
         assert capsys.readouterr().err.startswith(f"error: node {node} ")
 
 
@@ -294,8 +295,7 @@ SUBCOMMAND_OPTIONS = {
     "table1": {"--scenario", "--out", "--rd", "--ra"},
     "sweep-flow": _GAME - {"--scenario"} | {"--points"},
     "sweep-symmetry": _GAME | {"--points"},
-    "fig4": _GAME | {"--points", "--nodes", "--epsilon", "--samples",
-                     "--seed"},
+    "fig4": _GAME | {"--points", "--nodes", "--epsilon"},
     "oracle": _GAME | {"--grid-units", "--iterations"},
 }
 
@@ -309,4 +309,4 @@ def test_each_subcommand_takes_only_the_options_it_reads():
                       if flag not in ("-h", "--help")}
                for name, sub in subparsers.choices.items()}
     assert options == SUBCOMMAND_OPTIONS
-    assert sum(len(flags) for flags in options.values()) == 53
+    assert sum(len(flags) for flags in options.values()) == 51

@@ -64,16 +64,19 @@ def test_symmetry_sweep_frozen_endpoints_and_monotonicity():
 
 def test_band_probability_table_frozen_at_uniform():
     values = battlefield_values(default_nine_node(), default_params(9))
-    rows = band_probability_table(values.attacker, (0, 1, 4), points=(1.0,),
-                                  samples=100_000, seed=0)
+    rows = band_probability_table(values.attacker, (0, 1, 4), points=(1.0,))
     assert len(rows) == 6  # 3 nodes x 2 owners
     defender = {row[2]: row[5] for row in rows if row[3] == "defender"}
-    assert abs(defender[0] - 0.17453) < 1e-5
-    assert abs(defender[1] - 0.41169) < 1e-5
-    assert abs(defender[4] - 0.52174) < 1e-5
+    attacker = {row[2]: row[5] for row in rows if row[3] == "attacker"}
     # at uniform g every defender share is 1/9; nodes with lower attacker
     # value draw less attacker fire, so staying near the share is easier
+    assert abs(defender[0] - 3.0 / 16.0) < 1e-12
+    assert abs(defender[1] - 3.0 / 8.0) < 1e-12
+    assert abs(defender[4] - 13.0 / 24.0) < 1e-12
     assert defender[0] < defender[1] < defender[4]
+    # every attacker band lies inside its support, and 2 * epsilon / u is
+    # the same on every node
+    assert max(attacker.values()) - min(attacker.values()) < 1e-12
     for row in rows:
         assert 0.0 <= row[5] <= 1.0
         if row[3] == "attacker":
@@ -87,10 +90,9 @@ def test_sweep_budgets_default_to_default_params():
     assert (symmetry_sweep(values.attacker, g_base=values.defender)
             == symmetry_sweep(values.attacker, g_base=values.defender,
                               **budgets))
-    assert (band_probability_table(values.attacker, (0, 4), points=(0.5,),
-                                   samples=1000)
+    assert (band_probability_table(values.attacker, (0, 4), points=(0.5,))
             == band_probability_table(values.attacker, (0, 4), points=(0.5,),
-                                      samples=1000, **budgets))
+                                      **budgets))
 
 
 def test_sweep_spec_validation():

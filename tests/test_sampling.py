@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from cpsblotto import (MarginalDistribution, allocation_band_probability,
-                       battlefield_values, default_nine_node, default_params,
-                       draw_marginals, sample_allocation, sample_allocations,
+                       band_probability_table, battlefield_values,
+                       default_nine_node, default_params, draw_marginals,
+                       sample_allocation, sample_allocations,
                        solve_equilibrium)
 
 UNIFORM4 = np.full(4, 0.25)
@@ -53,27 +54,43 @@ def test_defender_sample_means_track_the_marginal_means():
     assert np.all(np.abs(means - 0.5) <= 3.0 * se)
 
 
-def test_band_probability_degenerate_and_seeded():
-    sol = solve_equilibrium(UNIFORM4, UNIFORM4, 2.5, 1.0)
-    # a half-budget-wide band around a quarter share swallows everything
-    assert allocation_band_probability(sol.marginals_a, 0, 0.5, 0.5,
-                                       2000, seed=1) == 1.0
-    p1 = allocation_band_probability(sol.marginals_a, 2, 0.25, 0.05,
-                                     5000, seed=9)
-    p2 = allocation_band_probability(sol.marginals_a, 2, 0.25, 0.05,
-                                     5000, seed=9)
-    assert p1 == p2
-    assert 0.0 < p1 < 1.0
+def test_band_probability_matches_hand_values():
+    # atom 1/4 at zero, uniform on (0, 2]; the band is share +- epsilon of R
+    m = (MarginalDistribution(atom_at_zero=0.25, support_upper=2.0),)
+
+    def band(share, epsilon, budget):
+        return allocation_band_probability(m, 0, share, epsilon, budget)
+
+    # [-0.4, 1.2] straddles 0: the atom plus 1.2 of the 2.0 segment
+    assert band(0.1, 0.2, 4.0) == pytest.approx(0.25 + 0.75 * 0.6,
+                                                abs=1e-15)
+    # lo = 0 exactly still counts the atom: [0, 1]
+    assert band(0.25, 0.25, 2.0) == pytest.approx(0.25 + 0.75 * 0.5,
+                                                  abs=1e-15)
+    # inside the segment: [0.8, 1.2]; clipped at u: [1.4, 2.2]
+    assert band(0.25, 0.05, 4.0) == pytest.approx(0.75 * 0.2, abs=1e-15)
+    assert band(0.45, 0.1, 4.0) == pytest.approx(0.75 * 0.3, abs=1e-15)
+    # above the support: [2.8, 3.6]
+    assert band(0.8, 0.1, 4.0) == 0.0
+    # covering [0, u]: [-2, 2.8] and [0, 2.4]
+    assert band(0.2, 0.5, 4.0) == 1.0
+    assert band(0.3, 0.3, 4.0) == 1.0
+    # u = 0 is a point mass at zero, whatever the atom reads
+    for atom in (0.0, 1.0):
+        point = (MarginalDistribution(atom_at_zero=atom, support_upper=0.0),)
+        assert allocation_band_probability(point, 0, 0.1, 0.2, 4.0) == 1.0
+        assert allocation_band_probability(point, 0, 0.1, 0.1, 4.0) == 1.0
+        assert allocation_band_probability(point, 0, 0.3, 0.1, 4.0) == 0.0
 
 
 def test_band_probability_validates_inputs():
     marginals = uniform_marginals(3)
-    with pytest.raises(ValueError, match="samples"):
-        allocation_band_probability(marginals, 0, 0.3, 0.05, 999)
-    with pytest.raises(ValueError, match="share and epsilon"):
-        allocation_band_probability(marginals, 0, 1.5, 0.05, 2000)
-    with pytest.raises(ValueError, match="share and epsilon"):
-        allocation_band_probability(marginals, 0, 0.3, 0.0, 2000)
+    for budget in (0.0, -1.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="budget must be finite"):
+            allocation_band_probability(marginals, 0, 0.3, 0.05, budget)
+    for share, epsilon in ((1.5, 0.05), (0.0, 0.05), (0.3, 0.0), (0.3, 1.0)):
+        with pytest.raises(ValueError, match="share and epsilon"):
+            allocation_band_probability(marginals, 0, share, epsilon, 1.0)
     with pytest.raises(ValueError, match="budget"):
         sample_allocations(marginals, 0.0, 10, np.random.default_rng(0))
 
@@ -85,7 +102,37 @@ def test_band_probability_rejects_unknown_battlefields():
         with pytest.raises(ValueError, match=rf"battlefield {battlefield} "
                            r"is not a battlefield id .*\(0..8\)"):
             allocation_band_probability(sol.marginals_a, battlefield, 0.2,
-                                        0.05, 2000)
+                                        0.05, 1.0)
+
+
+def test_band_table_agrees_with_independent_marginal_draws():
+    # the band probability depends only on the marginal, so independent
+    # draw_marginals rows (not the rescaled sample_allocations rows) must
+    # agree with the closed form within Monte Carlo error
+    values = battlefield_values(default_nine_node(), default_params(9))
+    nodes, points, epsilon, count = (0, 1, 4), (0.2, 0.6, 1.0), 0.05, 100_000
+    rows = band_probability_table(values.attacker, nodes, points=points,
+                                  epsilon=epsilon, g_base=values.defender)
+    uniform = np.full(9, 1.0 / 9.0)
+    checked = 0
+    for index, theta in enumerate(points):
+        g = (1.0 - theta) * values.defender + theta * uniform
+        sol = solve_equilibrium(g, values.attacker, 2.5, 1.0)
+        for owner, marginals, budget in (("defender", sol.marginals_d, 2.5),
+                                         ("attacker", sol.marginals_a, 1.0)):
+            fractions = draw_marginals(marginals,
+                                       np.random.default_rng(index),
+                                       count) / budget
+            for row in rows:
+                if row[0] != theta or row[3] != owner:
+                    continue
+                node, share, prob = row[2], row[4], row[5]
+                hits = np.mean(np.abs(fractions[:, node] - share) <= epsilon)
+                se = np.sqrt(prob * (1.0 - prob) / count)
+                assert 0.0 < prob < 1.0
+                assert abs(hits - prob) <= 4.0 * se, (theta, owner, node)
+                checked += 1
+    assert checked == 18
 
 
 def test_all_atom_marginals_exhaust_the_resampler():
@@ -137,12 +184,6 @@ def test_resampler_matches_the_reference_bitwise():
             expected = reference_sample_allocations(
                 heavy, 2.5, count, np.random.default_rng(seed))
             assert rows.tobytes() == expected.tobytes()
-        for battlefield in range(3):
-            rows = sample_allocations(heavy, 1.0, 5000,
-                                      np.random.default_rng(seed))
-            band = float(np.mean(np.abs(rows[:, battlefield] - 0.4) <= 0.1))
-            assert allocation_band_probability(heavy, battlefield, 0.4, 0.1,
-                                               5000, seed=seed) == band
 
 
 def test_draws_keep_each_marginal_within_monte_carlo_error():
