@@ -84,8 +84,9 @@ def allocation_band_probability(marginals: tuple[MarginalDistribution, ...],
 
     The probability depends only on the law of r_i, so it is the same for
     every joint allocation that keeps the marginals.  With
-    lo = (share - epsilon) * budget, hi = (share + epsilon) * budget, atom a
-    at zero and support upper bound u, it is
+    lo = (share - epsilon) * budget and hi = (share + epsilon) * budget it is
+    F(hi) - F(lo-), where F is the marginal's CDF: for atom a at zero and
+    support upper bound u,
 
         P = a * [lo <= 0] + (1 - a) * max(0, min(hi, u) - max(lo, 0)) / u,
 
@@ -114,12 +115,8 @@ def allocation_band_probability(marginals: tuple[MarginalDistribution, ...],
         raise ValueError("share and epsilon must lie in (0, 1)")
     if not (math.isfinite(budget) and budget > 0.0):
         raise ValueError(f"budget must be finite and positive, got {budget}")
-    lo = (share - epsilon) * budget
-    hi = (share + epsilon) * budget
     marginal = marginals[battlefield]
-    atom, upper = marginal.atom_at_zero, marginal.support_upper
-    at_zero = 1.0 if lo <= 0.0 else 0.0
-    if upper == 0.0:
-        return at_zero
-    segment = max(0.0, min(hi, upper) - max(lo, 0.0)) / upper
-    return atom * at_zero + (1.0 - atom) * segment
+    lo = (share - epsilon) * budget
+    # F is continuous above 0, and F(lo-) = 0 for lo <= 0 keeps the atom in.
+    below = marginal.cdf(lo) if lo > 0.0 else 0.0
+    return marginal.cdf((share + epsilon) * budget) - below
