@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, combinations
-from math import comb
+from math import ceil, comb
 
 import numpy as np
 
@@ -84,6 +84,8 @@ class FictitiousPlayResult:
     mixed_a: np.ndarray
     converged: bool
     convergence_gap: float
+    # (payoff_d, payoff_a) of the time-averaged mixtures at each checkpoint.
+    series: tuple[tuple[float, float], ...] = ()
 
 
 def fictitious_play(game: DiscreteGame, iterations: int = 40_000
@@ -92,60 +94,132 @@ def fictitious_play(game: DiscreteGame, iterations: int = 40_000
 
     Both players best-respond to the opponent's empirical mixture (seeded
     with one uniform pseudo-observation); best-response ties break toward the
-    lower lexicographic strategy, so the run is fully deterministic.
-    Convergence is judged by the maximum change of the time-averaged payoffs
-    over the last 10% of iterations; a gap above CONVERGENCE_GAP is
-    reported, not fatal.
+    lower lexicographic strategy, so the run is fully deterministic.  The
+    time-averaged payoffs are recorded every max(1, iterations // 200)
+    iterations and at the end (`series`).  Convergence is judged by their
+    maximum change over the last 10% of the checkpoints; a gap above
+    CONVERGENCE_GAP is reported, not fatal.
+
+    The result is bitwise that of the plain loop, which calls `argmax` on
+    both score vectors and then adds the best responses' payoff column and
+    row at every iteration.  Here both score vectors are views of one
+    array, and one step is one in-place add of the stacked increment.
+    While the pair of best responses stays the same, the loop repeats that
+    add without calling `argmax`:
+
+    - Each player's leader is its argmax, the lowest index on ties.  For
+      every other entry j of that player, gap_j is the leader's score minus
+      j's, and rate_j is j's increment minus the leader's.
+    - With L steps left before the next checkpoint and t steps played, let
+      tol = 2·L·eps·(S0 + (t + L)·P), where S0 is the largest initial
+      |score| and P the largest |payoff|.  S0 + (t + L)·P bounds every
+      score the run can reach, and each add rounds by at most eps/2 of it.
+      So over L adds two entries' rounded gap moves at most L·eps·bound
+      away from its exact value; the factor 2 covers the rounding of gap,
+      rate and the bound itself.
+    - A run of 1 + m steps keeps the pair when every j satisfies
+      gap_j - k·rate_j > tol for each k in 1..m, i.e. the leader still
+      leads after each of the first m adds.  A twin (gap_j = 0 and
+      rate_j = 0) is exempt: its adds are bitwise the leader's, and its
+      higher index keeps it behind.
+    - When no add can be guaranteed, one plain step is taken, and so are
+      the next four steps; that is a cost heuristic, and the result does
+      not depend on it.
+
+    A run never crosses a checkpoint, and the best-response counts are
+    exact integers, so the checkpoints, mixtures and gap are bitwise the
+    plain loop's.
     """
     if iterations < 10:
         raise ValueError("iterations must be at least 10")
     U_d, U_a = game.payoff_matrices()
     n_d, n_a = U_d.shape
+    U_d_by_attack = np.ascontiguousarray(U_d.T)
 
     # Accumulated payoff against the opponent's history, seeded uniform.
-    score_d = U_d.mean(axis=1)
-    score_a = U_a.mean(axis=0)
+    score = np.concatenate((U_d.mean(axis=1), U_a.mean(axis=0)))
+    inc = np.empty_like(score)
+    leaders = np.empty(score.size, dtype=np.intp)
     counts_d = np.zeros(n_d)
     counts_a = np.zeros(n_a)
-    # The loop is Python-bound at these sizes: bound argmax methods skip
-    # numpy's dispatch wrapper, the transposed copy makes the defender's
-    # payoff read a contiguous row, and the best responses are counted once
-    # per checkpoint instead of once per iteration.
-    argmax_d = score_d.argmax
-    argmax_a = score_a.argmax
-    U_d_by_attack = np.ascontiguousarray(U_d.T)
-    played_d: list[int] = []
-    played_a: list[int] = []
+    argmax_d = score[:n_d].argmax
+    argmax_a = score[n_d:].argmax
+    add = score.__iadd__
+    eps = np.finfo(float).eps
+    score_bound = float(np.abs(score).max())
+    payoff_bound = float(max(np.abs(U_d).max(), np.abs(U_a).max()))
 
+    pair = None
+    plain = 0
     checkpoints: list[tuple[float, float]] = []
     step = max(1, iterations // 200)
     t = 0
     for end in (*range(step, iterations, step), iterations):
-        for _ in range(end - t):
+        while t < end:
             br_d = argmax_d()
             br_a = argmax_a()
-            played_d.append(br_d)
-            played_a.append(br_a)
-            score_d += U_d_by_attack[br_a]
-            score_a += U_a[br_d]
-        t = end
-        counts_d += np.bincount(played_d, minlength=n_d)
-        counts_a += np.bincount(played_a, minlength=n_a)
-        played_d.clear()
-        played_a.clear()
+            if (br_d, br_a) != pair:
+                pair = (br_d, br_a)
+                inc[:n_d] = U_d_by_attack[br_a]
+                inc[n_d:] = U_a[br_d]
+                leaders[:n_d] = br_d
+                leaders[n_d:] = n_d + br_a
+                rate = inc - inc[leaders]
+                closing = np.flatnonzero(rate > 0.0)
+                closing_rate = rate[closing]
+                holding = np.flatnonzero(rate <= 0.0)
+                holding_rate = rate[holding]
+            left = end - t
+            run = 1
+            if plain:
+                plain -= 1
+            elif left > 1:
+                run = _safe_run(score, leaders, closing, closing_rate,
+                                holding, holding_rate, left,
+                                2.0 * left * eps
+                                * (score_bound + (t + left) * payoff_bound))
+                if run == 1:
+                    plain = 4
+            for _ in range(run):
+                add(inc)
+            counts_d[br_d] += run
+            counts_a[br_a] += run
+            t += run
         p_d = counts_d / t
         p_a = counts_a / t
         checkpoints.append((float(p_d @ U_d @ p_a),
                             float(p_d @ U_a @ p_a)))
 
-    tail = checkpoints[max(0, int(len(checkpoints) * 0.9) - 1):]
-    series = np.array(tail)
-    gap = float((series.max(axis=0) - series.min(axis=0)).max())
+    tail = np.array(checkpoints[max(0, int(len(checkpoints) * 0.9) - 1):])
+    gap = float((tail.max(axis=0) - tail.min(axis=0)).max())
     payoff_d, payoff_a = checkpoints[-1]
     return FictitiousPlayResult(
         payoff_d=payoff_d, payoff_a=payoff_a,
         mixed_d=counts_d / iterations, mixed_a=counts_a / iterations,
-        converged=gap <= CONVERGENCE_GAP, convergence_gap=gap)
+        converged=gap <= CONVERGENCE_GAP, convergence_gap=gap,
+        series=tuple(checkpoints))
+
+
+def _safe_run(score: np.ndarray, leaders: np.ndarray, closing: np.ndarray,
+              closing_rate: np.ndarray, holding: np.ndarray,
+              holding_rate: np.ndarray, left: int, tol: float) -> int:
+    """Steps, 1 to `left`, over which the current best responses hold.
+
+    `leaders` gives each score entry its player's leader; `closing` and
+    `holding` index the entries whose rate (see `fictitious_play`) is
+    positive and not positive, with those rates alongside.
+    """
+    gap = score[leaders] - score
+    # An entry that is not closing in is nearest after one add, at
+    # gap - rate; a twin sits at exactly 0 there and is exempt.
+    slack = gap[holding] - holding_rate
+    if ((slack > 0.0) & (slack <= tol)).any():
+        return 1
+    if closing.size == 0:
+        return left
+    # A closing entry allows the k-th add only for k < (gap - tol) / rate.
+    horizon = float(((gap[closing] - tol) / closing_rate).min())
+    return 1 + min(left - 1, max(0, ceil(horizon) - 1))
 
 
 @dataclass(frozen=True)

@@ -96,7 +96,8 @@ def allocation_band_probability(marginals: tuple[MarginalDistribution, ...],
         marginals: one player's marginals, one per battlefield, in budget
             units.
         battlefield: index of the battlefield to watch.
-        share: target budget fraction, in (0, 1).
+        share: target budget fraction, in (0, 1]; a one-node system's
+            only share is 1.
         epsilon: half-width of the acceptance band, in (0, 1).
         budget: the owner's budget R, finite and positive.
 
@@ -104,15 +105,16 @@ def allocation_band_probability(marginals: tuple[MarginalDistribution, ...],
         The exact probability.
 
     Raises:
-        ValueError: battlefield lies outside 0..n-1, share or epsilon lies
-            outside (0, 1), or budget is not finite and positive.
+        ValueError: battlefield lies outside 0..n-1, share lies outside
+            (0, 1], epsilon lies outside (0, 1), or budget is not finite and
+            positive.
     """
     n = len(marginals)
     if not 0 <= battlefield < n:
         raise ValueError(f"battlefield {battlefield} is not a battlefield "
                          f"id of these {n} marginals (0..{n - 1})")
-    if not (0.0 < share < 1.0 and 0.0 < epsilon < 1.0):
-        raise ValueError("share and epsilon must lie in (0, 1)")
+    if not (0.0 < share <= 1.0 and 0.0 < epsilon < 1.0):
+        raise ValueError("share and epsilon must lie in (0, 1] and (0, 1)")
     if not (math.isfinite(budget) and budget > 0.0):
         raise ValueError(f"budget must be finite and positive, got {budget}")
     marginal = marginals[battlefield]

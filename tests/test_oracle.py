@@ -7,6 +7,7 @@ import pytest
 
 from cpsblotto import (DiscreteGame, cross_validate, enumerate_strategies,
                        fictitious_play, single_dependency_case)
+from cpsblotto.oracle import CONVERGENCE_GAP, _safe_run
 
 UNIFORM3 = np.full(3, 1.0 / 3.0)
 
@@ -124,6 +125,81 @@ def test_fictitious_play_matches_the_reference_bitwise(iterations):
         assert result.mixed_d.tobytes() == mixed_d.tobytes()
         assert result.mixed_a.tobytes() == mixed_a.tobytes()
         assert result.convergence_gap == gap
+
+
+def test_fictitious_play_matches_the_reference_on_random_games():
+    # the run-skipping loop must stay bitwise the per-step loop, also when
+    # equal values make strategies tie exactly (twins) and when the
+    # iteration count is short or not a multiple of the checkpoint step
+    rng = np.random.default_rng(13)
+    for index in range(100):
+        fields = int(rng.integers(1, 4))
+        if index % 3 == 0:
+            values_d = values_a = np.full(fields, 1.0 / fields)
+        else:
+            values_d = rng.dirichlet(np.ones(fields))
+            values_a = rng.dirichlet(np.ones(fields))
+        game = DiscreteGame(values_d=values_d, values_a=values_a,
+                            units_d=int(rng.integers(1, 14)),
+                            units_a=int(rng.integers(1, 14)))
+        iterations = int(rng.integers(10, 200) if index % 2 else
+                         rng.integers(200, 3001))
+        result = fictitious_play(game, iterations=iterations)
+        payoff_d, payoff_a, mixed_d, mixed_a, gap = reference_fictitious_play(
+            game, iterations)
+        assert result.payoff_d == payoff_d, index
+        assert result.payoff_a == payoff_a, index
+        assert result.mixed_d.tobytes() == mixed_d.tobytes(), index
+        assert result.mixed_a.tobytes() == mixed_a.tobytes(), index
+        assert result.convergence_gap == gap, index
+        assert result.converged == (gap <= CONVERGENCE_GAP), index
+
+
+def test_safe_runs_keep_the_leader_on_near_ties():
+    # entries a few ulps behind a leader just below a power of two tie or
+    # overtake it once the sums cross into the next binade; over every
+    # run _safe_run grants, the plain loop's argmax must stay the leader
+    rng = np.random.default_rng(5)
+    left = 50
+    for _ in range(2000):
+        n = int(rng.integers(2, 6))
+        lead = int(rng.integers(n))
+        top = 2.0 ** int(rng.integers(1, 14)) * (1.0 - rng.uniform(0, 1e-3))
+        inc_lead = rng.uniform(0.0, 1.0)
+        kinds = rng.choice(["far", "near", "near", "near", "closing"], n)
+        # entries after the leader may equal it: twins when "near"
+        ulps = rng.integers(0, 4, n)
+        ulps[:lead] = np.maximum(ulps[:lead], 1)
+        score = np.where(kinds == "far", rng.uniform(0.0, top, n),
+                         top - ulps * np.spacing(top))
+        score[lead] = top
+        inc = np.where(kinds == "closing", np.nextafter(inc_lead, 2.0),
+                       inc_lead)
+        inc[lead] = inc_lead
+        leaders = np.full(n, lead)
+        rate = inc - inc_lead
+        closing = np.flatnonzero(rate > 0.0)
+        holding = np.flatnonzero(rate <= 0.0)
+        tol = 2.0 * left * np.finfo(float).eps * (top + left * inc.max())
+        run = _safe_run(score, leaders, closing, rate[closing], holding,
+                        rate[holding], left, tol)
+        assert 1 <= run <= left
+        for _ in range(run - 1):
+            score += inc
+            assert score.argmax() == lead
+
+
+def test_fictitious_play_reports_its_checkpoint_series():
+    game = DiscreteGame(values_d=np.array([0.4, 0.35, 0.25]),
+                        values_a=np.array([0.5, 0.3, 0.2]),
+                        units_d=25, units_a=20)
+    result = fictitious_play(game, iterations=2999)
+    step = 2999 // 200
+    assert len(result.series) == -(-2999 // step)
+    assert result.series[-1] == (result.payoff_d, result.payoff_a)
+    tail = np.array(result.series[int(len(result.series) * 0.9) - 1:])
+    assert result.convergence_gap == (tail.max(axis=0)
+                                      - tail.min(axis=0)).max()
 
 
 def test_two_field_shutout_is_reported_honestly():

@@ -91,6 +91,9 @@ def test_band_probability_validates_inputs():
     for share, epsilon in ((1.5, 0.05), (0.0, 0.05), (0.3, 0.0), (0.3, 1.0)):
         with pytest.raises(ValueError, match="share and epsilon"):
             allocation_band_probability(marginals, 0, share, epsilon, 1.0)
+    # a one-node system's only value share is 1
+    assert allocation_band_probability(marginals, 0, 1.0, 0.05,
+                                       1.0) == pytest.approx(0.05, abs=1e-15)
     with pytest.raises(ValueError, match="budget"):
         sample_allocations(marginals, 0.0, 10, np.random.default_rng(0))
 
@@ -103,6 +106,18 @@ def test_band_probability_rejects_unknown_battlefields():
                            r"is not a battlefield id .*\(0..8\)"):
             allocation_band_probability(sol.marginals_a, battlefield, 0.2,
                                         0.05, 1.0)
+
+
+def test_band_table_on_a_one_node_system():
+    rows = band_probability_table(np.array([1.0]), (0,), points=(1.0,))
+    sol = solve_equilibrium(np.array([1.0]), np.array([1.0]), 2.5, 1.0)
+    assert [row[:5] for row in rows] == [(1.0, 0.0, 0, "defender", 1.0),
+                                         (1.0, 0.0, 0, "attacker", 1.0)]
+    for row, marginal, budget in zip(rows, (sol.marginals_d[0],
+                                            sol.marginals_a[0]), (2.5, 1.0)):
+        # F is continuous above 0, so F(lo-) = F(lo) at lo = 0.95 R
+        assert row[5] == (marginal.cdf((1.0 + 0.05) * budget)
+                          - marginal.cdf((1.0 - 0.05) * budget))
 
 
 def test_band_table_agrees_with_independent_marginal_draws():
