@@ -10,25 +10,25 @@ zero with a uniform part on the same support; on attacker-favored
 battlefields (those in omega_a, where h_i/g_i exceeds mu = lambda_A/lambda_D)
 the roles mirror.  mu solves a cubic determined by the budget ratio and the
 partition; the partition in turn is fixed by mu, so the solver scans all
-threshold partitions of the sorted ratios h_i/g_i.
+threshold partitions of the sorted ratios h_i/g_i.  Where several mu are
+consistent, it returns the largest among the roots whose cubic terms
+neither overflow nor all underflow, and within one partition the largest
+root.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 CUBIC_RESIDUAL_RTOL = 1e-10
 BUDGET_IDENTITY_RTOL = 1e-9
-# The bracket screen keeps a split whose smallest |cubic| on its interval is
-# within this multiple of the residual gate; the slack dwarfs the rounding
-# of the screen's own evaluations.
-_SCREEN_MARGIN = 1e3
-# A root this close below a partition's lower breakpoint is taken to lie
-# on it, where the partition's cubic and the one below it meet.
+# A root this close below a partition's upper breakpoint is taken to lie
+# on it, where the partition's cubic and the one above it meet.
 _BREAKPOINT_RTOL = 1e-12
 
 
@@ -119,54 +119,53 @@ def _passes_residual_gate(coeffs: tuple[float, float, float, float],
                           mu: float) -> bool:
     """Whether mu is a genuine root of the cubic, relative to its terms.
 
-    A root whose terms overflow fails: its residual cannot be measured.
+    A root whose terms overflow fails: its residual cannot be measured.  So
+    does a root whose terms all underflow, where the scale sits at its
+    1e-300 floor and the cubic may vanish only because its terms did.
     """
     scale = _cubic_scale(coeffs, mu)
-    return (scale < math.inf and abs(_cubic_value(coeffs, mu))
+    return (1e-300 < scale < math.inf and abs(_cubic_value(coeffs, mu))
             <= CUBIC_RESIDUAL_RTOL * scale)
 
 
-def _polish_root(coeffs: tuple[float, float, float, float], mu: float,
-                 lo: float, hi: float) -> float:
-    """Newton refinement of a cubic root, kept inside [lo, hi]."""
+def _bracketed_root(coeffs: tuple[float, float, float, float], lo: float,
+                    hi: float, rising: bool) -> float:
+    """A root of a cubic that is monotone on [lo, hi] and changes sign
+    there, upward when rising.
+
+    Bisects geometrically while the bracket spans more than a factor of 4,
+    so that a bracket such as [0.5, 1e299] narrows in about ten steps.  It
+    then takes Newton steps, and bisects wherever a step would leave the
+    bracket or fail to halve the step before it.  It stops on an exact
+    zero, on a Newton fixed point, or when no float lies inside the bracket.
+    """
     a, b, c, _ = coeffs
-    for _ in range(60):
+    hi = min(hi, sys.float_info.max)
+    mu, value, step = lo, None, math.inf
+    for _ in range(200):
+        if lo > 0.0 and hi > 4.0 * lo:
+            nxt = math.sqrt(lo) * math.sqrt(hi)
+        else:
+            nxt = lo + 0.5 * (hi - lo)
+            slope = (3.0 * a * mu + 2.0 * b) * mu + c
+            if value is not None and slope != 0.0:
+                newton = mu - value / slope
+                if newton == mu:
+                    break
+                if lo < newton < hi and abs(newton - mu) < 0.5 * step:
+                    nxt = newton
+            if not lo < nxt < hi:
+                break
+        step = abs(nxt - mu)
+        mu = nxt
         value = _cubic_value(coeffs, mu)
         if value == 0.0:
             break
-        slope = (3.0 * a * mu + 2.0 * b) * mu + c
-        if slope == 0.0:
-            break
-        step = value / slope
-        nxt = mu - step
-        if not (lo <= nxt <= hi):
-            nxt = min(max(nxt, lo), hi)
-        if nxt == mu:
-            break
-        mu = nxt
+        if (value > 0.0) == rising:
+            hi = mu
+        else:
+            lo = mu
     return mu
-
-
-def _real_roots(coeffs: tuple[float, float, float, float]) -> list[float]:
-    poly = np.array(coeffs, dtype=float)
-    nonzero = np.flatnonzero(poly != 0.0)
-    if nonzero.size == 0:
-        return []
-    poly = poly[nonzero[0]:]
-    if poly.size == 1:
-        return []
-    with np.errstate(over="ignore"):
-        try:
-            roots = np.roots(poly)
-        except np.linalg.LinAlgError:
-            # Dividing by a vanishing leading coefficient overflowed the
-            # companion matrix, so no root of this cubic can be measured.
-            return []
-    out = []
-    for root in roots:
-        if abs(root.imag) < 1e-9 * max(1.0, abs(root.real)):
-            out.append(float(root.real))
-    return out
 
 
 def _head_sums(x: np.ndarray) -> np.ndarray:
@@ -180,53 +179,21 @@ def _tail_sums(x: np.ndarray) -> np.ndarray:
     return np.concatenate((np.cumsum(x[::-1])[::-1], [0.0]))
 
 
-def _screen_splits(a: np.ndarray, b: np.ndarray, c: np.ndarray,
-                   d: np.ndarray, lo: np.ndarray, hi: np.ndarray
-                   ) -> np.ndarray:
-    """Flags the splits whose consistency interval [lo, hi) can hold a root
-    of the split's cubic p that passes the residual gate.
-
-    An accepted mu lies in [lo, hi) with |p(mu)| <= rtol * scale(mu), and
-    every term of the scale grows with mu > 0, so scale(mu) <= scale(hi).
-    Where p keeps its sign on [lo, hi], the smallest |p| lies at an end or
-    at a critical point.  A split is dropped when its interval is empty
-    (tied ratios, whose shared value lies in the interval that starts at
-    it), or when p keeps one sign at both ends and at its
-    critical points clipped into [lo, hi], all of those values are finite,
-    and the smallest exceeds _SCREEN_MARGIN times rtol * scale(hi).  Split n
-    (hi = inf) has a non-finite scale and split 0 has p(0) = 0, so both are
-    always kept.
-    """
-    with np.errstate(all="ignore"):
-        # Roots of p' = 3a x^2 + 2b x + c in the cancellation-free form
-        # (b = -q * sum g <= 0); where p' has no real roots these are two
-        # more points of the interval, which only add to the check.
-        big = np.sqrt(np.maximum(b * b - 3.0 * a * c, 0.0)) - b
-        points = np.stack((lo, hi, np.clip(big / (3.0 * a), lo, hi),
-                           np.clip(c / big, lo, hi)))
-        values = ((a * points + b) * points + c) * points + d
-        scale = np.maximum.reduce((np.abs(a) * hi ** 3, np.abs(b) * hi ** 2,
-                                   np.abs(c) * hi, np.abs(d),
-                                   np.full(hi.shape, 1e-300)))
-        finite = np.isfinite(values).all(axis=0) & np.isfinite(scale)
-        crosses = (values.min(axis=0) <= 0.0) & (values.max(axis=0) >= 0.0)
-        near = (np.abs(values).min(axis=0)
-                <= _SCREEN_MARGIN * CUBIC_RESIDUAL_RTOL * scale)
-    return (hi > lo) & (~finite | crosses | near)
-
-
 def _scan_partitions(g: np.ndarray, h: np.ndarray, q: float
                      ) -> tuple[float, np.ndarray]:
     """The multiplier ratio mu and the attacker-favored mask.
 
-    Scans the threshold partitions of the sorted ratios h_i/g_i, from every
-    battlefield defender-favored (split n) to every battlefield
-    attacker-favored (split 0), and keeps the first root of a partition's
-    cubic a mu^3 + b mu^2 + c mu + d = 0 that lies in the partition's
-    consistency interval.  a, b come from the attacker-favored side and
-    c, d from the defender-favored side; all four are read from cumulative
-    sums over the sorted order.  Splits whose interval is empty or cannot
-    hold a gate-passing root are screened out before any root solve.
+    Split s of the sorted ratios h_i/g_i puts the battlefields above it in
+    omega_a, and its cubic a mu^3 + b mu^2 + c mu + d = 0 holds on its
+    consistency interval [lo, hi) between breakpoints; a, b come from the
+    attacker-favored side and c, d from the defender-favored side, all read
+    from cumulative sums over the sorted order.  F(mu), the cubic of the
+    split that mu induces, is continuous, so its sign at each split's ends
+    and at the split cubic's critical points brackets every root.  The scan
+    takes the bracketing pieces from split n (every battlefield
+    defender-favored) down to split 0, and each split's pieces from the top
+    down, so it returns the largest root whose terms neither overflow nor
+    all underflow.
     """
     n = g.size
     ratios = h / g
@@ -240,33 +207,56 @@ def _scan_partitions(g: np.ndarray, h: np.ndarray, q: float
         series = np.stack((_tail_sums(gs ** 2 / hs), -q * _tail_sums(gs),
                            _head_sums(hs), -q * _head_sums(hs ** 2 / gs)))
 
+    a, b, c, _ = series
     lo = np.concatenate(([0.0], sorted_ratios))
     hi = np.append(sorted_ratios, np.inf)
-    kept = np.flatnonzero(_screen_splits(*series, lo, hi))
-    for split in kept[::-1].tolist():
+    with np.errstate(all="ignore"):
+        # The roots c/s and s/(3a) of p' = 3a x^2 + 2b x + c, with a, c >= 0
+        # >= b, scaled by -b so that neither b^2 nor 3ac underflows.  Where
+        # t > 1, p' has no real root and p rises on the whole interval.
+        t = (3.0 * a / -b) * (c / -b)
+        s = -b * (1.0 + np.sqrt(1.0 - t))
+        critical = np.clip((c / s, s / (3.0 * a)), lo, hi)
+        critical = np.where(np.isnan(critical), lo, critical)
+        knots = np.vstack((lo, critical, hi))
+        # One value of F per breakpoint, from the split that owns it, so
+        # that rounding cannot give the two cubics that meet there opposite
+        # signs.
+        owner = np.searchsorted(sorted_ratios, sorted_ratios, side="right")
+        at_breaks = _cubic_value(series, lo)[owner]
+        values = np.vstack((np.concatenate(([0.0], at_breaks)),
+                            _cubic_value(series, critical),
+                            np.append(at_breaks, np.inf)))
+        low, high = values[:-1], values[1:]
+        brackets = ((knots[1:] > knots[:-1])
+                    & (np.minimum(low, high) <= 0.0)
+                    & (np.maximum(low, high) >= 0.0))
+
+    # Candidate pieces from split n down, each split's pieces from the top.
+    for flat in np.flatnonzero(brackets.T[::-1, ::-1]).tolist():
+        split, piece = n - flat // 3, 2 - flat % 3
         # Python floats: a numpy bound can become mu, and its overflowing
         # mu ** 3 in the residual gate would warn instead of raising.
-        low, high = float(lo[split]), float(hi[split])
+        x0, x1 = knots[piece:piece + 2, split].tolist()
+        v0, v1 = values[piece:piece + 2, split].tolist()
         coeffs = tuple(series[:, split].tolist())
-        floor = max(low, np.nextafter(0.0, 1.0))
-        for root in _real_roots(coeffs):
-            if root <= 0.0:
-                continue
-            if low * (1.0 - _BREAKPOINT_RTOL) <= root < low:
-                # Rounding can move a root on the breakpoint below it.
-                root = low
-            mu = _polish_root(coeffs, root, floor, high)
-            if not (low <= mu < high) or mu <= 0.0:
-                continue
-            # Polishing clamps into the interval, so a root belonging to a
-            # different partition can land on the boundary; only a genuine
-            # root of this partition's cubic counts.
-            if not _passes_residual_gate(coeffs, mu):
-                continue
-            members = np.zeros(n, dtype=bool)
-            members[order[split:]] = True
-            if np.array_equal(ratios > mu, members):
-                return mu, members
+        if v1 == 0.0:
+            mu = x1
+        elif v0 == 0.0:
+            mu = x0
+        elif split == n:
+            # Every battlefield defender-favored: the cubic is linear.
+            mu = max(-coeffs[3] / coeffs[2], x0)
+        else:
+            mu = _bracketed_root(coeffs, x0, x1, v0 < 0.0)
+        if mu <= 0.0:
+            continue
+        top = float(hi[split])
+        if top * (1.0 - _BREAKPOINT_RTOL) <= mu < top:
+            mu = top
+        member_split = int(np.searchsorted(sorted_ratios, mu, side="right"))
+        if _passes_residual_gate(tuple(series[:, member_split].tolist()), mu):
+            return mu, ratios > mu
     raise EquilibriumRegimeError(
         "no equilibrium in solver's regime: no threshold partition of "
         "h_i/g_i admits a consistent multiplier ratio")
@@ -289,14 +279,15 @@ def solve_equilibrium(g: np.ndarray, h: np.ndarray, budget_d: float,
     exceeds mu = lambda_A / lambda_D, with ratio ties resolved to the
     defender-favored side.  The solver scans the threshold partitions of
     the sorted ratios once, reading each partition's cubic in mu from
-    prefix sums, solves the cubic only where a closed-form bracket screen
-    shows that the partition's interval can hold a root, and keeps the root
-    that is consistent with its partition.  When several partitions hold a
-    consistent root, it returns the largest mu: the scan runs from the
-    largest ratios down, and every root in a higher partition's interval
-    exceeds every root in a lower one's.  Within one partition it keeps
-    the first consistent root in numpy.roots' order.  A root within
-    _BREAKPOINT_RTOL below a partition's lower breakpoint is taken to lie
+    prefix sums.  The signs of the cubics at the breakpoints and at their
+    critical points bracket every root, and one safeguarded Newton-bisection
+    solves each bracket.  When several partitions hold a consistent root,
+    it returns the largest mu: the scan runs from the largest ratios down,
+    and every root in a higher partition's interval exceeds every root in a
+    lower one's.  Within one partition it keeps the largest root.  A root
+    counts only when the cubic's terms at it neither overflow nor all
+    underflow, and its residual passes CUBIC_RESIDUAL_RTOL.  A root within
+    _BREAKPOINT_RTOL below a partition's upper breakpoint is taken to lie
     on it.
 
     lambda_D follows from the attacker budget identity; the defender
@@ -481,7 +472,8 @@ def solution_document(solution: EquilibriumSolution) -> dict:
 
 def solution_from_document(doc: dict) -> EquilibriumSolution:
     """Inverse of solution_document; raises ValueError unless the marginals
-    hold one "defender" and one "attacker" entry per battlefield 0..n-1."""
+    hold one "defender" and one "attacker" entry per battlefield 0..n-1 and
+    omega_A lists distinct battlefields of 0..n-1."""
     n = len(doc["marginals"]) // 2
     sides = {"defender": {}, "attacker": {}}
     for entry in doc["marginals"]:
@@ -497,10 +489,15 @@ def solution_from_document(doc: dict) -> EquilibriumSolution:
         if sorted(side) != list(range(n)):
             raise ValueError(f"{owner} marginals cover battlefields "
                              f"{sorted(side)}, not 0..{n - 1}")
+    omega_a = [int(i) for i in doc["omega_A"]]
+    if len(set(omega_a)) < len(omega_a) or not all(0 <= i < n
+                                                   for i in omega_a):
+        raise ValueError(f"omega_A {omega_a} must list distinct "
+                         f"battlefields of 0..{n - 1}")
     return EquilibriumSolution(
         mu=float(doc["mu"]), lambda_d=float(doc["lambda_D"]),
         lambda_a=float(doc["lambda_A"]),
-        omega_a=frozenset(int(i) for i in doc["omega_A"]),
+        omega_a=frozenset(omega_a),
         marginals_d=tuple(sides["defender"][i] for i in range(n)),
         marginals_a=tuple(sides["attacker"][i] for i in range(n)),
         payoff_d=float(doc["payoff_D"]), payoff_a=float(doc["payoff_A"]),

@@ -15,9 +15,8 @@ from cpsblotto import (EquilibriumRegimeError, MarginalDistribution,
 from cpsblotto import equilibrium
 from cpsblotto.equilibrium import (_BREAKPOINT_RTOL, CUBIC_RESIDUAL_RTOL,
                                    _cubic_scale, _cubic_value, _head_sums,
-                                   _passes_residual_gate, _polish_root,
-                                   _real_roots, _scan_partitions,
-                                   _screen_splits, _tail_sums)
+                                   _passes_residual_gate, _scan_partitions,
+                                   _tail_sums)
 
 UNIFORM4 = np.full(4, 0.25)
 
@@ -115,6 +114,44 @@ def test_cubic_residual_against_independent_recompute():
     assert checked >= 25
 
 
+def _real_roots(coeffs):
+    """The real roots of a cubic from numpy.roots, for the references below,
+    which solve each partition's cubic independently of the solver."""
+    poly = np.array(coeffs, dtype=float)
+    nonzero = np.flatnonzero(poly != 0.0)
+    if nonzero.size == 0:
+        return []
+    poly = poly[nonzero[0]:]
+    if poly.size == 1:
+        return []
+    with np.errstate(over="ignore"):
+        try:
+            roots = np.roots(poly)
+        except np.linalg.LinAlgError:
+            # Dividing by a vanishing leading coefficient overflowed the
+            # companion matrix, so no root of this cubic can be measured.
+            return []
+    return [float(root.real) for root in roots
+            if abs(root.imag) < 1e-9 * max(1.0, abs(root.real))]
+
+
+def _polish_root(coeffs, mu, lo, hi):
+    """Newton refinement of a cubic root, kept inside [lo, hi]."""
+    a, b, c, _ = coeffs
+    for _ in range(60):
+        value = _cubic_value(coeffs, mu)
+        if value == 0.0:
+            break
+        slope = (3.0 * a * mu + 2.0 * b) * mu + c
+        if slope == 0.0:
+            break
+        nxt = min(max(mu - value / slope, lo), hi)
+        if nxt == mu:
+            break
+        mu = nxt
+    return mu
+
+
 def _masked_scan_reference(g, h, q):
     """The per-partition scan that re-sums each partition's cubic over a
     fresh mask; returns (mu, mask, lambda_d, lambda_a, payoff_d, payoff_a),
@@ -199,8 +236,10 @@ def test_prefix_sum_scan_matches_masked_reference():
 
 
 def _unscreened_scan_reference(g, h, q):
-    """The prefix-sum scan without the bracket screen: every split from n
-    down to 0 goes through the root solve.  Returns (mu, mask) or None."""
+    """A prefix-sum scan that solves every split's cubic with numpy.roots,
+    from split n down to 0, and keeps the first consistent root; a root
+    just below a split's lower breakpoint is moved onto it.  Returns
+    (mu, mask) or None."""
     n = g.size
     ratios = h / g
     order = np.argsort(ratios, kind="stable")
@@ -295,26 +334,10 @@ def test_bracket_screen_keeps_the_unscreened_result():
                 _scan_partitions(g, h, q)
             continue
         mu, members = _scan_partitions(g, h, q)
-        assert mu == expected[0]
+        assert abs(mu - expected[0]) <= 1e-12 * expected[0]
         assert (members == expected[1]).all()
         solved += 1
     assert solved >= 180
-
-
-def test_screen_keeps_both_end_splits_and_drops_tied_intervals():
-    tied = 0
-    for g, h, q in _screen_cases():
-        order = np.argsort(h / g, kind="stable")
-        gs, hs = g[order], h[order]
-        lo = np.concatenate(([0.0], hs / gs))
-        hi = np.append(hs / gs, np.inf)
-        kept = _screen_splits(
-            _tail_sums(gs ** 2 / hs), -q * _tail_sums(gs), _head_sums(hs),
-            -q * _head_sums(hs ** 2 / gs), lo, hi)
-        assert kept[0] and kept[-1]
-        assert not kept[hi <= lo].any()
-        tied += int((hi <= lo).sum())
-    assert tied > 0
 
 
 def test_bracket_screen_skips_root_solves(monkeypatch):
@@ -323,21 +346,22 @@ def test_bracket_screen_skips_root_solves(monkeypatch):
     h = _positive_dirichlet(rng, 2000, 0.3)
     calls = []
 
-    def counted(coeffs):
-        calls.append(coeffs)
-        return _real_roots(coeffs)
+    def counted(*args):
+        calls.append(args)
+        return bracketed_root(*args)
 
-    monkeypatch.setattr(equilibrium, "_real_roots", counted)
+    bracketed_root = equilibrium._bracketed_root
+    monkeypatch.setattr(equilibrium, "_bracketed_root", counted)
     sol = solve_equilibrium(g, h, 1.0, 1.0)
-    assert len(sol.omega_a) >= 100   # the unscreened scan solves 101+ cubics
-    assert len(calls) <= 10
+    assert len(sol.omega_a) >= 100   # a scan over every split solves 101+
+    assert 1 <= len(calls) <= 10
 
 
 # With omega_a empty each of these has a consistent root of order 1 / tiny,
 # whose cubic terms overflow; the solve must move on to the partition that
 # gives the tiny battlefields to the attacker.  In the three-battlefield
 # case the split with only battlefield 2 attacker-favored has a subnormal
-# leading coefficient, which overflows np.roots' companion matrix.
+# leading coefficient.
 @pytest.mark.parametrize("g, h, omega_a, mu", [
     ([1.0 - 1e-170, 1e-170], [0.5, 0.5], {1}, 1.25),
     ([1.0 - 1e-200, 1e-200], [0.5, 0.5], {1}, 1.25),
@@ -356,6 +380,55 @@ def test_tiny_values_without_a_measurable_partition_are_a_regime_error():
     g, h = np.array([1.0 - 1e-300, 1e-300]), np.array([1e-170, 1.0 - 1e-170])
     with pytest.raises(EquilibriumRegimeError):
         solve_equilibrium(g, h, 2.5, 1.0)
+
+
+def _property_cases():
+    """Seeded finite positive inputs: n 1-300, Dirichlet dispersions
+    0.05-10, a fifth with g = h and a fifth with tied ratios, at budget
+    ratios 1, 1 + 1e-12, 1.5, 2.5 and U[1, 4]."""
+    rng = np.random.default_rng(20261020)
+    for k in range(300):
+        n = int(rng.integers(1, 301))
+        dispersion = float(np.exp(rng.uniform(np.log(0.05), np.log(10.0))))
+        g = _positive_dirichlet(rng, n, dispersion)
+        if k % 5 == 0:
+            h = g.copy()
+        else:
+            h = _positive_dirichlet(rng, n, dispersion)
+            if k % 5 == 1 and n > 1:
+                # Copied battlefields tie their ratios with the source's.
+                picked = rng.permutation(n)
+                copies = max(1, n // 4)
+                g[picked[copies:2 * copies]] = g[picked[:copies]]
+                h[picked[copies:2 * copies]] = h[picked[:copies]]
+                g, h = normalize_weights(g), normalize_weights(h)
+        q = (1.0, 1.0 + 1e-12, 1.5, 2.5, float(rng.uniform(1.0, 4.0)))[k // 60]
+        yield g, h, q
+
+
+def test_finite_positive_inputs_always_solve():
+    # F(mu), the cubic of the partition mu induces, is continuous, negative
+    # near 0 and positive above every ratio, so a consistent root exists.
+    tied = 0
+    for g, h, q in _property_cases():
+        sol = solve_equilibrium(g, h, q, 1.0)
+        ratios = h / g
+        assert sol.omega_a == frozenset(
+            np.flatnonzero(ratios > sol.mu).tolist())
+        assert sol.cubic_residual <= CUBIC_RESIDUAL_RTOL
+        tied += np.unique(ratios).size < ratios.size
+    assert tied >= 60
+
+
+def test_lost_root_of_a_tiny_leading_coefficient_solves():
+    # Split 1's cubic has a = 3.8e-66; numpy.roots returned only 0.0 for
+    # it, so a scan built on it found no consistent partition.
+    g, h = np.array([2.7e-34, 1.0]), np.array([0.019, 0.981])
+    sol = solve_equilibrium(g, h, 2.89, 1.0)
+    assert sol.omega_a == frozenset({0})
+    assert sol.mu == pytest.approx(2.83509, rel=1e-12)
+    assert sol.cubic_residual <= CUBIC_RESIDUAL_RTOL
+    assert _unscreened_scan_reference(g, h, 2.89) is None
 
 
 def test_root_on_a_breakpoint_solves_with_finite_multipliers():
@@ -429,8 +502,8 @@ def test_overflowing_root_fails_the_residual_gate():
     assert _cubic_scale(coeffs, 1e200) == np.inf
     assert not _passes_residual_gate(coeffs, 1e200)
     assert _passes_residual_gate(coeffs, 1.0)
-    # A leading coefficient this small overflows np.roots' companion matrix.
-    assert _real_roots((5e-324, -1.0, 1.0, -1.0)) == []
+    # Every term underflows, so the cubic vanishes without a root.
+    assert not _passes_residual_gate((0.0, -2.5e-300, 1e-170, 0.0), 1e-170)
 
 
 def test_input_validation():
@@ -539,25 +612,31 @@ def test_solution_document_lists_attacker_then_defender_by_position():
 
 
 @pytest.mark.parametrize("edit, message", [
-    pytest.param(lambda entries: entries.pop(4),  # defender i = 1
+    pytest.param(lambda doc: doc["marginals"].pop(4),  # defender i = 1
                  r"defender marginals cover battlefields \[0, 2\], not 0..1",
                  id="missing"),
-    pytest.param(lambda entries: entries[5].update(i=1),
+    pytest.param(lambda doc: doc["marginals"][5].update(i=1),
                  "two defender marginals for battlefield 1", id="repeated"),
-    pytest.param(lambda entries: entries[5].update(i=3),
+    pytest.param(lambda doc: doc["marginals"][5].update(i=3),
                  r"defender marginals cover battlefields \[0, 1, 3\], "
                  r"not 0..2", id="out_of_range"),
-    pytest.param(lambda entries: entries[3].update(i=-1),
+    pytest.param(lambda doc: doc["marginals"][3].update(i=-1),
                  r"defender marginals cover battlefields \[-1, 1, 2\], "
                  r"not 0..2", id="negative"),
-    pytest.param(lambda entries: entries[3].update(owner="defnder"),
+    pytest.param(lambda doc: doc["marginals"][3].update(owner="defnder"),
                  "marginal owner 'defnder' is neither", id="unknown_owner"),
+    pytest.param(lambda doc: doc.update(omega_A=[0, 3]),
+                 r"omega_A \[0, 3\] must list distinct battlefields of "
+                 r"0..2", id="omega_out_of_range"),
+    pytest.param(lambda doc: doc.update(omega_A=[0, 0]),
+                 r"omega_A \[0, 0\] must list distinct battlefields",
+                 id="omega_repeated"),
 ])
 def test_solution_from_document_rejects_malformed_marginals(edit, message):
     sol = solve_equilibrium(np.array([0.2, 0.4, 0.4]),
                             np.array([0.7, 0.2, 0.1]), 1.5, 1.0)
     doc = solution_document(sol)
-    edit(doc["marginals"])
+    edit(doc)
     with pytest.raises(ValueError, match=message):
         solution_from_document(doc)
 
