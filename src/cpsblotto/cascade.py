@@ -11,7 +11,6 @@ second-order neighbors of the failed node; nodes further out keep their flows.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,48 +49,19 @@ class CascadeResult:
     records: tuple[RebalanceRecord, ...]
 
 
-# NumPy sums a float vector pairwise, in blocks of at most this length.
-_PAIRWISE_BLOCK = 128
-
-
-def _block_sum(entries: list[tuple[int, float]], lo: int, size: int
-               ) -> float:
-    """`_dense_sum` of the block [lo, lo + size), `lo` a multiple of 8."""
-    if not entries:
-        return 0.0
-    if size > _PAIRWISE_BLOCK:
-        half = size // 2 - size // 2 % 8
-        cut = bisect_left(entries, (lo + half,))
-        return (_block_sum(entries[:cut], lo, half)
-                + _block_sum(entries[cut:], lo + half, size - half))
-    total = 0.0
-    if size >= 8:
-        body = lo + size - size % 8
-        s = [0.0] * 8
-        for i, value in entries:
-            if i < body:
-                s[(i - lo) % 8] += value
-        total = (((s[0] + s[1]) + (s[2] + s[3]))
-                 + ((s[4] + s[5]) + (s[6] + s[7])))
-        entries = [entry for entry in entries if entry[0] >= body]
-    for _, value in entries:
-        total += value
-    return total
-
-
 def _dense_sum(size: int, entries: list[tuple[int, float]]) -> float:
     """Bitwise the float `np.sum` of a length-`size` vector that holds
-    `entries` ((index, value) pairs, ascending, values >= 0) and zeros.
+    `entries` ((index, value) pairs, values >= 0) and zeros.
 
-    NumPy halves a vector longer than 128 elements at a multiple of 8.  It
-    sums a block of 8 to 128 elements in eight interleaved partial sums,
-    combined as ((s0 + s1) + (s2 + s3)) + ((s4 + s5) + (s6 + s7)), and then
-    adds the block's last size % 8 elements in order; a shorter block is
-    summed in order.  Adding a zero changes no partial sum, so only the
-    entries are visited, and two terms round alike in any grouping.
+    Up to two entries are added directly: two terms round alike in any
+    grouping, and adding a zero is exact.  More entries are written into a
+    zero vector of length `size`, and numpy sums it.
     """
     if len(entries) > 2:
-        return _block_sum(entries, 0, size)
+        vector = np.zeros(size)
+        for i, value in entries:
+            vector[i] = value
+        return float(vector.sum())
     total = 0.0
     for _, value in entries:
         total += value
@@ -127,7 +97,7 @@ def _rebalance(links: FlowLinks, n: int, failed: int, node: int,
         row = dict(outflow)
         row.pop(failed, None)
         row.update(changed or ())
-        cur_out = _dense_sum(n, sorted(row.items()))
+        cur_out = _dense_sum(n, list(row.items()))
     deficit = (links.pre_in[node] - cur_in) + (cur_out - links.pre_out[node])
     if deficit <= _TOL:
         return None

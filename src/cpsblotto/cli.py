@@ -21,10 +21,9 @@ from .metrics import battlefield_values, effect_matrices, effective_values
 from .equilibrium import (EquilibriumRegimeError, solution_to_json,
                           solve_equilibrium)
 from .oracle import cross_validate
-from .experiments import (DEFAULT_LEVELS, DEFAULT_SWEEP_POINTS,
-                          band_probability_table, flow_capacity_sweep,
-                          matrix_rows, payoff_table, symmetry_sweep,
-                          vector_rows, write_csv, csv_lines)
+from .experiments import (DEFAULT_SWEEP_POINTS, band_probability_table,
+                          flow_capacity_sweep, matrix_rows, payoff_table,
+                          symmetry_sweep, vector_rows, write_csv, csv_lines)
 
 
 def _parse_points(text: str) -> tuple[float, ...]:
@@ -135,8 +134,7 @@ def cmd_table1(args) -> int:
 
 
 def cmd_sweep_flow(args) -> int:
-    rows = flow_capacity_sweep(points=args.points, levels=DEFAULT_LEVELS,
-                               **_overrides(args))
+    rows = flow_capacity_sweep(points=args.points, **_overrides(args))
     text = "\n".join(csv_lines(
         ["flow_capacity_ratio", "defender_payoff_ratio",
          "attacker_payoff_ratio"], rows,

@@ -5,8 +5,9 @@ from __future__ import annotations
 import numpy as np
 
 from . import __version__
-from .model import (DEFAULT_BUDGET_A, DEFAULT_BUDGET_D, ValidationError,
-                    default_params, generate_concentric, normalize_weights)
+from .model import (DEFAULT_BUDGET_A, DEFAULT_BUDGET_D, NINE_NODE_LEVELS,
+                    ValidationError, check_node_id, default_params,
+                    generate_concentric, normalize_weights)
 from .metrics import battlefield_values
 from .equilibrium import (EquilibriumSolution, complete_info_payoffs,
                           solve_equilibrium)
@@ -28,7 +29,6 @@ def _check_points(points: tuple[float, ...]) -> None:
 
 
 DEFAULT_SWEEP_POINTS = tuple(round(0.1 * k, 10) for k in range(1, 11))
-DEFAULT_LEVELS = ((1, 4.0), (3, 2.0), (5, 1.0))
 
 
 def payoff_table(h: np.ndarray, g_columns: dict[str, np.ndarray],
@@ -67,7 +67,7 @@ def _payoff_ratios(solution: EquilibriumSolution, budget_d: float,
 
 
 def flow_capacity_sweep(points: tuple[float, ...] = DEFAULT_SWEEP_POINTS,
-                        levels: tuple[tuple[int, float], ...] = DEFAULT_LEVELS,
+                        levels: tuple[tuple[int, float], ...] = NINE_NODE_LEVELS,
                         **overrides: float
                         ) -> list[tuple[float, float, float]]:
     """Payoff ratios versus the flow/capacity fill of a layered topology.
@@ -170,13 +170,11 @@ def band_probability_table(h: np.ndarray, node_ids: tuple[int, ...],
         Rows (theta, deviation of g, node, owner, share, probability).
 
     Raises:
-        ValueError: a watched node id lies outside 0..n-1.
+        ValueError: a watched node id is not an integer in 0..n-1.
     """
     h, path = _symmetry_path(h, points, g_base)
     for node in node_ids:
-        if not 0 <= node < h.size:
-            raise ValueError(f"node {node} is not a node id of this "
-                             f"{h.size}-node system (0..{h.size - 1})")
+        check_node_id(node, h.size, "watched")
     rows = []
     for theta, g in zip(points, path):
         solution = solve_equilibrium(g, h, budget_d, budget_a)

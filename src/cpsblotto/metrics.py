@@ -184,7 +184,9 @@ def cyber_effect_matrix(topology: CpsTopology, t0: float,
         topology: validated topology; its cyber graph must be connected.
         t0: baseline effect when the removal changes no path.
         disconnection_penalty: path length charged for pairs the removal
-            disconnects; default n * max finite base length.
+            disconnects; default n * max finite base length.  No library,
+            CLI or demo caller passes it; it stays only because a benchmark
+            harness test passes it on, and ROADMAP item 5 deletes it.
 
     Returns:
         n x n matrix with zero diagonal.

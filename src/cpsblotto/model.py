@@ -540,6 +540,10 @@ def generate_concentric(levels: list[tuple[int, float]],
     return topology
 
 
+# (node count, h weight) per tier of the nine-node system, reference first.
+NINE_NODE_LEVELS = ((1, 4.0), (3, 2.0), (5, 1.0))
+
+
 def default_nine_node(flow_fill: float = 0.7) -> CpsTopology:
     """The canonical 9-node demo system: 1 reference, 3 main, 5 ordinary."""
-    return generate_concentric([(1, 4.0), (3, 2.0), (5, 1.0)], flow_fill)
+    return generate_concentric(list(NINE_NODE_LEVELS), flow_fill)

@@ -8,11 +8,17 @@ import math
 import numpy as np
 
 from .equilibrium import MarginalDistribution
+from .model import check_node_id
 
 # Read only by the benchmark harness, which sizes its fig4 stratum with it;
 # ROADMAP item 5 deletes it.
 MIN_BAND_SAMPLES = 1000
 _MAX_RESAMPLE = 1000
+
+
+def _check_budget(budget: float) -> None:
+    if not (math.isfinite(budget) and budget > 0.0):
+        raise ValueError(f"budget must be finite and positive, got {budget}")
 
 
 def draw_marginals(marginals: tuple[MarginalDistribution, ...],
@@ -51,9 +57,11 @@ def sample_allocations(marginals: tuple[MarginalDistribution, ...],
 
     Returns:
         (count, n) array whose rows sum to `budget`.
+
+    Raises:
+        ValueError: budget is not finite and positive.
     """
-    if budget <= 0:
-        raise ValueError("budget must be positive")
+    _check_budget(budget)
     samples = draw_marginals(marginals, rng, count)
     sums = samples.sum(axis=1)
     for _ in range(_MAX_RESAMPLE):
@@ -105,18 +113,14 @@ def allocation_band_probability(marginals: tuple[MarginalDistribution, ...],
         The exact probability.
 
     Raises:
-        ValueError: battlefield lies outside 0..n-1, share lies outside
-            (0, 1], epsilon lies outside (0, 1), or budget is not finite and
-            positive.
+        ValueError: battlefield is not an integer id in 0..n-1, share lies
+            outside (0, 1], epsilon lies outside (0, 1), or budget is not
+            finite and positive.
     """
-    n = len(marginals)
-    if not 0 <= battlefield < n:
-        raise ValueError(f"battlefield {battlefield} is not a battlefield "
-                         f"id of these {n} marginals (0..{n - 1})")
+    check_node_id(battlefield, len(marginals), "battlefield")
     if not (0.0 < share <= 1.0 and 0.0 < epsilon < 1.0):
         raise ValueError("share and epsilon must lie in (0, 1] and (0, 1)")
-    if not (math.isfinite(budget) and budget > 0.0):
-        raise ValueError(f"budget must be finite and positive, got {budget}")
+    _check_budget(budget)
     marginal = marginals[battlefield]
     lo = (share - epsilon) * budget
     # F is continuous above 0, and F(lo-) = 0 for lo <= 0 keeps the atom in.

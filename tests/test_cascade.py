@@ -351,7 +351,16 @@ def _parity_systems():
             yield spare
 
 
-def test_cascade_matches_the_dense_cascade_bitwise():
+def test_cascade_matches_the_dense_cascade_bitwise(monkeypatch):
+    summed = cascade._dense_sum
+    numpy_sums = 0
+
+    def counting(size, entries):
+        nonlocal numpy_sums
+        numpy_sums += len(entries) > 2
+        return summed(size, entries)
+
+    monkeypatch.setattr(cascade, "_dense_sum", counting)
     opened = cascades = 0
     for topo in _parity_systems():
         for failed in range(topo.n):
@@ -365,10 +374,13 @@ def test_cascade_matches_the_dense_cascade_bitwise():
             cascades += 1
     assert cascades == 6 * (9 + 41 + 131)
     assert opened > 0
+    # the corpus reaches the sums of more than two terms, which numpy adds
+    assert numpy_sums > 0
 
 
 def test_link_list_sums_match_numpy():
-    # every length through the pairwise split points, sparse and dense
+    # every length through numpy's pairwise split points, sparse and dense,
+    # with the entries ascending and shuffled
     rng = np.random.default_rng(47)
     for size in list(range(1, 40)) + [127, 128, 129, 200, 256, 301, 1000]:
         for _ in range(20):
@@ -377,6 +389,8 @@ def test_link_list_sums_match_numpy():
                                 replace=False)
             vector[picked] = rng.uniform(0.0, 3.0, picked.size)
             entries = [(i, vector[i]) for i in np.flatnonzero(vector).tolist()]
+            assert cascade._dense_sum(size, entries) == vector.sum()
+            rng.shuffle(entries)
             assert cascade._dense_sum(size, entries) == vector.sum()
 
 

@@ -282,7 +282,8 @@ def test_fig4_empty_nodes_watch_the_default_nodes(tmp_path):
 def test_fig4_rejects_unknown_node_ids(capsys):
     for node in ("99", "9", "-1"):
         assert main(["fig4", "--nodes", node, "--points", "1.0"]) == 1
-        assert capsys.readouterr().err.startswith(f"error: node {node} ")
+        assert capsys.readouterr().err.startswith(
+            f"error: watched node id {node} out of range 0..8")
 
 
 # Each subcommand's exact option set: every option listed is read by the

@@ -83,6 +83,15 @@ def test_custom_disconnection_penalty_scales_the_hit():
     assert high[0, 1] > low[0, 1]
 
 
+def test_disconnection_penalty_is_n_times_the_longest_base_path():
+    # removing the middle of a 3-path strands 0 from 2: the pair is charged
+    # 3 * 2 = 6 against its base length 2, so the ratio is exactly 3
+    T = cyber_effect_matrix(cyber_topology(path_adjacency(3)), 0.5)
+    assert T[0, 1] == T[2, 1] == 2.5
+    # removing an end leaves the other pair's route intact
+    assert T[1, 0] == T[1, 2] == 0.5
+
+
 def _random_connected(rng, n, draw):
     """Random spanning tree plus ~15% extra links, weights from draw(size)."""
     links = np.triu(rng.random((n, n)) < 0.15, 1)

@@ -94,18 +94,26 @@ def test_band_probability_validates_inputs():
     # a one-node system's only value share is 1
     assert allocation_band_probability(marginals, 0, 1.0, 0.05,
                                        1.0) == pytest.approx(0.05, abs=1e-15)
-    with pytest.raises(ValueError, match="budget"):
-        sample_allocations(marginals, 0.0, 10, np.random.default_rng(0))
+    for budget in (0.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="budget must be finite"):
+            sample_allocations(marginals, budget, 10,
+                               np.random.default_rng(0))
+        with pytest.raises(ValueError, match="budget must be finite"):
+            sample_allocation(marginals, budget, 0)
 
 
 def test_band_probability_rejects_unknown_battlefields():
     values = battlefield_values(default_nine_node(), default_params(9))
     sol = solve_equilibrium(values.defender, values.attacker, 2.5, 1.0)
-    for battlefield in (-1, 9):
-        with pytest.raises(ValueError, match=rf"battlefield {battlefield} "
-                           r"is not a battlefield id .*\(0..8\)"):
+    for battlefield in (-1, 9, True, 1.0):
+        with pytest.raises(ValueError, match=rf"battlefield node id "
+                           rf"{battlefield} out of range 0\.\.8"):
             allocation_band_probability(sol.marginals_a, battlefield, 0.2,
                                         0.05, 1.0)
+        with pytest.raises(ValueError, match=rf"watched node id "
+                           rf"{battlefield} out of range 0\.\.8"):
+            band_probability_table(values.attacker, (0, battlefield),
+                                   points=(1.0,))
 
 
 def test_band_table_on_a_one_node_system():
