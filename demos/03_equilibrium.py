@@ -10,7 +10,7 @@ distribution per node and side; everything else ships as closed forms.
 import numpy as np
 
 from cpsblotto import (battlefield_values, complete_info_payoffs,
-                       default_nine_node, default_params, sample_allocation,
+                       default_nine_node, default_params, sample_allocations,
                        solve_equilibrium)
 
 
@@ -50,8 +50,10 @@ def main():
 
     # Draw one joint allocation per side from the equilibrium marginals.
     rng = np.random.default_rng(7)
-    alloc_d = sample_allocation(solution.marginals_d, params.budget_d, rng)
-    alloc_a = sample_allocation(solution.marginals_a, params.budget_a, rng)
+    alloc_d = sample_allocations(solution.marginals_d, params.budget_d, 1,
+                                 rng)[0]
+    alloc_a = sample_allocations(solution.marginals_a, params.budget_a, 1,
+                                 rng)[0]
     print("\none sampled defender allocation:", np.round(alloc_d, 3))
     print("one sampled attacker allocation:", np.round(alloc_a, 3))
 

@@ -18,7 +18,7 @@ from .model import (GameParams, ScenarioError, ValidationError,
                     default_nine_node, default_params, load_scenario, validate,
                     _read_json, _read_scenario)
 from .metrics import battlefield_values, effect_matrices, effective_values
-from .equilibrium import (EquilibriumRegimeError, solution_to_json,
+from .equilibrium import (EquilibriumRegimeError, solution_document,
                           solve_equilibrium)
 from .oracle import cross_validate
 from .experiments import (DEFAULT_SWEEP_POINTS, band_probability_table,
@@ -111,7 +111,7 @@ def cmd_solve(args) -> int:
     values = battlefield_values(topology, params)
     solution = solve_equilibrium(values.defender, values.attacker,
                                  params.budget_d, params.budget_a)
-    _emit(solution_to_json(solution), args.out)
+    _emit(json.dumps(solution_document(solution), indent=2), args.out)
     return 0
 
 

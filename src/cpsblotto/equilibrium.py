@@ -18,12 +18,13 @@ root.
 
 from __future__ import annotations
 
-import json
 import math
 import sys
 from dataclasses import dataclass
 
 import numpy as np
+
+from .model import check_budgets
 
 CUBIC_RESIDUAL_RTOL = 1e-10
 BUDGET_IDENTITY_RTOL = 1e-9
@@ -83,18 +84,14 @@ def _check_values(g: np.ndarray, h: np.ndarray, budget_d: float,
     h = np.asarray(h, dtype=float)
     if g.shape != h.shape or g.ndim != 1 or g.size == 0:
         raise ValueError("g and h must be equal-length non-empty vectors")
-    for name, value in (("g", g), ("h", h), ("R_D", budget_d),
-                        ("R_A", budget_a)):
+    for name, value in (("g", g), ("h", h)):
         if not np.isfinite(value).all():
             raise ValueError(f"{name} must be finite")
     if (g <= 0).any() or (h <= 0).any():
         raise EquilibriumRegimeError("battlefield values must be positive")
     if abs(g.sum() - 1.0) > 1e-6 or abs(h.sum() - 1.0) > 1e-6:
         raise ValueError("g and h must each sum to 1")
-    if budget_d <= 0 or budget_a <= 0:
-        raise ValueError("budgets must be positive")
-    if budget_d < budget_a:
-        raise ValueError("defender budget must be >= attacker budget")
+    check_budgets(budget_d, budget_a)
     return g, h
 
 
@@ -240,11 +237,7 @@ def _scan_partitions(g: np.ndarray, h: np.ndarray, q: float
         x0, x1 = knots[piece:piece + 2, split].tolist()
         v0, v1 = values[piece:piece + 2, split].tolist()
         coeffs = tuple(series[:, split].tolist())
-        if v1 == 0.0:
-            mu = x1
-        elif v0 == 0.0:
-            mu = x0
-        elif split == n:
+        if split == n:
             # Every battlefield defender-favored: the cubic is linear.
             mu = max(-coeffs[3] / coeffs[2], x0)
         else:
@@ -366,9 +359,12 @@ def solve_equilibrium(g: np.ndarray, h: np.ndarray, budget_d: float,
 
 def complete_info_payoffs(budget_d: float, budget_a: float
                           ) -> tuple[float, float]:
-    """Closed-form payoffs when both players value battlefields identically."""
-    if budget_d < budget_a:
-        raise ValueError("defender budget must be >= attacker budget")
+    """Closed-form payoffs when both players value battlefields identically.
+
+    Raises:
+        ValidationError: a budget is not finite and positive, or R_D < R_A.
+    """
+    check_budgets(budget_d, budget_a)
     payoff_a = budget_a / (2.0 * budget_d)
     return 1.0 - payoff_a, payoff_a
 
@@ -405,7 +401,8 @@ def single_dependency_case(h: np.ndarray, budget_d: float, budget_a: float
     R_D != R_A; variant_consistent flags whether the two agree.
 
     Raises:
-        ValueError: h has fewer than two entries, is degenerate, or the
+        ValidationError: a budget is not finite and positive, or R_D < R_A.
+        ValueError: h has fewer than two entries or is degenerate, or the
             budget ratio is outside the theorem regime.
     """
     h = np.asarray(h, dtype=float)
@@ -418,6 +415,7 @@ def single_dependency_case(h: np.ndarray, budget_d: float, budget_a: float
     if m == l:
         raise ValueError("h must have distinct max and min entries")
     h_m, h_l = float(h[m]), float(h[l])
+    check_budgets(budget_d, budget_a)
 
     denom = h_m + h_l - h_m * h_l
     bound = (h_m + h_l) / denom
@@ -502,7 +500,3 @@ def solution_from_document(doc: dict) -> EquilibriumSolution:
         marginals_a=tuple(sides["attacker"][i] for i in range(n)),
         payoff_d=float(doc["payoff_D"]), payoff_a=float(doc["payoff_A"]),
         cubic_residual=float(doc["cubic_residual"]))
-
-
-def solution_to_json(solution: EquilibriumSolution) -> str:
-    return json.dumps(solution_document(solution), indent=2)

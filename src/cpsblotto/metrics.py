@@ -8,7 +8,8 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
-from .model import CpsTopology, GameParams, ValidationError, check_node_id
+from .model import (CpsTopology, GameParams, ValidationError, check_node_id,
+                    check_weights)
 from .cascade import physical_effect_matrix
 
 
@@ -18,8 +19,9 @@ class ShortestPathTable:
 
     Attributes:
         lengths: n x n table, row j holding the lengths from source j.
-        resolved: ascending source rows this call solved with Dijkstra;
-            every row when no base table was given.  A row outside it is
+        resolved: ascending source rows this call solved with Dijkstra:
+            every row of a table without a removal, and the rows marked in
+            `removal_rows[removed]` of a removal's.  A row outside it is
             bitwise the base row.
         removal_rows: on a table without a removal, the n x n boolean map
             whose row i marks the source rows a removal of node i re-solves
@@ -59,26 +61,28 @@ def all_pairs_shortest_paths(adjacency: np.ndarray | csr_matrix,
     out of `removed` by setting their weights to inf; an explicit zero
     would be a zero-weight link to csgraph.
 
-    With `removed` and `base` given, only the source rows the removal can
-    change are re-solved, read from `base.removal_rows[removed]`.  Call an
-    edge (u, k) tight for source j when base[j, u] + A[u, k] == base[j, k]
-    in float64.  Row j is re-solved when some neighbour k of `removed` has
-    `removed` as a tight predecessor and no other tight predecessor
-    strictly closer to j.  Otherwise every node keeps a tight chain back to
-    j that avoids `removed`: a neighbour of `removed` steps to its other
-    tight predecessor, any other node to its parent in the base search,
-    each settled earlier.  Dijkstra's length is the least float sum, taken
-    left to right, over paths, and such a chain already attains the base
-    length, so the row comes back bitwise unchanged.  A tie that exact
-    equality misses only costs a needless re-solve, never a wrong row.
+    A removal re-solves only the source rows it can change, read from
+    `base.removal_rows[removed]`; without `base`, one call without the
+    removal builds it.  Call an edge (u, k) tight for source j when
+    base[j, u] + A[u, k] == base[j, k] in float64.  Row j is re-solved
+    when some neighbour k of `removed` has `removed` as a tight predecessor
+    and no other tight predecessor strictly closer to j.  Otherwise every
+    node keeps a tight chain back to j that avoids `removed`: a neighbour
+    of `removed` steps to its other tight predecessor, any other node to
+    its parent in the base search, each settled earlier.  Dijkstra's
+    length is the least float sum, taken left to right, over paths, and
+    such a chain already attains the base length, so the row comes back
+    bitwise unchanged.  A tie that exact equality misses only costs a
+    needless re-solve, never a wrong row.
 
     Args:
         adjacency: symmetric weight matrix, dense (0 meaning no link) or
             CSR (each stored entry a link).
         removed: optional node to exclude, in 0..n-1; its row/column come
             back inf.
-        base: the same adjacency's table without a removal; it changes the
-            cost of a removal, never its lengths.
+        base: the same adjacency's table without a removal, built when
+            omitted; passing it saves that build, and never changes the
+            lengths.
 
     Returns:
         ShortestPathTable over the full index set; only a table without a
@@ -96,16 +100,14 @@ def all_pairs_shortest_paths(adjacency: np.ndarray | csr_matrix,
                                  removal_rows=_removal_rows(G, dist))
     check_node_id(removed, n, "removed")
     if base is None:
-        rows = np.arange(n)
-        dist = dijkstra(_without(G, removed), directed=True)
-    else:
-        if base.removal_rows is None:
-            raise ValueError("base must be a table without a removal")
-        dist = base.lengths.copy()
-        rows = np.flatnonzero(base.removal_rows[removed])
-        if rows.size:
-            dist[rows] = dijkstra(_without(G, removed), directed=True,
-                                  indices=rows)
+        base = all_pairs_shortest_paths(G)
+    elif base.removal_rows is None:
+        raise ValueError("base must be a table without a removal")
+    dist = base.lengths.copy()
+    rows = np.flatnonzero(base.removal_rows[removed])
+    if rows.size:
+        dist[rows] = dijkstra(_without(G, removed), directed=True,
+                              indices=rows)
     dist[removed, :] = np.inf
     dist[:, removed] = np.inf
     dist[removed, removed] = 0.0
@@ -230,9 +232,12 @@ def interdependency_matrix(physical: np.ndarray, cyber: np.ndarray,
 
     Each matrix is scaled by its own global maximum (left as zero when the
     maximum is zero), so entries land in [0, 1].
+
+    Raises:
+        ValidationError: alpha or beta lies outside [0, 1], or they do not
+            sum to 1.
     """
-    if abs(alpha + beta - 1.0) > 1e-12:
-        raise ValidationError("alpha + beta must equal 1")
+    check_weights(alpha, beta)
     e_max = physical.max()
     t_max = cyber.max()
     e_norm = physical / e_max if e_max > 0 else np.zeros_like(physical)
@@ -253,9 +258,14 @@ def effective_values(h: np.ndarray, V: np.ndarray) -> np.ndarray:
 
     Returns:
         Defender value vector g, positive, summing to 1.
+
+    Raises:
+        ValidationError: h is not finite, or V has a non-zero diagonal.
     """
     h = np.asarray(h, dtype=float)
     V = np.asarray(V, dtype=float)
+    if not np.isfinite(h).all():
+        raise ValidationError("attacker values h must be finite")
     if np.any(np.diag(V) != 0):
         raise ValidationError("interdependency matrix must have zero diagonal")
     raw = h + V.T @ h

@@ -73,19 +73,11 @@ class GameParams:
     budget_a: float
 
     def __post_init__(self) -> None:
-        for name, budget in (("R_D", self.budget_d), ("R_A", self.budget_a)):
-            if not np.isfinite(budget):
-                raise ValidationError(f"{name} must be finite")
-        if not (0.0 <= self.alpha <= 1.0 and 0.0 <= self.beta <= 1.0):
-            raise ValidationError("alpha and beta must lie in [0, 1]")
-        if abs(self.alpha + self.beta - 1.0) > 1e-12:
-            raise ValidationError("alpha + beta must equal 1")
+        check_budgets(self.budget_d, self.budget_a)
+        check_weights(self.alpha, self.beta)
         if not (0.0 <= self.t0 < 1.0):
             raise ValidationError("t0 must lie in [0, 1)")
-        if self.budget_d <= 0.0 or self.budget_a <= 0.0:
-            raise ValidationError("budgets must be positive")
-        if self.budget_d < self.budget_a:
-            raise ValidationError("defender budget must be >= attacker budget")
+
 
 
 # The budgets R_D and R_A of the paper's experiments.
@@ -233,6 +225,27 @@ def check_node_id(node: object, n: int, what: str) -> None:
     if (isinstance(node, (bool, np.bool_))
             or not isinstance(node, (int, np.integer)) or not 0 <= node < n):
         raise ValueError(f"{what} node id {node!r} out of range 0..{n - 1}")
+
+
+def check_budgets(budget_d: float, budget_a: float) -> None:
+    """Raise ValidationError unless R_D and R_A are finite, positive and
+    R_D >= R_A."""
+    for name, budget in (("R_D", budget_d), ("R_A", budget_a)):
+        if not np.isfinite(budget):
+            raise ValidationError(f"{name} must be finite")
+    if budget_d <= 0.0 or budget_a <= 0.0:
+        raise ValidationError("budgets must be positive")
+    if budget_d < budget_a:
+        raise ValidationError("defender budget must be >= attacker budget")
+
+
+def check_weights(alpha: float, beta: float) -> None:
+    """Raise ValidationError unless the physical and cyber weights lie in
+    [0, 1] and sum to 1."""
+    if not (0.0 <= alpha <= 1.0 and 0.0 <= beta <= 1.0):
+        raise ValidationError("alpha and beta must lie in [0, 1]")
+    if abs(alpha + beta - 1.0) > 1e-12:
+        raise ValidationError("alpha + beta must equal 1")
 
 
 def validate(topology: CpsTopology) -> list[str]:

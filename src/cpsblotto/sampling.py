@@ -77,14 +77,6 @@ def sample_allocations(marginals: tuple[MarginalDistribution, ...],
     return samples
 
 
-def sample_allocation(marginals: tuple[MarginalDistribution, ...],
-                      budget: float, rng: np.random.Generator | int | None = None
-                      ) -> np.ndarray:
-    """Single joint allocation summing exactly to `budget`."""
-    return sample_allocations(marginals, budget, 1,
-                              np.random.default_rng(rng))[0]
-
-
 def allocation_band_probability(marginals: tuple[MarginalDistribution, ...],
                                 battlefield: int, share: float,
                                 epsilon: float, budget: float) -> float:

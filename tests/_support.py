@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from cpsblotto import CpsTopology, NodeLevel, NodeSpec
+from cpsblotto.model import CpsTopology, NodeLevel, NodeSpec
 
 
 def routed_dag(rng: np.random.Generator) -> CpsTopology:

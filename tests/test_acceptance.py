@@ -9,13 +9,15 @@ import time
 
 import numpy as np
 
-from cpsblotto import (CpsTopology, EquilibriumRegimeError,
-                       allocation_band_probability, battlefield_values,
+from cpsblotto import (EquilibriumRegimeError, battlefield_values,
                        cascade_failure, complete_info_payoffs, cross_validate,
                        default_nine_node, default_params, flow_capacity_sweep,
-                       generate_concentric, normalize_weights, payoff_table,
-                       physical_effect_matrix, single_dependency_case,
-                       solve_equilibrium, symmetry_sweep)
+                       generate_concentric, payoff_table,
+                       single_dependency_case, solve_equilibrium,
+                       symmetry_sweep)
+from cpsblotto.cascade import physical_effect_matrix
+from cpsblotto.model import CpsTopology, normalize_weights
+from cpsblotto.sampling import allocation_band_probability
 from _support import TABLE_CASES, TABLE_H, random_level_spec, routed_dag
 
 

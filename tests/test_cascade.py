@@ -5,10 +5,12 @@ import dataclasses
 import numpy as np
 import pytest
 
-from cpsblotto import (CpsTopology, NodeLevel, NodeSpec, RebalanceRecord,
-                       cascade_failure, default_nine_node, generate_concentric,
-                       node_throughput, physical_effect_matrix, validate)
+from cpsblotto import (cascade_failure, default_nine_node, generate_concentric,
+                       validate)
 from cpsblotto import cascade
+from cpsblotto.cascade import (RebalanceRecord, node_throughput,
+                               physical_effect_matrix)
+from cpsblotto.model import CpsTopology, NodeLevel, NodeSpec
 from _support import routed_dag, random_level_spec
 
 

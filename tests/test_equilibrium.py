@@ -7,16 +7,16 @@ import warnings
 import numpy as np
 import pytest
 
-from cpsblotto import (EquilibriumRegimeError, MarginalDistribution,
-                       complete_info_payoffs, normalize_weights,
-                       single_dependency_case,
-                       solution_document, solution_from_document,
-                       solution_to_json, solve_equilibrium)
+from cpsblotto import (EquilibriumRegimeError, complete_info_payoffs,
+                       single_dependency_case, solve_equilibrium)
 from cpsblotto import equilibrium
 from cpsblotto.equilibrium import (_BREAKPOINT_RTOL, CUBIC_RESIDUAL_RTOL,
-                                   _cubic_scale, _cubic_value, _head_sums,
+                                   MarginalDistribution, _cubic_scale,
+                                   _cubic_value, _head_sums,
                                    _passes_residual_gate, _scan_partitions,
-                                   _tail_sums)
+                                   _tail_sums, solution_document,
+                                   solution_from_document)
+from cpsblotto.model import GameParams, ValidationError, normalize_weights
 
 UNIFORM4 = np.full(4, 0.25)
 
@@ -530,6 +530,33 @@ def test_non_finite_input_is_named(name, bad):
         solve_equilibrium(args["g"], args["h"], args["R_D"], args["R_A"])
 
 
+_H3 = np.array([0.5, 0.3, 0.2])
+_BUDGET_CHECKS = {
+    "GameParams": lambda d, a: GameParams(0.3, 0.7, 0.1, d, a),
+    "solve_equilibrium": lambda d, a: solve_equilibrium(_H3, _H3, d, a),
+    "complete_info_payoffs": complete_info_payoffs,
+    "single_dependency_case": lambda d, a: single_dependency_case(_H3, d, a),
+}
+
+
+@pytest.mark.parametrize("caller", sorted(_BUDGET_CHECKS))
+@pytest.mark.parametrize("budget_d, budget_a, message", [
+    (np.nan, 1.0, "R_D must be finite"),
+    (np.inf, 1.0, "R_D must be finite"),
+    (2.5, np.inf, "R_A must be finite"),
+    (-1.0, -2.0, "budgets must be positive"),
+    (0.0, 0.0, "budgets must be positive"),
+    (2.5, 0.0, "budgets must be positive"),
+    (1.0, 2.0, "defender budget must be >= attacker budget"),
+])
+def test_every_budget_check_is_the_same_typed_error(caller, budget_d,
+                                                    budget_a, message):
+    # The closed forms once answered NaN, inf, (0, 1) or a bare
+    # ZeroDivisionError here.
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        _BUDGET_CHECKS[caller](budget_d, budget_a)
+
+
 def test_single_dependency_closed_forms():
     h = np.array([0.5, 0.3, 0.2])
     report = single_dependency_case(h, budget_d=2.5, budget_a=1.0)
@@ -580,10 +607,10 @@ def test_solution_document_round_trip():
     g = np.array([0.2, 0.4, 0.4])
     h = np.array([0.7, 0.2, 0.1])
     sol = solve_equilibrium(g, h, 1.5, 1.0)
-    doc = json.loads(solution_to_json(sol))
+    doc = json.loads(json.dumps(solution_document(sol), indent=2))
     assert set(doc) == {"mu", "lambda_A", "lambda_D", "omega_A", "marginals",
                         "payoff_D", "payoff_A", "cubic_residual"}
-    rebuilt = solution_from_document(solution_document(sol))
+    rebuilt = solution_from_document(doc)
     assert sol.cubic_residual > 0.0
     assert rebuilt.cubic_residual == sol.cubic_residual
     assert rebuilt.mu == sol.mu

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from cpsblotto import (ValidationError, band_probability_table,
-                       battlefield_values, csv_lines, default_nine_node,
-                       default_params, flow_capacity_sweep, matrix_rows,
-                       payoff_table, symmetry_sweep, vector_rows, write_csv)
+                       battlefield_values, default_nine_node, default_params,
+                       flow_capacity_sweep, payoff_table, symmetry_sweep,
+                       write_csv)
+from cpsblotto.experiments import csv_lines, matrix_rows, vector_rows
 from _support import TABLE_CASES, TABLE_H
 
 

@@ -6,12 +6,12 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import shortest_path
 
 from cpsblotto import metrics
-from cpsblotto import (ValidationError, all_pairs_shortest_paths,
-                       battlefield_values, cyber_effect_matrix,
-                       default_nine_node, default_params, effect_matrices,
-                       effective_values, generate_concentric,
-                       interdependency_matrix, normalize_weights,
+from cpsblotto import (ValidationError, battlefield_values, default_nine_node,
+                       default_params, effect_matrices, generate_concentric,
                        solve_equilibrium)
+from cpsblotto.metrics import (all_pairs_shortest_paths, cyber_effect_matrix,
+                               effective_values, interdependency_matrix)
+from cpsblotto.model import normalize_weights
 from _support import (cyber_topology, path_adjacency, random_level_spec,
                       star_adjacency)
 
@@ -195,9 +195,10 @@ def test_resolved_rows_are_the_marked_rows():
             # column i is cut to inf; every other entry is the base's
             assert np.array_equal(np.delete(table.lengths[outside], i, 1),
                                   np.delete(base.lengths[outside], i, 1))
+            # without a base the call builds one and reads the same rows
             assert np.array_equal(
                 all_pairs_shortest_paths(A, removed=i).resolved,
-                np.arange(n))
+                table.resolved)
 
 
 @pytest.mark.parametrize("block", [None, 1, 50])
@@ -305,9 +306,6 @@ def test_interdependency_blend():
                                     alpha=0.3, beta=0.7)
     assert np.all(silent == 0.0)
 
-    with pytest.raises(ValidationError):
-        interdependency_matrix(E, T, alpha=0.6, beta=0.6)
-
 
 def test_interdependency_is_scale_free():
     rng = np.random.default_rng(3)
@@ -340,6 +338,30 @@ def test_effective_values_identity_and_saturation():
 def test_effective_values_rejects_diagonal_mass():
     with pytest.raises(ValidationError):
         effective_values([0.5, 0.5], [[0.1, 0.0], [0.0, 0.0]])
+
+
+@pytest.mark.parametrize("alpha, beta, message", [
+    (1.5, -0.5, r"alpha and beta must lie in \[0, 1\]"),
+    (-0.25, 1.25, r"alpha and beta must lie in \[0, 1\]"),
+    (np.nan, 0.5, r"alpha and beta must lie in \[0, 1\]"),
+    (0.6, 0.6, "alpha \\+ beta must equal 1"),
+])
+def test_blend_weights_follow_the_game_params_rule(alpha, beta, message):
+    # the weights sum to 1 in the first two cases, which once gave a blend
+    # with negative entries
+    E = np.array([[0.0, 0.4], [1.0, 0.0]])
+    T = np.array([[0.0, 0.8], [1.0, 0.0]])
+    with pytest.raises(ValidationError, match=message):
+        interdependency_matrix(E, T, alpha, beta)
+    with pytest.raises(ValidationError, match=message):
+        default_params(9, alpha=alpha, beta=beta)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_effective_values_rejects_non_finite_h(bad):
+    # one NaN in h once turned every entry of g into NaN
+    with pytest.raises(ValidationError, match="h must be finite"):
+        effective_values([bad, 0.5], np.zeros((2, 2)))
 
 
 def test_effective_values_monotone_in_coupling():

@@ -5,11 +5,12 @@ import dataclasses
 import numpy as np
 import pytest
 
-from cpsblotto import (CpsTopology, GameParams, NodeLevel, NodeSpec,
-                       ScenarioError, default_nine_node, default_params,
-                       generate_concentric, load_scenario, normalize_weights,
-                       save_scenario, validate)
-from cpsblotto.model import scenario_document, _parse_scenario
+from cpsblotto import (ScenarioError, default_nine_node, default_params,
+                       generate_concentric, load_scenario, save_scenario,
+                       validate)
+from cpsblotto.model import (CpsTopology, GameParams, NodeLevel, NodeSpec,
+                             normalize_weights, scenario_document,
+                             _parse_scenario)
 
 
 def small_valid_topology() -> CpsTopology:

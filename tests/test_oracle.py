@@ -5,9 +5,9 @@ import itertools
 import numpy as np
 import pytest
 
-from cpsblotto import (DiscreteGame, cross_validate, enumerate_strategies,
-                       fictitious_play, single_dependency_case)
-from cpsblotto.oracle import CONVERGENCE_GAP, _safe_run
+from cpsblotto import cross_validate, single_dependency_case
+from cpsblotto.oracle import (CONVERGENCE_GAP, DiscreteGame, _safe_run,
+                              enumerate_strategies, fictitious_play)
 
 UNIFORM3 = np.full(3, 1.0 / 3.0)
 

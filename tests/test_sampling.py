@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
-from cpsblotto import (MarginalDistribution, allocation_band_probability,
-                       band_probability_table, battlefield_values,
-                       default_nine_node, default_params, draw_marginals,
-                       sample_allocation, sample_allocations,
+from cpsblotto import (band_probability_table, battlefield_values,
+                       default_nine_node, default_params, sample_allocations,
                        solve_equilibrium)
+from cpsblotto.equilibrium import MarginalDistribution
+from cpsblotto.sampling import allocation_band_probability, draw_marginals
 
 UNIFORM4 = np.full(4, 0.25)
 
@@ -29,15 +29,16 @@ def test_rows_land_exactly_on_the_budget_simplex():
 
 def test_single_battlefield_gets_the_whole_budget():
     marginals = uniform_marginals(1, upper=0.7)
-    allocation = sample_allocation(marginals, 3.0, rng=5)
+    allocation = sample_allocations(marginals, 3.0, 1,
+                                    np.random.default_rng(5))[0]
     assert np.allclose(allocation, [3.0])
 
 
 def test_sampling_is_deterministic_per_seed():
     sol = solve_equilibrium(UNIFORM4, UNIFORM4, 2.5, 1.0)
-    a = sample_allocation(sol.marginals_a, 1.0, rng=42)
-    b = sample_allocation(sol.marginals_a, 1.0, rng=42)
-    c = sample_allocation(sol.marginals_a, 1.0, rng=43)
+    a, b, c = (sample_allocations(sol.marginals_a, 1.0, 1,
+                                  np.random.default_rng(seed))[0]
+               for seed in (42, 42, 43))
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
 
@@ -98,8 +99,6 @@ def test_band_probability_validates_inputs():
         with pytest.raises(ValueError, match="budget must be finite"):
             sample_allocations(marginals, budget, 10,
                                np.random.default_rng(0))
-        with pytest.raises(ValueError, match="budget must be finite"):
-            sample_allocation(marginals, budget, 0)
 
 
 def test_band_probability_rejects_unknown_battlefields():
