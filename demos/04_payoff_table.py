@@ -9,22 +9,13 @@ stays pinned at R_A / (2 R_D) = 0.2.
 The CLI does the same thing:  cpsblotto table1 --scenario value_table.json
 """
 
-import json
 import os
 
-import numpy as np
-
-from cpsblotto import payoff_table
+from cpsblotto import load_value_table, payoff_table
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 
-with open(os.path.join(HERE, "value_table.json"), encoding="utf-8") as fh:
-    doc = json.load(fh)
-
-h = np.asarray(doc["h"], dtype=float)
-g_columns = {name: np.asarray(col, dtype=float)
-             for name, col in doc["g_columns"].items()}
-
+h, g_columns = load_value_table(os.path.join(HERE, "value_table.json"))
 rows = payoff_table(h, g_columns, budget_d=2.5, budget_a=1.0)
 
 width = max(len(name) for name, _, _ in rows)

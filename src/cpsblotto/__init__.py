@@ -21,7 +21,8 @@ from .equilibrium import (EquilibriumRegimeError, complete_info_payoffs,
 from .sampling import sample_allocations
 from .oracle import cross_validate
 from .experiments import (band_probability_table, flow_capacity_sweep,
-                          payoff_table, symmetry_sweep, write_csv)
+                          load_value_table, payoff_table, symmetry_sweep,
+                          write_csv)
 
 __all__ = [
     "__version__",
@@ -33,6 +34,6 @@ __all__ = [
     "single_dependency_case", "solve_equilibrium",
     "sample_allocations",
     "cross_validate",
-    "band_probability_table", "flow_capacity_sweep", "payoff_table",
-    "symmetry_sweep", "write_csv",
+    "band_probability_table", "flow_capacity_sweep", "load_value_table",
+    "payoff_table", "symmetry_sweep", "write_csv",
 ]

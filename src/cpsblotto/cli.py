@@ -11,18 +11,15 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from . import __version__
-from .model import (GameParams, ScenarioError, ValidationError,
-                    default_nine_node, default_params, load_scenario, validate,
-                    _read_json, _read_scenario)
+from .model import (GameParams, ScenarioError, default_nine_node,
+                    default_params, load_scenario, validate, _read_scenario)
 from .metrics import battlefield_values, effect_matrices, effective_values
 from .equilibrium import (EquilibriumRegimeError, solution_document,
                           solve_equilibrium)
 from .oracle import cross_validate
-from .experiments import (DEFAULT_SWEEP_POINTS, band_probability_table,
-                          flow_capacity_sweep, matrix_rows, payoff_table,
+from .experiments import (band_probability_table, flow_capacity_sweep,
+                          load_value_table, matrix_rows, payoff_table,
                           symmetry_sweep, vector_rows, write_csv, csv_lines)
 
 
@@ -45,12 +42,16 @@ def _parse_nodes(text: str) -> tuple[int, ...]:
         ) from None
 
 
-def _overrides(args) -> dict[str, float]:
-    """The GameParams fields set on the command line; the parameter flags
-    store under the field names (--rd as budget_d, --ra as budget_a)."""
-    return {field.name: getattr(args, field.name)
-            for field in dataclasses.fields(GameParams)
-            if getattr(args, field.name, None) is not None}
+def _given(args, *names: str) -> dict:
+    """The named options set on the command line, as keyword arguments; the
+    library's defaults stand for the rest."""
+    return {name: getattr(args, name) for name in names
+            if getattr(args, name, None) is not None}
+
+
+# The parameter flags store under the GameParams field names (--rd as
+# budget_d, --ra as budget_a).
+_PARAMS = tuple(field.name for field in dataclasses.fields(GameParams))
 
 
 def _load_or_default(args) -> tuple:
@@ -60,7 +61,7 @@ def _load_or_default(args) -> tuple:
     else:
         topology = default_nine_node()
         params = default_params(topology.n)
-    return topology, dataclasses.replace(params, **_overrides(args))
+    return topology, dataclasses.replace(params, **_given(args, *_PARAMS))
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -119,13 +120,8 @@ def cmd_table1(args) -> int:
     if not args.scenario:
         raise ScenarioError("table1 requires --scenario pointing to a JSON "
                             "file with keys 'h' and 'g_columns'")
-    doc = _read_json(args.scenario, "table file")
-    if set(doc) != {"h", "g_columns"}:
-        raise ScenarioError("table file must hold exactly 'h' and 'g_columns'")
-    h = np.asarray(doc["h"], dtype=float)
-    columns = {name: np.asarray(col, dtype=float)
-               for name, col in doc["g_columns"].items()}
-    params = default_params(h.size, **_overrides(args))
+    h, columns = load_value_table(args.scenario)
+    params = default_params(h.size, **_given(args, *_PARAMS))
     rows = payoff_table(h, columns, params.budget_d, params.budget_a)
     text = "\n".join(csv_lines(["column", "payoff_defender", "payoff_attacker"],
                                rows, units="dimensionless payoffs"))
@@ -134,7 +130,7 @@ def cmd_table1(args) -> int:
 
 
 def cmd_sweep_flow(args) -> int:
-    rows = flow_capacity_sweep(points=args.points, **_overrides(args))
+    rows = flow_capacity_sweep(**_given(args, "points", *_PARAMS))
     text = "\n".join(csv_lines(
         ["flow_capacity_ratio", "defender_payoff_ratio",
          "attacker_payoff_ratio"], rows,
@@ -146,9 +142,9 @@ def cmd_sweep_flow(args) -> int:
 def cmd_sweep_symmetry(args) -> int:
     topology, params = _load_or_default(args)
     values = battlefield_values(topology, params)
-    rows = symmetry_sweep(values.attacker, points=args.points,
-                          budget_d=params.budget_d, budget_a=params.budget_a,
-                          g_base=values.defender)
+    rows = symmetry_sweep(values.attacker, budget_d=params.budget_d,
+                          budget_a=params.budget_a, g_base=values.defender,
+                          **_given(args, "points"))
     text = "\n".join(csv_lines(
         ["theta", "defender_value_std", "defender_payoff_ratio",
          "attacker_payoff_ratio"], rows,
@@ -163,9 +159,9 @@ def cmd_fig4(args) -> int:
         (0, 1, 4) if topology.n >= 5 else tuple(range(topology.n)))
     values = battlefield_values(topology, params)
     rows = band_probability_table(
-        values.attacker, node_ids, points=args.points,
-        epsilon=args.epsilon, budget_d=params.budget_d,
-        budget_a=params.budget_a, g_base=values.defender)
+        values.attacker, node_ids, budget_d=params.budget_d,
+        budget_a=params.budget_a, g_base=values.defender,
+        **_given(args, "points", "epsilon"))
     text = "\n".join(csv_lines(
         ["theta", "defender_value_std", "node", "owner", "share",
          "probability"], rows, units="probabilities; share of budget"))
@@ -178,8 +174,7 @@ def cmd_oracle(args) -> int:
     values = battlefield_values(topology, params)
     report = cross_validate(values.defender, values.attacker,
                             params.budget_d, params.budget_a,
-                            grid_units=args.grid_units,
-                            iterations=args.iterations)
+                            **_given(args, "grid_units", "iterations"))
     _emit(json.dumps(report.document(), indent=2), args.out)
     return 0
 
@@ -220,7 +215,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="attacker budget R_A")
     points = argparse.ArgumentParser(add_help=False)
     points.add_argument("--points", type=_parse_points,
-                        default=DEFAULT_SWEEP_POINTS,
                         help="comma-separated sweep points in (0, 1]")
     game = [scenario, out, weights, budgets]
 
@@ -249,14 +243,14 @@ def build_parser() -> argparse.ArgumentParser:
                             "symmetry sweep")
     p.add_argument("--nodes", type=_parse_nodes,
                    help="comma-separated node ids to watch")
-    p.add_argument("--epsilon", type=float, default=0.05)
+    p.add_argument("--epsilon", type=float)
     p.set_defaults(func=cmd_fig4)
 
     p = sub.add_parser("oracle", parents=game,
                        help="cross-check the analytic payoffs against "
                             "discrete fictitious play")
-    p.add_argument("--grid-units", type=int, default=25)
-    p.add_argument("--iterations", type=int, default=60_000)
+    p.add_argument("--grid-units", type=int)
+    p.add_argument("--iterations", type=int)
     p.set_defaults(func=cmd_oracle)
     return parser
 
@@ -266,12 +260,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ScenarioError, ValidationError, ValueError) as exc:
+    except (ValueError, EquilibriumRegimeError) as exc:
+        # ScenarioError and ValidationError are ValueErrors.
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except EquilibriumRegimeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 2 if isinstance(exc, EquilibriumRegimeError) else 1
 
 
 if __name__ == "__main__":

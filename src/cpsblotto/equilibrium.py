@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import check_budgets
+from .model import VALUE_SUM_TOL, check_budgets, check_values
 
 CUBIC_RESIDUAL_RTOL = 1e-10
 BUDGET_IDENTITY_RTOL = 1e-9
@@ -76,23 +76,6 @@ class EquilibriumSolution:
     payoff_d: float
     payoff_a: float
     cubic_residual: float
-
-
-def _check_values(g: np.ndarray, h: np.ndarray, budget_d: float,
-                  budget_a: float) -> tuple[np.ndarray, np.ndarray]:
-    g = np.asarray(g, dtype=float)
-    h = np.asarray(h, dtype=float)
-    if g.shape != h.shape or g.ndim != 1 or g.size == 0:
-        raise ValueError("g and h must be equal-length non-empty vectors")
-    for name, value in (("g", g), ("h", h)):
-        if not np.isfinite(value).all():
-            raise ValueError(f"{name} must be finite")
-    if (g <= 0).any() or (h <= 0).any():
-        raise EquilibriumRegimeError("battlefield values must be positive")
-    if abs(g.sum() - 1.0) > 1e-6 or abs(h.sum() - 1.0) > 1e-6:
-        raise ValueError("g and h must each sum to 1")
-    check_budgets(budget_d, budget_a)
-    return g, h
 
 
 def _cubic_value(coeffs: tuple[float, float, float, float],
@@ -294,12 +277,15 @@ def solve_equilibrium(g: np.ndarray, h: np.ndarray, budget_d: float,
     Ties carry zero probability mass.
 
     Raises:
-        ValueError: g, h or a budget is malformed or non-finite.
-        EquilibriumRegimeError: a value is non-positive, no partition admits
-            a consistent root, a multiplier or support is not finite, a
-            budget identity fails, or an atom mass falls outside [0, 1].
+        ValidationError: g or h breaks the value rule (check_values, summing
+            to 1), or a budget breaks check_budgets.
+        EquilibriumRegimeError: no partition admits a consistent root, a
+            multiplier or support is not finite, a budget identity fails,
+            or an atom mass falls outside [0, 1].
     """
-    g, h = _check_values(g, h, budget_d, budget_a)
+    g = check_values("g", g, sum_tol=VALUE_SUM_TOL)
+    h = check_values("h", h, g.size, VALUE_SUM_TOL)
+    check_budgets(budget_d, budget_a)
     q = budget_d / budget_a
     mu, members = _scan_partitions(g, h, q)
     outside = ~members
@@ -401,15 +387,12 @@ def single_dependency_case(h: np.ndarray, budget_d: float, budget_a: float
     R_D != R_A; variant_consistent flags whether the two agree.
 
     Raises:
-        ValidationError: a budget is not finite and positive, or R_D < R_A.
-        ValueError: h has fewer than two entries or is degenerate, or the
-            budget ratio is outside the theorem regime.
+        ValidationError: h breaks the value rule (check_values, summing to
+            1), or a budget breaks check_budgets.
+        ValueError: h has no distinct max and min entries (so fewer than
+            two), or the budget ratio is outside the theorem regime.
     """
-    h = np.asarray(h, dtype=float)
-    if h.ndim != 1 or h.size < 2:
-        raise ValueError("h must hold at least two battlefield values")
-    if np.any(h <= 0) or abs(h.sum() - 1.0) > 1e-6:
-        raise ValueError("h must be positive and sum to 1")
+    h = check_values("h", h, sum_tol=VALUE_SUM_TOL)
     m = int(np.argmax(h))
     l = int(np.argmin(h))
     if m == l:
@@ -466,37 +449,3 @@ def solution_document(solution: EquilibriumSolution) -> dict:
         "payoff_A": solution.payoff_a,
         "cubic_residual": solution.cubic_residual,
     }
-
-
-def solution_from_document(doc: dict) -> EquilibriumSolution:
-    """Inverse of solution_document; raises ValueError unless the marginals
-    hold one "defender" and one "attacker" entry per battlefield 0..n-1 and
-    omega_A lists distinct battlefields of 0..n-1."""
-    n = len(doc["marginals"]) // 2
-    sides = {"defender": {}, "attacker": {}}
-    for entry in doc["marginals"]:
-        owner, i = entry["owner"], int(entry["i"])
-        if owner not in sides:
-            raise ValueError(f"marginal owner {owner!r} is neither "
-                             "'defender' nor 'attacker'")
-        if i in sides[owner]:
-            raise ValueError(f"two {owner} marginals for battlefield {i}")
-        sides[owner][i] = MarginalDistribution(float(entry["atom"]),
-                                               float(entry["upper"]))
-    for owner, side in sides.items():
-        if sorted(side) != list(range(n)):
-            raise ValueError(f"{owner} marginals cover battlefields "
-                             f"{sorted(side)}, not 0..{n - 1}")
-    omega_a = [int(i) for i in doc["omega_A"]]
-    if len(set(omega_a)) < len(omega_a) or not all(0 <= i < n
-                                                   for i in omega_a):
-        raise ValueError(f"omega_A {omega_a} must list distinct "
-                         f"battlefields of 0..{n - 1}")
-    return EquilibriumSolution(
-        mu=float(doc["mu"]), lambda_d=float(doc["lambda_D"]),
-        lambda_a=float(doc["lambda_A"]),
-        omega_a=frozenset(omega_a),
-        marginals_d=tuple(sides["defender"][i] for i in range(n)),
-        marginals_a=tuple(sides["attacker"][i] for i in range(n)),
-        payoff_d=float(doc["payoff_D"]), payoff_a=float(doc["payoff_A"]),
-        cubic_residual=float(doc["cubic_residual"]))

@@ -6,8 +6,9 @@ import numpy as np
 
 from . import __version__
 from .model import (DEFAULT_BUDGET_A, DEFAULT_BUDGET_D, NINE_NODE_LEVELS,
-                    ValidationError, check_node_id, default_params,
-                    generate_concentric, normalize_weights)
+                    ScenarioError, ValidationError, _read_json, check_node_id,
+                    check_values, default_params, generate_concentric,
+                    normalize_weights)
 from .metrics import battlefield_values
 from .equilibrium import (EquilibriumSolution, complete_info_payoffs,
                           solve_equilibrium)
@@ -31,30 +32,43 @@ def _check_points(points: tuple[float, ...]) -> None:
 DEFAULT_SWEEP_POINTS = tuple(round(0.1 * k, 10) for k in range(1, 11))
 
 
+def load_value_table(path: str) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """The attacker values h and the named defender-value columns of a
+    table file: a JSON object of exactly "h", an array of numbers, and
+    "g_columns", an object of such arrays.  A file that cannot be read or
+    has another shape raises ScenarioError; payoff_table checks the values.
+    """
+    doc = _read_json(path, "table file")
+    if (not isinstance(doc, dict) or set(doc) != {"h", "g_columns"}
+            or not isinstance(doc["g_columns"], dict)):
+        raise ScenarioError("table file must hold exactly 'h' and "
+                            "'g_columns', an object of columns")
+    try:
+        return (np.asarray(doc["h"], dtype=float),
+                {name: np.asarray(column, dtype=float)
+                 for name, column in doc["g_columns"].items()})
+    except (TypeError, ValueError) as exc:
+        raise ScenarioError(
+            f"table file values must be arrays of numbers: {exc}") from None
+
+
 def payoff_table(h: np.ndarray, g_columns: dict[str, np.ndarray],
                  budget_d: float, budget_a: float
                  ) -> list[tuple[str, float, float]]:
     """Equilibrium payoffs for several defender-value columns over one h.
 
+    Each column follows the value rule (check_values), as long as h.
     Columns whose sum strays from 1 by more than COLUMN_SUM_TOL are rejected;
     closer columns are renormalized exactly.
 
     Returns:
         Rows (column name, defender payoff, attacker payoff), h first.
     """
-    h = np.asarray(h, dtype=float)
-    if abs(h.sum() - 1.0) > COLUMN_SUM_TOL:
-        raise ValidationError(f"h column sums to {h.sum():.6g}, expected 1")
-    h = normalize_weights(h)
+    h = normalize_weights(check_values("h", h, sum_tol=COLUMN_SUM_TOL))
     rows = []
     for name, column in [("h", h)] + list(g_columns.items()):
-        g = np.asarray(column, dtype=float)
-        if g.shape != h.shape:
-            raise ValidationError(f"column {name!r} has wrong length")
-        if abs(g.sum() - 1.0) > COLUMN_SUM_TOL:
-            raise ValidationError(
-                f"column {name!r} sums to {g.sum():.6g}, expected 1")
-        g = normalize_weights(g)
+        g = normalize_weights(check_values(f"column {name!r}", column,
+                                           h.size, COLUMN_SUM_TOL))
         solution = solve_equilibrium(g, h, budget_d, budget_a)
         rows.append((name, solution.payoff_d, solution.payoff_a))
     return rows
@@ -103,13 +117,9 @@ def _symmetry_path(h: np.ndarray, points: tuple[float, ...],
     g(theta) = (1 - theta) * g_base + theta * uniform, g_base defaulting to h.
     """
     _check_points(tuple(points))
-    h = normalize_weights(np.asarray(h, dtype=float))
-    if g_base is None:
-        g_base = h
-    else:
-        g_base = normalize_weights(np.asarray(g_base, dtype=float))
-        if g_base.shape != h.shape:
-            raise ValueError("g_base must have the same length as h")
+    h = normalize_weights(check_values("h", h))
+    g_base = h if g_base is None else normalize_weights(
+        check_values("g_base", g_base, h.size))
     uniform = np.full(h.size, 1.0 / h.size)
     return h, [(1.0 - theta) * g_base + theta * uniform for theta in points]
 

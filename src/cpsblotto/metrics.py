@@ -8,8 +8,8 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
-from .model import (CpsTopology, GameParams, ValidationError, check_node_id,
-                    check_weights)
+from .model import (CpsTopology, GameParams, ValidationError, check_effects,
+                    check_node_id, check_values, check_weights)
 from .cascade import physical_effect_matrix
 
 
@@ -235,9 +235,12 @@ def interdependency_matrix(physical: np.ndarray, cyber: np.ndarray,
 
     Raises:
         ValidationError: alpha or beta lies outside [0, 1], or they do not
-            sum to 1.
+            sum to 1; or either matrix breaks the effect-matrix rule
+            (check_effects), the two of the same order.
     """
     check_weights(alpha, beta)
+    physical = check_effects("physical effects", physical)
+    cyber = check_effects("cyber effects", cyber, size=len(physical))
     e_max = physical.max()
     t_max = cyber.max()
     e_norm = physical / e_max if e_max > 0 else np.zeros_like(physical)
@@ -260,14 +263,11 @@ def effective_values(h: np.ndarray, V: np.ndarray) -> np.ndarray:
         Defender value vector g, positive, summing to 1.
 
     Raises:
-        ValidationError: h is not finite, or V has a non-zero diagonal.
+        ValidationError: V breaks the effect-matrix rule (check_effects), or
+            h breaks the value rule (check_values), as long as V's order.
     """
-    h = np.asarray(h, dtype=float)
-    V = np.asarray(V, dtype=float)
-    if not np.isfinite(h).all():
-        raise ValidationError("attacker values h must be finite")
-    if np.any(np.diag(V) != 0):
-        raise ValidationError("interdependency matrix must have zero diagonal")
+    V = check_effects("interdependency matrix V", V)
+    h = check_values("h", h, size=len(V))
     raw = h + V.T @ h
     return raw / raw.sum()
 

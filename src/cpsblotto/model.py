@@ -20,6 +20,8 @@ from scipy.sparse.csgraph import breadth_first_order, connected_components
 
 # Conservation is enforced at nodes that both receive and send flow.
 FLOW_BALANCE_TOL = 1e-6
+# The solver's value vectors must sum to 1 within this tolerance.
+VALUE_SUM_TOL = 1e-6
 # Supply parents per node in generate_concentric (fewer when the tier above
 # is smaller).
 _PARENTS_PER_NODE = 2
@@ -111,18 +113,56 @@ def default_params(n_nodes: int, budget_d: float = DEFAULT_BUDGET_D,
                       budget_d=budget_d, budget_a=budget_a)
 
 
+def check_values(name: str, values: np.ndarray, size: int | None = None,
+                 sum_tol: float | None = None) -> np.ndarray:
+    """`values` as a float array, or a ValidationError whose message starts
+    with `name`: a value vector is non-empty and 1-D, `size` long when given
+    (the length of the vector it is paired with), with every entry finite
+    and positive; with `sum_tol` it sums to 1 within that tolerance."""
+    values = np.asarray(values, dtype=float)
+    if values.ndim != 1 or values.size == 0:
+        raise ValidationError(f"{name} must be a non-empty 1-D vector")
+    if size is not None and values.size != size:
+        raise ValidationError(
+            f"{name} has wrong length {values.size}, expected {size}")
+    if not np.isfinite(values).all():
+        raise ValidationError(f"{name} must be finite")
+    if (values <= 0.0).any():
+        raise ValidationError(f"{name} must be positive")
+    if sum_tol is not None and abs(values.sum() - 1.0) > sum_tol:
+        raise ValidationError(
+            f"{name} sums to {values.sum():.6g}, expected 1")
+    return values
+
+
+def check_effects(name: str, matrix: np.ndarray,
+                  size: int | None = None) -> np.ndarray:
+    """`matrix` as a float array, or a ValidationError whose message starts
+    with `name`: entry (j, i) of an effect matrix is the effect of losing
+    node i on node j, so it is square, of order `size` when given, with
+    every entry finite and non-negative and a zero diagonal."""
+    matrix = np.asarray(matrix, dtype=float)
+    n = size if size is not None else len(matrix) if matrix.ndim else 0
+    if matrix.shape != (n, n):
+        raise ValidationError(f"{name} must be a square matrix of order {n}, "
+                              f"got shape {matrix.shape}")
+    if not np.isfinite(matrix).all():
+        raise ValidationError(f"{name} must be finite")
+    if (matrix < 0.0).any():
+        raise ValidationError(f"{name} must be non-negative")
+    if matrix.diagonal().any():
+        raise ValidationError(f"{name} must have a zero diagonal")
+    return matrix
+
+
 def normalize_weights(h: np.ndarray) -> np.ndarray:
-    """Scale a positive vector so it sums to 1.
+    """Scale a value vector (see check_values) so it sums to 1.
 
     Iterates the division until the array reaches a bitwise fixed point, so
     normalizing an already-normalized vector returns it unchanged and
     load/save round trips stay bit-exact.
     """
-    h = np.asarray(h, dtype=float)
-    if not np.isfinite(h).all():
-        raise ValidationError("human-interaction weights must be finite")
-    if np.any(h <= 0.0):
-        raise ValidationError("human-interaction weights must be positive")
+    h = check_values("weights", h)
     for _ in range(32):
         s = h.sum()
         if s == 1.0:
@@ -332,6 +372,8 @@ def validate(topology: CpsTopology) -> list[str]:
 
 def _require_keys(obj: dict, allowed: set[str], required: set[str],
                   where: str) -> None:
+    if not isinstance(obj, dict):
+        raise ScenarioError(f"{where} must be a JSON object")
     unknown = set(obj) - allowed
     if unknown:
         raise ScenarioError(f"unknown keys {sorted(unknown)} in {where}")
@@ -341,12 +383,13 @@ def _require_keys(obj: dict, allowed: set[str], required: set[str],
 
 
 def _parse_scenario(doc: dict) -> tuple[CpsTopology, GameParams]:
-    if not isinstance(doc, dict):
-        raise ScenarioError("scenario document must be a JSON object")
     _require_keys(doc, _SCENARIO_KEYS, {"nodes", "edges", "params"}, "scenario")
 
+    for key in ("nodes", "edges", "cyber_edges"):
+        if not isinstance(doc.get(key, []), list):
+            raise ScenarioError(f"'{key}' must be an array")
     raw_nodes = doc["nodes"]
-    if not isinstance(raw_nodes, list) or not raw_nodes:
+    if not raw_nodes:
         raise ScenarioError("'nodes' must be a non-empty array")
     nodes = []
     for entry in raw_nodes:
@@ -393,7 +436,8 @@ def _parse_scenario(doc: dict) -> tuple[CpsTopology, GameParams]:
                         budget_d=float(raw_params["R_D"]),
                         budget_a=float(raw_params["R_A"]))
 
-    normalized = normalize_weights(np.array([node.h for node in nodes]))
+    normalized = normalize_weights(
+        check_values("node weights h", [node.h for node in nodes]))
     nodes = tuple(NodeSpec(id=node.id, level=node.level, h=float(w))
                   for node, w in zip(nodes, normalized))
     return CpsTopology(nodes=nodes, flows=F, capacities=C,
@@ -494,11 +538,9 @@ def generate_concentric(levels: list[tuple[int, float]],
         raise ValidationError("flow_fill must lie in (0, 1]")
     if levels[0][0] != 1:
         raise ValidationError("the first level must hold exactly one node")
-    for count, weight in levels:
-        if count < 1:
-            raise ValidationError("level node counts must be positive")
-        if weight <= 0:
-            raise ValidationError("level h weights must be positive")
+    if any(count < 1 for count, _ in levels):
+        raise ValidationError("level node counts must be positive")
+    check_values("level h weights", [weight for _, weight in levels])
 
     tiers: list[list[int]] = []
     nodes: list[NodeSpec] = []

@@ -16,6 +16,7 @@ from math import ceil, comb
 import numpy as np
 
 from .equilibrium import solve_equilibrium
+from .model import check_budgets
 
 MAX_STRATEGIES = 1_000_000
 MAX_MATRIX_ENTRIES = 20_000_000
@@ -88,7 +89,7 @@ class FictitiousPlayResult:
     series: tuple[tuple[float, float], ...] = ()
 
 
-def fictitious_play(game: DiscreteGame, iterations: int = 40_000
+def fictitious_play(game: DiscreteGame, iterations: int
                     ) -> FictitiousPlayResult:
     """Simultaneous fictitious play with uniform initial beliefs.
 
@@ -261,9 +262,13 @@ def cross_validate(g: np.ndarray, h: np.ndarray, budget_d: float,
 
     Args:
         grid_units: units for the smaller (attacker) budget, at least 20.
+
+    Raises:
+        ValidationError: a budget, g or h is invalid (as in solve_equilibrium).
     """
     if grid_units < 20:
         raise ValueError("grid_units must be at least 20 to bound grid error")
+    check_budgets(budget_d, budget_a)
     units_a = grid_units
     units_d = int(round(grid_units * budget_d / budget_a))
     g = np.asarray(g, dtype=float)

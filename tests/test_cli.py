@@ -142,6 +142,47 @@ def test_table1_tiny_column_is_a_regime_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: no equilibrium")
 
 
+def _scenario_with(**edits):
+    doc = scenario_document(
+        generate_concentric([(1, 2.0), (2, 1.0)], flow_fill=0.7),
+        default_params(3))
+    doc.update(edits)
+    return doc
+
+
+@pytest.mark.parametrize("command, doc, message", [
+    pytest.param("table1", {"h": [0.5, 0.5], "g_columns": [[0.5, 0.5]]},
+                 "table file must hold exactly", id="table-columns-array"),
+    pytest.param("table1", [[0.5, 0.5]], "table file must hold exactly",
+                 id="table-top-level-array"),
+    pytest.param("table1", {"h": {"a": 1.0}, "g_columns": {}},
+                 "table file values must be arrays of numbers",
+                 id="table-h-object"),
+    pytest.param("table1", {"h": [0.4, 0.3, 0.3],
+                            "g_columns": {"a": [0.6, 0.41, -0.01]}},
+                 "column 'a' must be positive", id="table-negative-column"),
+    pytest.param("solve", _scenario_with(nodes=[1]),
+                 "node entry must be a JSON object", id="scenario-node-int"),
+    pytest.param("solve", _scenario_with(edges=5), "'edges' must be an array",
+                 id="scenario-edges-int"),
+    pytest.param("solve", _scenario_with(cyber_edges={}),
+                 "'cyber_edges' must be an array", id="scenario-cyber-object"),
+    pytest.param("solve", _scenario_with(edges=[[0, 1]]),
+                 "edge entry must be a JSON object", id="scenario-edge-array"),
+    pytest.param("solve", _scenario_with(params=[2.5, 1.0]),
+                 "params must be a JSON object", id="scenario-params-array"),
+])
+def test_malformed_files_exit_one_without_traceback(tmp_path, capsys,
+                                                    command, doc, message):
+    # Each of these once ended in a traceback or named the wrong vector.
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc))
+    assert main([command, "--scenario", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}")
+    assert "Traceback" not in err
+
+
 def test_effects_runs_each_effect_layer_once(tmp_path, monkeypatch):
     calls = {"cyber": 0, "physical": 0}
 

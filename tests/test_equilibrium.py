@@ -14,8 +14,7 @@ from cpsblotto.equilibrium import (_BREAKPOINT_RTOL, CUBIC_RESIDUAL_RTOL,
                                    MarginalDistribution, _cubic_scale,
                                    _cubic_value, _head_sums,
                                    _passes_residual_gate, _scan_partitions,
-                                   _tail_sums, solution_document,
-                                   solution_from_document)
+                                   _tail_sums, solution_document)
 from cpsblotto.model import GameParams, ValidationError, normalize_weights
 
 UNIFORM4 = np.full(4, 0.25)
@@ -509,7 +508,7 @@ def test_overflowing_root_fails_the_residual_gate():
 def test_input_validation():
     with pytest.raises(ValueError):
         solve_equilibrium([0.5, 0.4], [0.5, 0.5], 2.0, 1.0)  # g sums to 0.9
-    with pytest.raises(EquilibriumRegimeError):
+    with pytest.raises(ValidationError, match="^g must be positive$"):
         solve_equilibrium([1.5, -0.5], [0.5, 0.5], 2.0, 1.0)
     with pytest.raises(ValueError):
         solve_equilibrium([0.5, 0.5], [0.5, 0.5], 1.0, 2.0)  # R_D < R_A
@@ -610,14 +609,18 @@ def test_solution_document_round_trip():
     doc = json.loads(json.dumps(solution_document(sol), indent=2))
     assert set(doc) == {"mu", "lambda_A", "lambda_D", "omega_A", "marginals",
                         "payoff_D", "payoff_A", "cubic_residual"}
-    rebuilt = solution_from_document(doc)
     assert sol.cubic_residual > 0.0
-    assert rebuilt.cubic_residual == sol.cubic_residual
-    assert rebuilt.mu == sol.mu
-    assert rebuilt.omega_a == sol.omega_a
-    assert rebuilt.marginals_d == sol.marginals_d
-    assert rebuilt.marginals_a == sol.marginals_a
-    assert rebuilt.payoff_d == sol.payoff_d
+    assert doc["cubic_residual"] == sol.cubic_residual
+    assert doc["mu"] == sol.mu
+    assert (doc["lambda_A"], doc["lambda_D"]) == (sol.lambda_a, sol.lambda_d)
+    assert doc["omega_A"] == sorted(sol.omega_a)
+    assert (doc["payoff_D"], doc["payoff_A"]) == (sol.payoff_d, sol.payoff_a)
+    assert [(entry["owner"], entry["i"], entry["atom"], entry["upper"])
+            for entry in doc["marginals"]] == [
+        (owner, i, marginal.atom_at_zero, marginal.support_upper)
+        for owner, side in (("attacker", sol.marginals_a),
+                            ("defender", sol.marginals_d))
+        for i, marginal in enumerate(side)]
 
 
 def test_solution_document_lists_attacker_then_defender_by_position():
@@ -636,36 +639,6 @@ def test_solution_document_lists_attacker_then_defender_by_position():
             sol.marginals_d)
         assert MarginalDistribution(entry["atom"], entry["upper"]) == (
             side[entry["i"]])
-
-
-@pytest.mark.parametrize("edit, message", [
-    pytest.param(lambda doc: doc["marginals"].pop(4),  # defender i = 1
-                 r"defender marginals cover battlefields \[0, 2\], not 0..1",
-                 id="missing"),
-    pytest.param(lambda doc: doc["marginals"][5].update(i=1),
-                 "two defender marginals for battlefield 1", id="repeated"),
-    pytest.param(lambda doc: doc["marginals"][5].update(i=3),
-                 r"defender marginals cover battlefields \[0, 1, 3\], "
-                 r"not 0..2", id="out_of_range"),
-    pytest.param(lambda doc: doc["marginals"][3].update(i=-1),
-                 r"defender marginals cover battlefields \[-1, 1, 2\], "
-                 r"not 0..2", id="negative"),
-    pytest.param(lambda doc: doc["marginals"][3].update(owner="defnder"),
-                 "marginal owner 'defnder' is neither", id="unknown_owner"),
-    pytest.param(lambda doc: doc.update(omega_A=[0, 3]),
-                 r"omega_A \[0, 3\] must list distinct battlefields of "
-                 r"0..2", id="omega_out_of_range"),
-    pytest.param(lambda doc: doc.update(omega_A=[0, 0]),
-                 r"omega_A \[0, 0\] must list distinct battlefields",
-                 id="omega_repeated"),
-])
-def test_solution_from_document_rejects_malformed_marginals(edit, message):
-    sol = solve_equilibrium(np.array([0.2, 0.4, 0.4]),
-                            np.array([0.7, 0.2, 0.1]), 1.5, 1.0)
-    doc = solution_document(sol)
-    edit(doc)
-    with pytest.raises(ValueError, match=message):
-        solution_from_document(doc)
 
 
 def test_marginal_distribution_cdf_shape():

@@ -364,6 +364,38 @@ def test_effective_values_rejects_non_finite_h(bad):
         effective_values([bad, 0.5], np.zeros((2, 2)))
 
 
+_BAD_EFFECTS = [
+    pytest.param([[0.0, np.nan], [1.0, 0.0]], "must be finite", id="nan"),
+    pytest.param([[0.0, np.inf], [1.0, 0.0]], "must be finite", id="inf"),
+    pytest.param([[0.0, -0.4], [1.0, 0.0]], "must be non-negative",
+                 id="negative"),
+    pytest.param([[0.0, 0.4, 0.1], [1.0, 0.0, 0.2]],
+                 r"must be a square matrix of order 2, got shape \(2, 3\)",
+                 id="not-square"),
+]
+
+
+@pytest.mark.parametrize("bad, message", _BAD_EFFECTS)
+@pytest.mark.parametrize("channel", ["physical", "cyber"])
+def test_blend_rejects_bad_effect_matrices(channel, bad, message):
+    # A NaN or negative matrix once dropped its channel from the blend
+    # without a word, and an inf turned it into NaN.
+    good = np.array([[0.0, 0.8], [1.0, 0.0]])
+    E, T = (bad, good) if channel == "physical" else (good, bad)
+    with pytest.raises(ValidationError, match=f"^{channel} effects {message}"):
+        interdependency_matrix(np.array(E), np.array(T), 0.3, 0.7)
+
+
+@pytest.mark.parametrize("bad, message", _BAD_EFFECTS + [
+    pytest.param([[0.0, 0.1], [0.1, 0.2]], "must have a zero diagonal",
+                 id="diagonal")])
+def test_effective_values_rejects_bad_interdependency(bad, message):
+    # One NaN in V once gave an all-NaN g.
+    with pytest.raises(ValidationError,
+                       match=f"^interdependency matrix V {message}"):
+        effective_values([0.5, 0.5], bad)
+
+
 def test_effective_values_monotone_in_coupling():
     rng = np.random.default_rng(11)
     h = normalize_weights(rng.uniform(0.2, 1.0, 5))

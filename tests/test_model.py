@@ -1,13 +1,17 @@
 """Topology model, validation, and scenario file round trips."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
 
-from cpsblotto import (ScenarioError, default_nine_node, default_params,
-                       generate_concentric, load_scenario, save_scenario,
-                       validate)
+from cpsblotto import (ScenarioError, ValidationError, band_probability_table,
+                       cross_validate, default_nine_node, default_params,
+                       generate_concentric, load_scenario, payoff_table,
+                       save_scenario, single_dependency_case,
+                       solve_equilibrium, symmetry_sweep, validate)
+from cpsblotto.metrics import effective_values
 from cpsblotto.model import (CpsTopology, GameParams, NodeLevel, NodeSpec,
                              normalize_weights, scenario_document,
                              _parse_scenario)
@@ -42,6 +46,51 @@ def test_normalize_weights_rejects_nonpositive():
         normalize_weights(np.array([0.5, 0.0]))
     with pytest.raises(ValueError):
         normalize_weights(np.array([0.5, -0.1]))
+
+
+_VALUES = [0.5, 0.3, 0.2]
+# Each entry point that takes a value vector: the name its messages give
+# the vector under test, and a call with that vector in its place.  Every
+# other argument is valid, and the vector's partner has three entries.
+_VALUE_ENTRY_POINTS = {
+    "solve_equilibrium": ("h", lambda v: solve_equilibrium(_VALUES, v, 2.5,
+                                                           1.0)),
+    "single_dependency_case": ("h", lambda v: single_dependency_case(
+        v, 2.5, 1.0)),
+    "effective_values": ("h", lambda v: effective_values(v, np.zeros((3, 3)))),
+    "payoff_table": ("column 'c'", lambda v: payoff_table(_VALUES, {"c": v},
+                                                          2.5, 1.0)),
+    "symmetry_sweep": ("g_base", lambda v: symmetry_sweep(_VALUES,
+                                                          g_base=v)),
+    "band_probability_table": ("g_base", lambda v: band_probability_table(
+        _VALUES, (0,), g_base=v)),
+    "cross_validate": ("h", lambda v: cross_validate(_VALUES, v, 1.25, 1.0,
+                                                     grid_units=20)),
+}
+# Each fault sums to 1 where it has three entries, so only the fault itself
+# can trip a check.
+_VALUE_FAULTS = {
+    "nan": ([0.5, 0.5, np.nan], "must be finite"),
+    "inf": ([0.5, 0.5, np.inf], "must be finite"),
+    "zero": ([0.5, 0.5, 0.0], "must be positive"),
+    "negative": ([0.6, 0.5, -0.1], "must be positive"),
+    "wrong_length": ([0.5, 0.5], "has wrong length 2, expected 3"),
+}
+
+
+# single_dependency_case takes h alone, so no length can be wrong there.
+@pytest.mark.parametrize("entry, fault", [
+    (entry, fault) for entry in sorted(_VALUE_ENTRY_POINTS)
+    for fault in sorted(_VALUE_FAULTS)
+    if (entry, fault) != ("single_dependency_case", "wrong_length")])
+def test_every_value_entry_point_applies_the_one_value_rule(entry, fault):
+    # These once raised ValueError, EquilibriumRegimeError or a message
+    # naming "human-interaction weights", or returned a negative g.
+    name, call = _VALUE_ENTRY_POINTS[entry]
+    values, message = _VALUE_FAULTS[fault]
+    with pytest.raises(ValidationError,
+                       match=f"^{re.escape(name)} {message}$"):
+        call(np.array(values))
 
 
 def test_topology_arrays_are_read_only():

@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from cpsblotto import cross_validate, single_dependency_case
+from cpsblotto import ValidationError, cross_validate, single_dependency_case
 from cpsblotto.oracle import (CONVERGENCE_GAP, DiscreteGame, _safe_run,
                               enumerate_strategies, fictitious_play)
 
@@ -236,6 +236,19 @@ def test_cross_validation_in_the_feasible_regime():
 def test_grid_floor_is_enforced():
     with pytest.raises(ValueError, match="at least 20"):
         cross_validate([0.5, 0.5], [0.5, 0.5], 2.5, 1.0, grid_units=19)
+
+
+@pytest.mark.parametrize("budget_d, budget_a, message", [
+    (np.inf, 1.0, "R_D must be finite"),
+    (np.nan, 1.0, "R_D must be finite"),
+    (2.5, 0.0, "budgets must be positive"),
+])
+def test_cross_validate_checks_budgets_before_gridding(budget_d, budget_a,
+                                                       message):
+    # Turning these budgets into grid units once raised OverflowError,
+    # "cannot convert float NaN to integer" and ZeroDivisionError.
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        cross_validate(UNIFORM3, UNIFORM3, budget_d, budget_a, grid_units=20)
 
 
 def test_finer_grids_track_the_analytic_value_more_closely():
