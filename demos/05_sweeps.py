@@ -27,8 +27,7 @@ print("flow fill  defender ratio  attacker ratio")
 for fill, ratio_d, ratio_a in flow_rows:
     print(f"{fill:9.1f}  {ratio_d:14.6f}  {ratio_a:14.6f}")
 path = os.path.join(OUT_DIR, "sweep_flow.csv")
-write_csv(path, ["flow_fill", "payoff_ratio_d", "payoff_ratio_a"],
-          flow_rows, units="dimensionless")
+write_csv(path, "sweep_flow", flow_rows)
 print(f"wrote {path}")
 
 # Sweep from the scenario-derived defender values toward uniform.
@@ -41,8 +40,7 @@ print("\ntheta  g spread (std)  defender ratio")
 for theta, deviation, ratio_d, _ in sym_rows:
     print(f"{theta:5.1f}  {deviation:14.6f}  {ratio_d:14.6f}")
 path = os.path.join(OUT_DIR, "sweep_symmetry.csv")
-write_csv(path, ["theta", "g_std", "payoff_ratio_d", "payoff_ratio_a"],
-          sym_rows, units="dimensionless")
+write_csv(path, "sweep_symmetry", sym_rows)
 print(f"wrote {path}")
 
 gain = max(row[2] for row in sym_rows) - 1.0

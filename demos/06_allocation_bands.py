@@ -34,8 +34,7 @@ for theta, deviation, node, owner, share, prob in rows:
     print(f"{theta:5.1f}  {deviation:8.4f}  {node:4d}  {owner:8s} "
           f"{share:6.3f}  {prob:13.4f}")
 path = os.path.join(OUT_DIR, "bands.csv")
-write_csv(path, ["theta", "defender_value_std", "node", "owner", "share",
-                 "probability"], rows, units="probabilities; share of budget")
+write_csv(path, "fig4", rows)
 print(f"wrote {path}")
 
 defender_at_1 = {node: prob for theta, _, node, owner, _, prob in rows

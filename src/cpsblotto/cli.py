@@ -10,6 +10,7 @@ import dataclasses
 import json
 import os
 import sys
+from contextlib import nullcontext
 
 from . import __version__
 from .model import (GameParams, ScenarioError, default_nine_node,
@@ -64,19 +65,16 @@ def _load_or_default(args) -> tuple:
     return topology, dataclasses.replace(params, **_given(args, *_PARAMS))
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        with open(out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
-    else:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+def _emit(lines: list[str], out: str | None) -> None:
+    """Write `lines` to the file `out`, or to stdout."""
+    with (open(out, "w", encoding="utf-8", newline="\n") if out
+          else nullcontext(sys.stdout)) as fh:
+        fh.writelines(line + "\n" for line in lines)
 
 
 def cmd_validate(args) -> int:
-    if args.scenario:
-        topology, _ = _read_scenario(args.scenario)
-    else:
-        topology = default_nine_node()
+    topology = (_read_scenario(args.scenario)[0] if args.scenario
+                else default_nine_node())
     problems = validate(topology)
     if problems:
         for problem in problems:
@@ -87,7 +85,7 @@ def cmd_validate(args) -> int:
     return 0
 
 
-def cmd_effects(args) -> int:
+def cmd_effects(args) -> None:
     topology, params = _load_or_default(args)
     matrices = effect_matrices(topology, params)
     defender = effective_values(topology.human_interaction,
@@ -97,63 +95,46 @@ def cmd_effects(args) -> int:
     for name, matrix in (("physical_effects", matrices.physical),
                          ("cyber_effects", matrices.cyber),
                          ("interdependency", matrices.interdependency)):
-        write_csv(os.path.join(out_dir, f"{name}.csv"),
-                  ["node_j", "failed_node_i", "value"],
-                  matrix_rows(matrix), units="dimensionless fractions")
-    write_csv(os.path.join(out_dir, "defender_values.csv"),
-              ["node", "value"], vector_rows(defender),
-              units="dimensionless, sums to 1")
+        write_csv(os.path.join(out_dir, f"{name}.csv"), "effects",
+                  matrix_rows(matrix))
+    write_csv(os.path.join(out_dir, "defender_values.csv"), "defender_values",
+              vector_rows(defender))
     print(f"wrote effects tables to {out_dir}/")
-    return 0
 
 
-def cmd_solve(args) -> int:
+def cmd_solve(args) -> None:
     topology, params = _load_or_default(args)
     values = battlefield_values(topology, params)
     solution = solve_equilibrium(values.defender, values.attacker,
                                  params.budget_d, params.budget_a)
-    _emit(json.dumps(solution_document(solution), indent=2), args.out)
-    return 0
+    _emit([json.dumps(solution_document(solution), indent=2)], args.out)
 
 
-def cmd_table1(args) -> int:
+def cmd_table1(args) -> None:
     if not args.scenario:
         raise ScenarioError("table1 requires --scenario pointing to a JSON "
                             "file with keys 'h' and 'g_columns'")
     h, columns = load_value_table(args.scenario)
     params = default_params(h.size, **_given(args, *_PARAMS))
     rows = payoff_table(h, columns, params.budget_d, params.budget_a)
-    text = "\n".join(csv_lines(["column", "payoff_defender", "payoff_attacker"],
-                               rows, units="dimensionless payoffs"))
-    _emit(text, args.out)
-    return 0
+    _emit(csv_lines("table1", rows), args.out)
 
 
-def cmd_sweep_flow(args) -> int:
+def cmd_sweep_flow(args) -> None:
     rows = flow_capacity_sweep(**_given(args, "points", *_PARAMS))
-    text = "\n".join(csv_lines(
-        ["flow_capacity_ratio", "defender_payoff_ratio",
-         "attacker_payoff_ratio"], rows,
-        units="dimensionless ratios vs complete-information baseline"))
-    _emit(text, args.out)
-    return 0
+    _emit(csv_lines("sweep_flow", rows), args.out)
 
 
-def cmd_sweep_symmetry(args) -> int:
+def cmd_sweep_symmetry(args) -> None:
     topology, params = _load_or_default(args)
     values = battlefield_values(topology, params)
     rows = symmetry_sweep(values.attacker, budget_d=params.budget_d,
                           budget_a=params.budget_a, g_base=values.defender,
                           **_given(args, "points"))
-    text = "\n".join(csv_lines(
-        ["theta", "defender_value_std", "defender_payoff_ratio",
-         "attacker_payoff_ratio"], rows,
-        units="dimensionless ratios vs complete-information baseline"))
-    _emit(text, args.out)
-    return 0
+    _emit(csv_lines("sweep_symmetry", rows), args.out)
 
 
-def cmd_fig4(args) -> int:
+def cmd_fig4(args) -> None:
     topology, params = _load_or_default(args)
     node_ids = args.nodes or (
         (0, 1, 4) if topology.n >= 5 else tuple(range(topology.n)))
@@ -162,21 +143,16 @@ def cmd_fig4(args) -> int:
         values.attacker, node_ids, budget_d=params.budget_d,
         budget_a=params.budget_a, g_base=values.defender,
         **_given(args, "points", "epsilon"))
-    text = "\n".join(csv_lines(
-        ["theta", "defender_value_std", "node", "owner", "share",
-         "probability"], rows, units="probabilities; share of budget"))
-    _emit(text, args.out)
-    return 0
+    _emit(csv_lines("fig4", rows), args.out)
 
 
-def cmd_oracle(args) -> int:
+def cmd_oracle(args) -> None:
     topology, params = _load_or_default(args)
     values = battlefield_values(topology, params)
     report = cross_validate(values.defender, values.attacker,
                             params.budget_d, params.budget_a,
                             **_given(args, "grid_units", "iterations"))
-    _emit(json.dumps(report.document(), indent=2), args.out)
-    return 0
+    _emit([json.dumps(report.document(), indent=2)], args.out)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -256,10 +232,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # A subcommand returns its exit code, or None on success.
+        return args.func(args) or 0
     except (ValueError, EquilibriumRegimeError) as exc:
         # ScenarioError and ValidationError are ValueErrors.
         print(f"error: {exc}", file=sys.stderr)

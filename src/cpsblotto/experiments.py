@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 
 from . import __version__
 from .model import (DEFAULT_BUDGET_A, DEFAULT_BUDGET_D, NINE_NODE_LEVELS,
                     ScenarioError, ValidationError, _read_json, check_node_id,
                     check_values, default_params, generate_concentric,
-                    normalize_weights)
+                    is_number, normalize_weights)
 from .metrics import battlefield_values
 from .equilibrium import (EquilibriumSolution, complete_info_payoffs,
                           solve_equilibrium)
@@ -32,6 +34,14 @@ def _check_points(points: tuple[float, ...]) -> None:
 DEFAULT_SWEEP_POINTS = tuple(round(0.1 * k, 10) for k in range(1, 11))
 
 
+def _number_array(name: str, values: object) -> np.ndarray:
+    """A table file's array of JSON numbers (see is_number) as floats."""
+    if isinstance(values, list) and all(map(is_number, values)):
+        return np.array(values, dtype=float)
+    raise ScenarioError("table file values must be arrays of numbers, "
+                        f"got {name!r}: {json.dumps(values)}")
+
+
 def load_value_table(path: str) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     """The attacker values h and the named defender-value columns of a
     table file: a JSON object of exactly "h", an array of numbers, and
@@ -43,13 +53,9 @@ def load_value_table(path: str) -> tuple[np.ndarray, dict[str, np.ndarray]]:
             or not isinstance(doc["g_columns"], dict)):
         raise ScenarioError("table file must hold exactly 'h' and "
                             "'g_columns', an object of columns")
-    try:
-        return (np.asarray(doc["h"], dtype=float),
-                {name: np.asarray(column, dtype=float)
-                 for name, column in doc["g_columns"].items()})
-    except (TypeError, ValueError) as exc:
-        raise ScenarioError(
-            f"table file values must be arrays of numbers: {exc}") from None
+    return (_number_array("h", doc["h"]),
+            {name: _number_array(name, column)
+             for name, column in doc["g_columns"].items()})
 
 
 def payoff_table(h: np.ndarray, g_columns: dict[str, np.ndarray],
@@ -206,28 +212,35 @@ def band_probability_table(h: np.ndarray, node_ids: tuple[int, ...],
 # CSV output
 # ---------------------------------------------------------------------------
 
-def format_value(value: float | int | str) -> str:
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return f"{value:.9g}"
+_RATIO_UNITS = "dimensionless ratios vs complete-information baseline"
+# The header and units of each CSV table, stated once: the CLI and the demos
+# write every table through csv_lines.
+CSV_TABLES = {
+    "effects": ("node_j,failed_node_i,value", "dimensionless fractions"),
+    "defender_values": ("node,value", "dimensionless, sums to 1"),
+    "table1": ("column,payoff_defender,payoff_attacker",
+               "dimensionless payoffs"),
+    "sweep_flow": ("flow_capacity_ratio,defender_payoff_ratio,"
+                   "attacker_payoff_ratio", _RATIO_UNITS),
+    "sweep_symmetry": ("theta,defender_value_std,defender_payoff_ratio,"
+                       "attacker_payoff_ratio", _RATIO_UNITS),
+    "fig4": ("theta,defender_value_std,node,owner,share,probability",
+             "probabilities; share of budget"),
+}
 
 
-def csv_lines(header: list[str], rows: list[tuple], units: str) -> list[str]:
-    """CSV content with a version/units comment line; 9 significant digits."""
-    lines = [f"# cpsblotto v{__version__}; units: {units}",
-             ",".join(header)]
-    for row in rows:
-        lines.append(",".join(format_value(value) for value in row))
-    return lines
+def csv_lines(table: str, rows: list[tuple]) -> list[str]:
+    """A CSV_TABLES table's lines, floats to 9 significant digits."""
+    header, units = CSV_TABLES[table]
+    return [f"# cpsblotto v{__version__}; units: {units}", header,
+            *(",".join(str(value) if isinstance(value, (str, int, np.integer))
+                       else f"{value:.9g}" for value in row) for row in rows)]
 
 
-def write_csv(path: str, header: list[str], rows: list[tuple],
-              units: str) -> None:
-    content = "\n".join(csv_lines(header, rows, units)) + "\n"
+def write_csv(path: str, table: str, rows: list[tuple]) -> None:
+    """Write a CSV_TABLES table (see csv_lines) to `path`."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(content)
+        fh.writelines(line + "\n" for line in csv_lines(table, rows))
 
 
 def matrix_rows(matrix: np.ndarray) -> list[tuple[int, int, float]]:

@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import enum
 import json
-from dataclasses import dataclass
+import sys
+from dataclasses import astuple, dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -25,12 +27,6 @@ VALUE_SUM_TOL = 1e-6
 # Supply parents per node in generate_concentric (fewer when the tier above
 # is smaller).
 _PARENTS_PER_NODE = 2
-
-_SCENARIO_KEYS = {"nodes", "edges", "cyber_edges", "params"}
-_NODE_KEYS = {"id", "level", "h"}
-_EDGE_KEYS = {"from", "to", "flow", "capacity"}
-_CYBER_EDGE_KEYS = {"a", "b", "weight"}
-_PARAM_KEYS = {"alpha", "beta", "t0", "R_D", "R_A"}
 
 
 class ScenarioError(ValueError):
@@ -370,76 +366,105 @@ def validate(topology: CpsTopology) -> list[str]:
 # scenario file I/O
 # ---------------------------------------------------------------------------
 
-def _require_keys(obj: dict, allowed: set[str], required: set[str],
-                  where: str) -> None:
+class _Array(NamedTuple):
+    """A JSON array of `section` objects; a file may omit an optional one."""
+    section: str
+    optional: bool = False
+
+
+# The scenario file format, stated once: each section's JSON keys, in the
+# order save_scenario writes them (the NodeSpec and GameParams field order),
+# and their kinds: int, float (an int or a float; a bool is neither),
+# NodeLevel (a level's name), a section (an object of it) or an _Array.
+SCENARIO_FIELDS = {
+    "scenario": {"nodes": _Array("node entry"), "edges": _Array("edge entry"),
+                 "cyber_edges": _Array("cyber edge entry", optional=True),
+                 "params": "params"},
+    "node entry": {"id": int, "level": NodeLevel, "h": float},
+    "edge entry": {"from": int, "to": int, "flow": float, "capacity": float},
+    "cyber edge entry": {"a": int, "b": int, "weight": float},
+    "params": {"alpha": float, "beta": float, "t0": float, "R_D": float,
+               "R_A": float},
+}
+_LEVEL_NAMES = [level.value for level in NodeLevel]
+_KIND_NAMES = {int: "an integer", float: "a number",
+               NodeLevel: f"one of {_LEVEL_NAMES}"}
+
+
+def is_number(value: object) -> bool:
+    """Whether a parsed JSON value is a float or an int a float can hold."""
+    return type(value) is float or (type(value) is int
+                                    and abs(value) <= sys.float_info.max)
+
+
+def _read_entry(obj: object, section: str) -> list:
+    """The values of a `section` object in SCENARIO_FIELDS order, each read
+    as its kind; an omitted optional key reads as None."""
+    fields = SCENARIO_FIELDS[section]
     if not isinstance(obj, dict):
-        raise ScenarioError(f"{where} must be a JSON object")
-    unknown = set(obj) - allowed
+        raise ScenarioError(f"{section} must be a JSON object")
+    unknown = set(obj) - set(fields)
     if unknown:
-        raise ScenarioError(f"unknown keys {sorted(unknown)} in {where}")
-    missing = required - set(obj)
+        raise ScenarioError(f"unknown keys {sorted(unknown)} in {section}")
+    missing = {key for key, kind in fields.items()
+               if key not in obj and not getattr(kind, "optional", False)}
     if missing:
-        raise ScenarioError(f"missing keys {sorted(missing)} in {where}")
+        raise ScenarioError(f"missing keys {sorted(missing)} in {section}")
+    return [_read_field(section, key, kind, obj[key]) if key in obj else None
+            for key, kind in fields.items()]
 
 
-def _parse_scenario(doc: dict) -> tuple[CpsTopology, GameParams]:
-    _require_keys(doc, _SCENARIO_KEYS, {"nodes", "edges", "params"}, "scenario")
+def _read_field(section: str, key: str, kind, value: object):
+    """`value` read as `kind`; a ScenarioError names section, key and value."""
+    if isinstance(kind, str):
+        return _read_entry(value, kind)
+    if isinstance(kind, _Array) and isinstance(value, list):
+        return [_read_entry(entry, kind.section) for entry in value]
+    if kind is NodeLevel and value in _LEVEL_NAMES:
+        return NodeLevel(value)
+    if kind is int and type(value) is int or kind is float and is_number(value):
+        return kind(value)
+    raise ScenarioError(f"{key!r} must be {_KIND_NAMES.get(kind, 'an array')}"
+                        f" in {section}, got {json.dumps(value)}")
 
-    for key in ("nodes", "edges", "cyber_edges"):
-        if not isinstance(doc.get(key, []), list):
-            raise ScenarioError(f"'{key}' must be an array")
-    raw_nodes = doc["nodes"]
-    if not raw_nodes:
-        raise ScenarioError("'nodes' must be a non-empty array")
-    nodes = []
-    for entry in raw_nodes:
-        _require_keys(entry, _NODE_KEYS, _NODE_KEYS, "node entry")
-        try:
-            level = NodeLevel(entry["level"])
-        except ValueError:
-            raise ScenarioError(
-                f"node {entry['id']}: unknown level {entry['level']!r}") from None
-        nodes.append(NodeSpec(id=int(entry["id"]), level=level,
-                              h=float(entry["h"])))
-    nodes.sort(key=lambda node: node.id)
+
+def _check_pair(what: str, pair: tuple[int, int], n: int, listed: set) -> None:
+    """Add `pair` to `listed`; ScenarioError if it names no node or is there."""
+    if not all(0 <= end < n for end in pair):
+        raise ScenarioError(f"{what} {pair} references unknown node")
+    if pair in listed:
+        raise ScenarioError(f"{what} {pair} is listed more than once")
+    listed.add(pair)
+
+
+def _parse_scenario(doc: object) -> tuple[CpsTopology, GameParams]:
+    nodes, edges, cyber_edges, params = _read_entry(doc, "scenario")
+    nodes.sort(key=lambda node: node[0])   # (id, level, h), by id
     n = len(nodes)
 
-    F = np.zeros((n, n))
-    C = np.zeros((n, n))
-    for entry in doc["edges"]:
-        _require_keys(entry, _EDGE_KEYS, _EDGE_KEYS, "edge entry")
-        i, j = int(entry["from"]), int(entry["to"])
-        if not (0 <= i < n and 0 <= j < n):
-            raise ScenarioError(f"edge ({i}, {j}) references unknown node")
-        F[i, j] = float(entry["flow"])
-        C[i, j] = float(entry["capacity"])
-
-    A = np.zeros((n, n))
-    if "cyber_edges" in doc:
-        for entry in doc["cyber_edges"]:
-            _require_keys(entry, _CYBER_EDGE_KEYS, _CYBER_EDGE_KEYS,
-                          "cyber edge entry")
-            a, b = int(entry["a"]), int(entry["b"])
-            if not (0 <= a < n and 0 <= b < n):
-                raise ScenarioError(f"cyber edge ({a}, {b}) references unknown node")
-            A[a, b] = A[b, a] = float(entry["weight"])
-    else:
+    F, C, A = np.zeros((n, n)), np.zeros((n, n)), np.zeros((n, n))
+    listed: set[tuple[int, int]] = set()
+    for i, j, flow, capacity in edges:
+        _check_pair("edge", (i, j), n, listed)
+        F[i, j], C[i, j] = flow, capacity
+    if cyber_edges is None:
         # Default cyber graph: unit-weight undirected skeleton of the flow edges.
-        mask = (F > 0) | (F.T > 0)
-        A[mask] = 1.0
+        A[(F > 0) | (F.T > 0)] = 1.0
+    listed.clear()
+    for a, b, weight in cyber_edges or ():
+        # A link is listed once, in either orientation; weight 0 is no link.
+        _check_pair("cyber edge", (a, b), n, listed)
+        listed.add((b, a))
+        if weight == 0.0:
+            raise ScenarioError(f"cyber edge {(a, b)} has weight 0; "
+                                "leave out a pair with no link")
+        A[a, b] = A[b, a] = weight
 
-    raw_params = doc["params"]
-    _require_keys(raw_params, _PARAM_KEYS, _PARAM_KEYS, "params")
-    params = GameParams(alpha=float(raw_params["alpha"]),
-                        beta=float(raw_params["beta"]),
-                        t0=float(raw_params["t0"]),
-                        budget_d=float(raw_params["R_D"]),
-                        budget_a=float(raw_params["R_A"]))
-
-    normalized = normalize_weights(
-        check_values("node weights h", [node.h for node in nodes]))
-    nodes = tuple(NodeSpec(id=node.id, level=node.level, h=float(w))
-                  for node, w in zip(nodes, normalized))
+    params = GameParams(*params)
+    weights = normalize_weights(
+        check_values("node weights h", [h for _, _, h in nodes]))
+    nodes = tuple(NodeSpec(node_id, level, float(w))
+                  for (node_id, level, _), w in zip(nodes, weights))
     return CpsTopology(nodes=nodes, flows=F, capacities=C,
                        cyber_adjacency=A), params
 
@@ -449,7 +474,7 @@ def _read_json(path: str, what: str):
     try:
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # bad UTF-8, bad JSON, huge ints
         raise ScenarioError(f"cannot parse {what} {path}: {exc}") from exc
 
 
@@ -459,19 +484,9 @@ def _read_scenario(path: str) -> tuple[CpsTopology, GameParams]:
 
 
 def load_scenario(path: str) -> tuple[CpsTopology, GameParams]:
-    """Load and validate a scenario file.
-
-    Args:
-        path: UTF-8 JSON document with keys nodes/edges/params and optional
-            cyber_edges.
-
-    Returns:
-        (topology, params) with node weights normalized to sum 1.
-
-    Raises:
-        ScenarioError: the file is not valid JSON or not schema-conformant.
-        ValidationError: the parsed topology violates a structural invariant.
-    """
+    """(topology, params) from a UTF-8 scenario file (see SCENARIO_FIELDS),
+    weights normalized to sum 1; ScenarioError for a file not in the format,
+    ValidationError for a topology that breaks a structural invariant."""
     topology, params = _read_scenario(path)
     problems = validate(topology)
     if problems:
@@ -479,27 +494,23 @@ def load_scenario(path: str) -> tuple[CpsTopology, GameParams]:
     return topology, params
 
 
+def _entry(section: str, *values) -> dict:
+    """A `section` object of the scenario format holding `values`."""
+    return dict(zip(SCENARIO_FIELDS[section], values))
+
+
 def scenario_document(topology: CpsTopology, params: GameParams) -> dict:
     """Serialize to the scenario schema (plain dict, JSON-ready)."""
-    nodes = [{"id": node.id, "level": node.level.value, "h": node.h}
-             for node in topology.nodes]
-    edges = []
-    for i, j in np.argwhere(topology.capacities > 0):
-        edges.append({"from": int(i), "to": int(j),
-                      "flow": float(topology.flows[i, j]),
-                      "capacity": float(topology.capacities[i, j])})
-    cyber_edges = []
-    for a, b in np.argwhere(topology.cyber_adjacency > 0):
-        if a < b:
-            cyber_edges.append({"a": int(a), "b": int(b),
-                                "weight": float(topology.cyber_adjacency[a, b])})
-    return {
-        "nodes": nodes,
-        "edges": edges,
-        "cyber_edges": cyber_edges,
-        "params": {"alpha": params.alpha, "beta": params.beta, "t0": params.t0,
-                   "R_D": params.budget_d, "R_A": params.budget_a},
-    }
+    F, C, A = topology.flows, topology.capacities, topology.cyber_adjacency
+    return _entry(
+        "scenario",
+        [_entry("node entry", node.id, node.level.value, node.h)
+         for node in topology.nodes],
+        [_entry("edge entry", i, j, F[i, j].item(), C[i, j].item())
+         for i, j in np.argwhere(C > 0).tolist()],
+        [_entry("cyber edge entry", a, b, A[a, b].item())
+         for a, b in np.argwhere(A > 0).tolist() if a < b],
+        _entry("params", *astuple(params)))
 
 
 def save_scenario(topology: CpsTopology, params: GameParams, path: str) -> None:

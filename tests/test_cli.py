@@ -125,10 +125,11 @@ def test_table1_names_an_unreadable_file(tmp_path, capsys):
     assert capsys.readouterr().err.startswith(
         f"error: cannot parse table file {missing}: ")
     malformed = tmp_path / "malformed.json"
-    malformed.write_text("{\"h\": [0.5, 0.5],")
-    assert main(["table1", "--scenario", str(malformed)]) == 1
-    assert capsys.readouterr().err.startswith(
-        f"error: cannot parse table file {malformed}: ")
+    for content in (b"{\"h\": [0.5, 0.5],", b"{\"h\": [0.5, 0.5], \xff}"):
+        malformed.write_bytes(content)   # bad JSON, then bad UTF-8
+        assert main(["table1", "--scenario", str(malformed)]) == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: cannot parse table file {malformed}: ")
 
 
 def test_table1_tiny_column_is_a_regime_error(tmp_path, capsys):
@@ -147,6 +148,20 @@ def _scenario_with(**edits):
         generate_concentric([(1, 2.0), (2, 1.0)], flow_fill=0.7),
         default_params(3))
     doc.update(edits)
+    return doc
+
+
+def _edited(section, edits):
+    """The small scenario with `edits` made to the first entry of a
+    section, or to its params."""
+    doc = _scenario_with()
+    (doc[section] if section == "params" else doc[section][0]).update(edits)
+    return doc
+
+
+def _appended(section, entry):
+    doc = _scenario_with()
+    doc[section].append(entry)
     return doc
 
 
@@ -171,6 +186,47 @@ def _scenario_with(**edits):
                  "edge entry must be a JSON object", id="scenario-edge-array"),
     pytest.param("solve", _scenario_with(params=[2.5, 1.0]),
                  "params must be a JSON object", id="scenario-params-array"),
+    pytest.param("solve", _edited("nodes", {"id": None}),
+                 "'id' must be an integer in node entry, got null",
+                 id="scenario-id-null"),
+    pytest.param("solve", _edited("nodes", {"id": 1.7}),
+                 "'id' must be an integer in node entry, got 1.7",
+                 id="scenario-id-float"),
+    pytest.param("solve", _edited("nodes", {"id": "1"}),
+                 "'id' must be an integer in node entry, got \"1\"",
+                 id="scenario-id-string"),
+    pytest.param("solve", _edited("nodes", {"h": "0.5"}),
+                 "'h' must be a number in node entry, got \"0.5\"",
+                 id="scenario-h-string"),
+    pytest.param("solve", _edited("nodes", {"h": True}),
+                 "'h' must be a number in node entry, got true",
+                 id="scenario-h-bool"),
+    pytest.param("solve", _edited("nodes", {"h": 10 ** 400}),
+                 "'h' must be a number in node entry, got 1000",
+                 id="scenario-h-beyond-float"),
+    pytest.param("solve", _edited("edges", {"flow": [1]}),
+                 "'flow' must be a number in edge entry, got [1]",
+                 id="scenario-flow-array"),
+    pytest.param("solve", _edited("params", {"alpha": "0.3"}),
+                 "'alpha' must be a number in params, got \"0.3\"",
+                 id="scenario-alpha-string"),
+    pytest.param("table1", {"h": ["0.5", "0.5"], "g_columns": {}},
+                 "table file values must be arrays of numbers",
+                 id="table-h-strings"),
+    pytest.param("table1", {"h": [True, 0.5], "g_columns": {}},
+                 "table file values must be arrays of numbers",
+                 id="table-h-bool"),
+    pytest.param("solve", _appended("edges", {"from": 0, "to": 1, "flow": 0,
+                                              "capacity": 1.5}),
+                 "edge (0, 1) is listed more than once",
+                 id="scenario-edge-repeated"),
+    pytest.param("solve", _appended("cyber_edges",
+                                    {"a": 1, "b": 0, "weight": 5.0}),
+                 "cyber edge (1, 0) is listed more than once",
+                 id="scenario-cyber-edge-reversed-repeat"),
+    pytest.param("solve", _edited("cyber_edges", {"weight": 0}),
+                 "cyber edge (0, 1) has weight 0",
+                 id="scenario-cyber-edge-zero-weight"),
 ])
 def test_malformed_files_exit_one_without_traceback(tmp_path, capsys,
                                                     command, doc, message):

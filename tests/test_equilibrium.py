@@ -234,7 +234,7 @@ def test_prefix_sum_scan_matches_masked_reference():
     assert solved >= 60
 
 
-def _unscreened_scan_reference(g, h, q):
+def _np_roots_scan_reference(g, h, q):
     """A prefix-sum scan that solves every split's cubic with numpy.roots,
     from split n down to 0, and keeps the first consistent root; a root
     just below a split's lower breakpoint is moved onto it.  Returns
@@ -279,7 +279,7 @@ def _positive_dirichlet(rng, n, dispersion):
         np.maximum(rng.dirichlet(np.full(n, dispersion)), 1e-12))
 
 
-def _screen_cases():
+def _bracket_cases():
     rng = np.random.default_rng(20261019)
     for n in (1, 2, 3, 9, 50, 500, 2000):
         for dispersion in (0.05, 0.3, 1.0, 10.0):
@@ -324,10 +324,10 @@ def _screen_cases():
                 yield g, h, float(q)
 
 
-def test_bracket_screen_keeps_the_unscreened_result():
+def test_bracketed_scan_agrees_with_the_np_roots_reference():
     solved = 0
-    for g, h, q in _screen_cases():
-        expected = _unscreened_scan_reference(g, h, q)
+    for g, h, q in _bracket_cases():
+        expected = _np_roots_scan_reference(g, h, q)
         if expected is None:
             with pytest.raises(EquilibriumRegimeError):
                 _scan_partitions(g, h, q)
@@ -339,7 +339,7 @@ def test_bracket_screen_keeps_the_unscreened_result():
     assert solved >= 180
 
 
-def test_bracket_screen_skips_root_solves(monkeypatch):
+def test_bracketed_scan_makes_few_bracket_solves(monkeypatch):
     rng = np.random.default_rng(7)
     g = _positive_dirichlet(rng, 2000, 0.3)
     h = _positive_dirichlet(rng, 2000, 0.3)
@@ -427,7 +427,7 @@ def test_lost_root_of_a_tiny_leading_coefficient_solves():
     assert sol.omega_a == frozenset({0})
     assert sol.mu == pytest.approx(2.83509, rel=1e-12)
     assert sol.cubic_residual <= CUBIC_RESIDUAL_RTOL
-    assert _unscreened_scan_reference(g, h, 2.89) is None
+    assert _np_roots_scan_reference(g, h, 2.89) is None
 
 
 def test_root_on_a_breakpoint_solves_with_finite_multipliers():
@@ -435,7 +435,7 @@ def test_root_on_a_breakpoint_solves_with_finite_multipliers():
     # partition's root one ulp below it and clamps the lower one's onto its
     # excluded end; the solve must not fall through to the double root at
     # zero of the all-attacker partition.
-    g, h, q = list(_screen_cases())[171]
+    g, h, q = list(_bracket_cases())[171]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         sol = solve_equilibrium(g, h, q, 1.0)

@@ -121,16 +121,15 @@ def test_flow_capacity_sweep_overrides_reach_default_params():
 
 
 def test_csv_formatting(tmp_path):
-    lines = csv_lines(["a", "b"], [(1, 0.123456789123), (2, 3.0)],
-                      units="widgets")
+    lines = csv_lines("defender_values", [(1, 0.123456789123), (2, 3.0)])
     assert lines[0].startswith("# cpsblotto v")
-    assert lines[0].endswith("; units: widgets")
-    assert lines[1] == "a,b"
+    assert lines[0].endswith("; units: dimensionless, sums to 1")
+    assert lines[1] == "node,value"
     assert lines[2] == "1,0.123456789"   # 9 significant digits
     assert lines[3] == "2,3"
 
     path = tmp_path / "out.csv"
-    write_csv(str(path), ["a", "b"], [(1, 2.5)], units="things")
+    write_csv(str(path), "defender_values", [(1, 2.5)])
     text = path.read_text()
     assert text.endswith("1,2.5\n")
 

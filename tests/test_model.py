@@ -1,6 +1,7 @@
 """Topology model, validation, and scenario file round trips."""
 
 import dataclasses
+import json
 import re
 
 import numpy as np
@@ -255,6 +256,16 @@ def test_scenario_round_trip(tmp_path):
     assert np.allclose(loaded_topo.cyber_adjacency, topo.cyber_adjacency)
     assert loaded_params == params
     assert [n.level for n in loaded_topo.nodes] == [n.level for n in topo.nodes]
+    # The saved text lists each section's keys in the NodeSpec / GameParams
+    # field order.
+    doc = json.loads(path.read_text())
+    assert list(doc) == ["nodes", "edges", "cyber_edges", "params"]
+    for section, keys in (("nodes", ["id", "level", "h"]),
+                          ("edges", ["from", "to", "flow", "capacity"]),
+                          ("cyber_edges", ["a", "b", "weight"])):
+        assert doc[section]
+        assert all(list(entry) == keys for entry in doc[section])
+    assert list(doc["params"]) == ["alpha", "beta", "t0", "R_D", "R_A"]
 
 
 def test_scenario_schema_rejects_missing_and_unknown_keys():
@@ -283,7 +294,6 @@ def test_load_scenario_validates(tmp_path):
     doc = scenario_document(topo, params)
     doc["edges"][0]["flow"] = 99.0  # now exceeds capacity
     path = tmp_path / "bad.json"
-    import json
     path.write_text(json.dumps(doc))
     from cpsblotto import ValidationError
     with pytest.raises(ValidationError):
