@@ -24,10 +24,12 @@ def main():
     n = topology.n
 
     print(f"built a {n}-node system")
-    for node in topology.nodes:
-        print(f"  node {node.id}: level={node.level.name.lower():9s} "
-              f"h={node.h:.4f}")
-    print(f"value weights sum to {sum(s.h for s in topology.nodes):.6f}")
+    # Node i is position i of every field: its level, its weight, and row
+    # and column i of each matrix.
+    h = topology.human_interaction
+    for i, level in enumerate(topology.levels):
+        print(f"  node {i}: level={level.name.lower():9s} h={h[i]:.4f}")
+    print(f"value weights sum to {h.sum():.6f}")
 
     active = topology.capacities > 0
     fills = topology.flows[active] / topology.capacities[active]

@@ -136,7 +136,7 @@ def cmd_sweep_symmetry(args) -> None:
 
 def cmd_fig4(args) -> None:
     topology, params = _load_or_default(args)
-    node_ids = args.nodes or (
+    node_ids = args.node_ids or (
         (0, 1, 4) if topology.n >= 5 else tuple(range(topology.n)))
     values = battlefield_values(topology, params)
     rows = band_probability_table(
@@ -198,9 +198,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("validate", parents=[scenario],
                    help="check a scenario against the structural invariants"
                    ).set_defaults(func=cmd_validate)
-    sub.add_parser("effects", parents=[scenario, out, weights],
-                   help="dump effect matrices and defender values as CSV"
-                   ).set_defaults(func=cmd_effects)
+    p = sub.add_parser("effects", parents=[scenario, weights],
+                       help="dump effect matrices and defender values as CSV")
+    p.add_argument("--out", metavar="DIR",
+                   help="directory for the four CSV files "
+                        "(default effects_out)")
+    p.set_defaults(func=cmd_effects)
     sub.add_parser("solve", parents=game,
                    help="solve the allocation game, emit the solution as JSON"
                    ).set_defaults(func=cmd_solve)
@@ -217,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fig4", parents=game + [points],
                        help="allocation band probabilities across a "
                             "symmetry sweep")
-    p.add_argument("--nodes", type=_parse_nodes,
+    p.add_argument("--nodes", dest="node_ids", type=_parse_nodes,
                    help="comma-separated node ids to watch")
     p.add_argument("--epsilon", type=float)
     p.set_defaults(func=cmd_fig4)

@@ -65,11 +65,14 @@ def payoff_table(h: np.ndarray, g_columns: dict[str, np.ndarray],
 
     Each column follows the value rule (check_values), as long as h.
     Columns whose sum strays from 1 by more than COLUMN_SUM_TOL are rejected;
-    closer columns are renormalized exactly.
+    closer columns are renormalized exactly.  No column may be named "h",
+    the name of the first row.
 
     Returns:
         Rows (column name, defender payoff, attacker payoff), h first.
     """
+    if "h" in g_columns:
+        raise ValidationError("column name 'h' clashes with the h row")
     h = normalize_weights(check_values("h", h, sum_tol=COLUMN_SUM_TOL))
     rows = []
     for name, column in [("h", h)] + list(g_columns.items()):

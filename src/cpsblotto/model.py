@@ -44,15 +44,6 @@ class NodeLevel(enum.Enum):
 
 
 @dataclass(frozen=True)
-class NodeSpec:
-    """One node: integer id, tier, and raw human-interaction weight ``h``."""
-
-    id: int
-    level: NodeLevel
-    h: float
-
-
-@dataclass(frozen=True)
 class GameParams:
     """Game and interdependency parameters.
 
@@ -206,36 +197,39 @@ def _link_lists(matrix: np.ndarray, *values: np.ndarray) -> list[list]:
 
 @dataclass(frozen=True)
 class CpsTopology:
-    """Validated system topology.
+    """Validated system topology; node i is position i of every field.
 
     Attributes:
-        nodes: node specs ordered by id (ids are 0..n-1).
+        levels: each node's tier.
+        human_interaction: each node's human-interaction weight, normalized
+            to sum 1 at construction (a value vector, see check_values).
         flows: n x n matrix, flows[i, j] is the physical flow on edge i -> j.
         capacities: n x n matrix of edge capacities (0 where no edge exists).
         cyber_adjacency: symmetric n x n matrix of cyber link weights.
     """
 
-    nodes: tuple[NodeSpec, ...]
+    levels: tuple[NodeLevel, ...]
+    human_interaction: np.ndarray
     flows: np.ndarray
     capacities: np.ndarray
     cyber_adjacency: np.ndarray
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "levels", tuple(self.levels))
+        object.__setattr__(self, "human_interaction", normalize_weights(
+            check_values("node weights h", self.human_interaction,
+                         size=len(self.levels))))
         # A C-ordered copy, so that freezing it leaves the caller's array
         # writable and every row sum adds in numpy's pairwise order.
-        for name in ("flows", "capacities", "cyber_adjacency"):
+        for name in ("human_interaction", "flows", "capacities",
+                     "cyber_adjacency"):
             arr = np.array(getattr(self, name), dtype=float, order="C")
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
     @property
     def n(self) -> int:
-        return len(self.nodes)
-
-    @property
-    def human_interaction(self) -> np.ndarray:
-        """Normalized human-interaction weights (sum exactly restored to 1)."""
-        return normalize_weights(np.array([node.h for node in self.nodes]))
+        return len(self.levels)
 
     @cached_property
     def flow_links(self) -> FlowLinks:
@@ -292,20 +286,10 @@ def validate(topology: CpsTopology) -> list[str]:
     """
     problems: list[str] = []
     n = topology.n
-    if n == 0:
-        return ["topology has no nodes"]
-    ids = [node.id for node in topology.nodes]
-    if ids != list(range(n)):
-        problems.append(f"node ids must be contiguous 0..{n - 1}, got {ids}")
-    refs = [node.id for node in topology.nodes
-            if node.level is NodeLevel.REFERENCE]
+    refs = [i for i, level in enumerate(topology.levels)
+            if level is NodeLevel.REFERENCE]
     if len(refs) != 1:
         problems.append(f"expected exactly one reference node, found {refs}")
-    for node in topology.nodes:
-        if not np.isfinite(node.h):
-            problems.append(f"node {node.id} has non-finite weight h={node.h}")
-        elif node.h <= 0.0:
-            problems.append(f"node {node.id} has non-positive weight h={node.h}")
 
     F, C = topology.flows, topology.capacities
     A = topology.cyber_adjacency
@@ -373,9 +357,10 @@ class _Array(NamedTuple):
 
 
 # The scenario file format, stated once: each section's JSON keys, in the
-# order save_scenario writes them (the NodeSpec and GameParams field order),
-# and their kinds: int, float (an int or a float; a bool is neither),
-# NodeLevel (a level's name), a section (an object of it) or an _Array.
+# order save_scenario writes them (a node's position as its id, its level
+# and weight, then the GameParams field order), and their kinds: int, float
+# (an int or a float; a bool is neither), NodeLevel (a level's name), a
+# section (an object of it) or an _Array.
 SCENARIO_FIELDS = {
     "scenario": {"nodes": _Array("node entry"), "edges": _Array("edge entry"),
                  "cyber_edges": _Array("cyber edge entry", optional=True),
@@ -441,6 +426,10 @@ def _parse_scenario(doc: object) -> tuple[CpsTopology, GameParams]:
     nodes, edges, cyber_edges, params = _read_entry(doc, "scenario")
     nodes.sort(key=lambda node: node[0])   # (id, level, h), by id
     n = len(nodes)
+    ids = [node_id for node_id, _, _ in nodes]
+    if ids != list(range(n)):
+        raise ScenarioError(f"node ids must be 0..{n - 1}, each used once, "
+                            f"got {ids}")
 
     F, C, A = np.zeros((n, n)), np.zeros((n, n)), np.zeros((n, n))
     listed: set[tuple[int, int]] = set()
@@ -461,12 +450,9 @@ def _parse_scenario(doc: object) -> tuple[CpsTopology, GameParams]:
         A[a, b] = A[b, a] = weight
 
     params = GameParams(*params)
-    weights = normalize_weights(
-        check_values("node weights h", [h for _, _, h in nodes]))
-    nodes = tuple(NodeSpec(node_id, level, float(w))
-                  for (node_id, level, _), w in zip(nodes, weights))
-    return CpsTopology(nodes=nodes, flows=F, capacities=C,
-                       cyber_adjacency=A), params
+    return CpsTopology(levels=[level for _, level, _ in nodes],
+                       human_interaction=[h for _, _, h in nodes],
+                       flows=F, capacities=C, cyber_adjacency=A), params
 
 
 def _read_json(path: str, what: str):
@@ -504,8 +490,9 @@ def scenario_document(topology: CpsTopology, params: GameParams) -> dict:
     F, C, A = topology.flows, topology.capacities, topology.cyber_adjacency
     return _entry(
         "scenario",
-        [_entry("node entry", node.id, node.level.value, node.h)
-         for node in topology.nodes],
+        [_entry("node entry", i, level.value, h) for i, (level, h)
+         in enumerate(zip(topology.levels,
+                          topology.human_interaction.tolist()))],
         [_entry("edge entry", i, j, F[i, j].item(), C[i, j].item())
          for i, j in np.argwhere(C > 0).tolist()],
         [_entry("cyber edge entry", a, b, A[a, b].item())
@@ -553,9 +540,10 @@ def generate_concentric(levels: list[tuple[int, float]],
         raise ValidationError("level node counts must be positive")
     check_values("level h weights", [weight for _, weight in levels])
 
-    tiers: list[list[int]] = []
-    nodes: list[NodeSpec] = []
-    next_id = 0
+    tiers: list[range] = []
+    node_levels: list[NodeLevel] = []
+    weights: list[float] = []
+    n = 0
     for depth, (count, weight) in enumerate(levels):
         if depth == 0:
             level = NodeLevel.REFERENCE
@@ -563,14 +551,11 @@ def generate_concentric(levels: list[tuple[int, float]],
             level = NodeLevel.ORDINARY
         else:
             level = NodeLevel.MAIN
-        tier = []
-        for _ in range(count):
-            nodes.append(NodeSpec(id=next_id, level=level, h=float(weight)))
-            tier.append(next_id)
-            next_id += 1
-        tiers.append(tier)
+        tiers.append(range(n, n + count))
+        node_levels += [level] * count
+        weights += [float(weight)] * count
+        n += count
 
-    n = next_id
     parents: dict[int, list[int]] = {}
     for depth in range(1, len(tiers)):
         upper = tiers[depth - 1]
@@ -595,11 +580,8 @@ def generate_concentric(levels: list[tuple[int, float]],
     mask = C > 0
     A[mask | mask.T] = 1.0
 
-    normalized = normalize_weights(np.array([node.h for node in nodes]))
-    nodes = [NodeSpec(id=node.id, level=node.level, h=float(w))
-             for node, w in zip(nodes, normalized)]
-    topology = CpsTopology(nodes=tuple(nodes), flows=F, capacities=C,
-                           cyber_adjacency=A)
+    topology = CpsTopology(levels=node_levels, human_interaction=weights,
+                           flows=F, capacities=C, cyber_adjacency=A)
     problems = validate(topology)
     if problems:
         raise ValidationError("; ".join(problems))

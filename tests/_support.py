@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from cpsblotto.model import CpsTopology, NodeLevel, NodeSpec
+from cpsblotto.model import CpsTopology, NodeLevel
 
 
 def routed_dag(rng: np.random.Generator) -> CpsTopology:
@@ -37,10 +37,9 @@ def routed_dag(rng: np.random.Generator) -> CpsTopology:
     C = np.where(F > 0, F * rng.uniform(1.1, 2.5, (n, n)), 0.0)
     levels = ([NodeLevel.REFERENCE] + [NodeLevel.MAIN] * (n - sinks - 1)
               + [NodeLevel.ORDINARY] * sinks)
-    nodes = tuple(NodeSpec(i, levels[i], float(rng.uniform(0.5, 1.5)))
-                  for i in range(n))
-    return CpsTopology(nodes=nodes, flows=F, capacities=C,
-                       cyber_adjacency=np.zeros((n, n)))
+    return CpsTopology(levels=levels,
+                       human_interaction=rng.uniform(0.5, 1.5, n), flows=F,
+                       capacities=C, cyber_adjacency=np.zeros((n, n)))
 
 
 def random_level_spec(rng: np.random.Generator) -> list[tuple[int, float]]:
@@ -55,12 +54,11 @@ def random_level_spec(rng: np.random.Generator) -> list[tuple[int, float]]:
 def cyber_topology(adjacency: np.ndarray) -> CpsTopology:
     """Topology with no physical flows, used for cyber-metric tests."""
     n = adjacency.shape[0]
-    nodes = tuple(
-        NodeSpec(i, NodeLevel.REFERENCE if i == 0 else NodeLevel.ORDINARY, 1.0)
-        for i in range(n))
     zero = np.zeros((n, n))
-    return CpsTopology(nodes=nodes, flows=zero, capacities=zero,
-                       cyber_adjacency=adjacency)
+    return CpsTopology(levels=[NodeLevel.REFERENCE]
+                       + [NodeLevel.ORDINARY] * (n - 1),
+                       human_interaction=np.ones(n), flows=zero,
+                       capacities=zero, cyber_adjacency=adjacency)
 
 
 def path_adjacency(n: int) -> np.ndarray:

@@ -16,7 +16,7 @@ from cpsblotto import (EquilibriumRegimeError, battlefield_values,
                        single_dependency_case, solve_equilibrium,
                        symmetry_sweep)
 from cpsblotto.cascade import physical_effect_matrix
-from cpsblotto.model import CpsTopology, normalize_weights
+from cpsblotto.model import normalize_weights
 from cpsblotto.sampling import allocation_band_probability
 from _support import TABLE_CASES, TABLE_H, random_level_spec, routed_dag
 
@@ -148,9 +148,8 @@ def test_criterion_5_cascade_properties():
         fill = float(pair_rng.uniform(0.45, 0.95))
         scale = float(pair_rng.uniform(1.2, 2.0))
         base = generate_concentric(spec, flow_fill=fill)
-        roomier = CpsTopology(nodes=base.nodes, flows=base.flows,
-                              capacities=base.capacities * scale,
-                              cyber_adjacency=base.cyber_adjacency)
+        roomier = dataclasses.replace(
+            base, capacities=base.capacities * scale)
         E_base = physical_effect_matrix(base)
         E_roomier = physical_effect_matrix(roomier)
         increase = float((E_roomier - E_base).max())

@@ -10,18 +10,18 @@ from cpsblotto import (cascade_failure, default_nine_node, generate_concentric,
 from cpsblotto import cascade
 from cpsblotto.cascade import (RebalanceRecord, node_throughput,
                                physical_effect_matrix)
-from cpsblotto.model import CpsTopology, NodeLevel, NodeSpec
+from cpsblotto.model import CpsTopology, NodeLevel
 from _support import routed_dag, random_level_spec
 
 
 def topology_from_flows(F: np.ndarray, C: np.ndarray) -> CpsTopology:
     n = F.shape[0]
     levels = [NodeLevel.REFERENCE] + [NodeLevel.ORDINARY] * (n - 1)
-    nodes = tuple(NodeSpec(i, levels[i], 1.0) for i in range(n))
     A = np.zeros((n, n))
     mask = (F > 0) | (F.T > 0)
     A[mask] = 1.0
-    return CpsTopology(nodes=nodes, flows=F, capacities=C, cyber_adjacency=A)
+    return CpsTopology(levels=levels, human_interaction=np.ones(n), flows=F,
+                       capacities=C, cyber_adjacency=A)
 
 
 def test_rebalance_single_supplier_within_headroom():

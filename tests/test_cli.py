@@ -80,6 +80,13 @@ def test_effects_writes_four_csv_files(tmp_path, capsys):
         assert len(lines) >= 3
     matrix_lines = (out_dir / "physical_effects.csv").read_text().splitlines()
     assert len(matrix_lines) == 2 + 81  # comment + header + 9x9 entries
+    # --out names a directory here, not the output file of the other
+    # subcommands.
+    with pytest.raises(SystemExit):
+        main(["effects", "--help"])
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert "directory for the four CSV files (default effects_out)" \
+        in help_text
 
 
 def test_solve_emits_parseable_solution(capsys, tmp_path):
@@ -227,6 +234,16 @@ def _appended(section, entry):
     pytest.param("solve", _edited("cyber_edges", {"weight": 0}),
                  "cyber edge (0, 1) has weight 0",
                  id="scenario-cyber-edge-zero-weight"),
+    pytest.param("solve", _edited("nodes", {"id": 1}),
+                 "node ids must be 0..2, each used once, got [1, 1, 2]",
+                 id="scenario-node-id-repeated"),
+    pytest.param("solve", _edited("nodes", {"id": 3}),
+                 "node ids must be 0..2, each used once, got [1, 2, 3]",
+                 id="scenario-node-id-missing"),
+    pytest.param("table1", {"h": [0.5, 0.3, 0.2],
+                            "g_columns": {"h": [0.2, 0.3, 0.5]}},
+                 "column name 'h' clashes with the h row",
+                 id="table-column-named-h"),
 ])
 def test_malformed_files_exit_one_without_traceback(tmp_path, capsys,
                                                     command, doc, message):

@@ -13,7 +13,7 @@ from cpsblotto import (ScenarioError, ValidationError, band_probability_table,
                        save_scenario, single_dependency_case,
                        solve_equilibrium, symmetry_sweep, validate)
 from cpsblotto.metrics import effective_values
-from cpsblotto.model import (CpsTopology, GameParams, NodeLevel, NodeSpec,
+from cpsblotto.model import (CpsTopology, GameParams, NodeLevel,
                              normalize_weights, scenario_document,
                              _parse_scenario)
 
@@ -26,10 +26,10 @@ def small_valid_topology() -> CpsTopology:
     C = F * 2.0
     A = np.zeros((3, 3))
     A[0, 2] = A[2, 0] = 1.0
-    nodes = (NodeSpec(0, NodeLevel.REFERENCE, 2.0),
-             NodeSpec(1, NodeLevel.MAIN, 1.0),
-             NodeSpec(2, NodeLevel.ORDINARY, 1.0))
-    return CpsTopology(nodes=nodes, flows=F, capacities=C, cyber_adjacency=A)
+    return CpsTopology(
+        levels=(NodeLevel.REFERENCE, NodeLevel.MAIN, NodeLevel.ORDINARY),
+        human_interaction=np.array([2.0, 1.0, 1.0]), flows=F, capacities=C,
+        cyber_adjacency=A)
 
 
 def test_normalize_weights_sums_to_one_bitwise():
@@ -100,12 +100,19 @@ def test_topology_arrays_are_read_only():
         topo.flows[0, 1] = 5.0
     with pytest.raises(ValueError):
         topo.cyber_adjacency[0, 1] = 5.0
-    # freezing the topology leaves the caller's own float64 arrays writable
+    with pytest.raises(ValueError):
+        topo.human_interaction[0] = 5.0
+    # freezing the topology leaves the caller's own float64 arrays writable,
+    # an already-normalized weight vector among them
     F = np.array(topo.flows)
-    frozen = dataclasses.replace(topo, flows=F)
+    h = np.array([0.5, 0.25, 0.25])
+    frozen = dataclasses.replace(topo, flows=F, human_interaction=h)
     F[0, 1] = 3.0
+    h[0] = 3.0
     assert frozen.flows[0, 1] == 1.0
+    assert frozen.human_interaction[0] == 0.5
     assert not frozen.flows.flags.writeable
+    assert not frozen.human_interaction.flags.writeable
 
 
 def test_human_interaction_normalized():
@@ -125,12 +132,15 @@ def expect_violation(topology: CpsTopology, fragment: str):
     assert any(fragment in m for m in messages), messages
 
 
-@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
-def test_validate_flags_non_finite_node_weight(bad):
-    base = default_nine_node()
-    nodes = (dataclasses.replace(base.nodes[0], h=bad),) + base.nodes[1:]
-    expect_violation(dataclasses.replace(base, nodes=nodes),
-                     "node 0 has non-finite weight")
+@pytest.mark.parametrize("weights, message", [
+    ([np.nan, 1.0, 1.0], "must be finite"),
+    ([np.inf, 1.0, 1.0], "must be finite"),
+    ([1.0, 1.0], "has wrong length 2, expected 3")])
+def test_construction_rejects_bad_node_weights(weights, message):
+    # Construction is the one place the weights are checked and normalized.
+    with pytest.raises(ValidationError,
+                       match=f"^node weights h {re.escape(message)}$"):
+        dataclasses.replace(small_valid_topology(), human_interaction=weights)
 
 
 def test_validate_flags_one_ulp_cyber_asymmetry():
@@ -146,14 +156,10 @@ def test_validate_flags_each_violation():
     base = small_valid_topology()
 
     expect_violation(dataclasses.replace(
-        base, nodes=(base.nodes[0], dataclasses.replace(base.nodes[1], id=5),
-                     base.nodes[2])), "contiguous")
-    expect_violation(dataclasses.replace(
-        base, nodes=tuple(dataclasses.replace(n, level=NodeLevel.MAIN)
-                          for n in base.nodes)), "reference")
-    expect_violation(dataclasses.replace(
-        base, nodes=(base.nodes[0], dataclasses.replace(base.nodes[1], h=0.0),
-                     base.nodes[2])), "non-positive weight")
+        base, levels=(NodeLevel.MAIN,) * 3), "reference")
+    with pytest.raises(ValidationError,
+                       match="^node weights h must be positive$"):
+        dataclasses.replace(base, human_interaction=[2.0, 0.0, 1.0])
 
     F = base.flows.copy()
     F[0, 1] = 5.0  # above capacity 2
@@ -226,7 +232,7 @@ def test_game_params_validation():
 def test_generate_concentric_structure():
     topo = generate_concentric([(1, 4.0), (3, 2.0), (5, 1.0)], flow_fill=0.7)
     assert topo.n == 9
-    assert [n.level for n in topo.nodes].count(NodeLevel.REFERENCE) == 1
+    assert topo.levels.count(NodeLevel.REFERENCE) == 1
     assert validate(topo) == []
     # capacities follow the fill factor uniformly on existing edges
     mask = topo.capacities > 0
@@ -255,9 +261,11 @@ def test_scenario_round_trip(tmp_path):
     assert np.allclose(loaded_topo.capacities, topo.capacities)
     assert np.allclose(loaded_topo.cyber_adjacency, topo.cyber_adjacency)
     assert loaded_params == params
-    assert [n.level for n in loaded_topo.nodes] == [n.level for n in topo.nodes]
-    # The saved text lists each section's keys in the NodeSpec / GameParams
-    # field order.
+    assert loaded_topo.levels == topo.levels
+    assert np.array_equal(loaded_topo.human_interaction,
+                          topo.human_interaction)
+    # The saved text lists each section's keys in SCENARIO_FIELDS order: a
+    # node's id, level and weight, then the GameParams field order.
     doc = json.loads(path.read_text())
     assert list(doc) == ["nodes", "edges", "cyber_edges", "params"]
     for section, keys in (("nodes", ["id", "level", "h"]),
