@@ -183,7 +183,8 @@ def band_probability_table(h: np.ndarray, node_ids: tuple[int, ...],
     (see allocation_band_probability).
 
     `samples` and `seed` are read by nothing: they stay only because the
-    benchmark harness passes them, and ROADMAP item 5 deletes them.
+    benchmark harness passes them, and ROADMAP item 2, step A, deletes
+    them.
 
     Returns:
         Rows (theta, deviation of g, node, owner, share, probability).

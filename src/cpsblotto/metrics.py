@@ -14,23 +14,52 @@ from .cascade import physical_effect_matrix
 
 
 @dataclass(frozen=True)
+class RemovalPairs:
+    """The entries each single-node removal can change, grouped by removal.
+
+    Entry (j, k) is a pair of removal i when k lies below i in source j's
+    shortest-path tree and `removal_rows[i]` marks row j.
+
+    Attributes:
+        offsets: n + 1 ascending positions; removal i's pairs are
+            positions offsets[i]:offsets[i + 1] of `sources` and `nodes`.
+        sources: the source row j of each pair.
+        nodes: the node k of each pair.
+    """
+
+    offsets: np.ndarray
+    sources: np.ndarray
+    nodes: np.ndarray
+
+    def of(self, removed: int) -> tuple[np.ndarray, np.ndarray]:
+        """The sources and nodes of removal `removed`'s pairs."""
+        lo, hi = self.offsets[removed], self.offsets[removed + 1]
+        return self.sources[lo:hi], self.nodes[lo:hi]
+
+
+@dataclass(frozen=True)
 class ShortestPathTable:
     """All-pairs shortest path lengths; inf marks unreachable pairs.
 
     Attributes:
         lengths: n x n table, row j holding the lengths from source j.
-        resolved: ascending source rows this call solved with Dijkstra:
-            every row of a table without a removal, and the rows marked in
-            `removal_rows[removed]` of a removal's.  A row outside it is
-            bitwise the base row.
+        resolved: ascending source rows this call re-solved: every row of
+            a table without a removal, and the rows marked in
+            `removal_rows[removed]` of a removal's, whose entries at the
+            removal's pairs were re-solved.  A row outside it is bitwise
+            the base row.
         removal_rows: on a table without a removal, the n x n boolean map
-            whose row i marks the source rows a removal of node i re-solves
-            (see all_pairs_shortest_paths); None on a removal's table.
+            whose row i marks the source rows a removal of node i can
+            change (see all_pairs_shortest_paths); None on a removal's
+            table.
+        removal_pairs: on a table without a removal, the entries each
+            removal re-solves; None on a removal's table.
     """
 
     lengths: np.ndarray
     resolved: np.ndarray
     removal_rows: np.ndarray | None
+    removal_pairs: RemovalPairs | None
 
 
 @dataclass(frozen=True)
@@ -57,23 +86,40 @@ def all_pairs_shortest_paths(adjacency: np.ndarray | csr_matrix,
     """Exact shortest-path lengths between all node pairs.
 
     Dijkstra runs directed on the symmetric CSR, which gives the undirected
-    lengths without csgraph's per-call transpose.  A removal cuts the links
-    out of `removed` by setting their weights to inf; an explicit zero
-    would be a zero-weight link to csgraph.
+    lengths without csgraph's per-call transpose; a float64 CSR is used as
+    it is.  A table without a removal is one Dijkstra call, which also
+    returns every source's shortest-path tree.
 
-    A removal re-solves only the source rows it can change, read from
-    `base.removal_rows[removed]`; without `base`, one call without the
-    removal builds it.  Call an edge (u, k) tight for source j when
-    base[j, u] + A[u, k] == base[j, k] in float64.  Row j is re-solved
-    when some neighbour k of `removed` has `removed` as a tight predecessor
-    and no other tight predecessor strictly closer to j.  Otherwise every
-    node keeps a tight chain back to j that avoids `removed`: a neighbour
-    of `removed` steps to its other tight predecessor, any other node to
-    its parent in the base search, each settled earlier.  Dijkstra's
-    length is the least float sum, taken left to right, over paths, and
-    such a chain already attains the base length, so the row comes back
-    bitwise unchanged.  A tie that exact equality misses only costs a
-    needless re-solve, never a wrong row.
+    Dijkstra's length is the least float sum, taken left to right, over
+    paths.  Removing node i can change source j's entries only at the
+    nodes below i in j's tree: any other node keeps its tree path, which
+    avoids i and whose float sum is the base length, and no path gets
+    shorter when i goes.  Of the rows with nodes below i, only those that
+    `removal_rows[i]` marks can change.  Call an edge (u, k) tight for
+    source j when base[j, u] + A[u, k] == base[j, k] in float64.  Row j is
+    marked when some neighbour k of i has i as a tight predecessor and no
+    other tight predecessor strictly closer to j.  Otherwise every node
+    keeps a tight chain back to j that avoids i: a neighbour of i steps to
+    its other tight predecessor, any other node to its parent in the base
+    search, each settled earlier.  Such a chain already attains the base
+    length, so the row comes back bitwise unchanged.  A tie that exact
+    equality misses only costs a needless re-solve, never a wrong row.
+    The base table records the entries left, below i in a marked row, as
+    `removal_pairs`.
+
+    A removal copies the base table and re-solves its pairs with one
+    Dijkstra call over a small "pairs graph": a super source, and one node
+    per pair.  The super source links to pair (j, k) with weight the least
+    base[j, u] + A[u, k] over the links u -> k whose u lies outside the
+    subtree and is not i; a pair with no such link gets no edge.  Pair
+    (j, u) links to pair (j, k) with weight A[u, k] when u is itself in the
+    subtree.  A path from j that avoids i reaches k through a last node u
+    outside the subtree, and then stays inside it.  Round-to-nearest
+    addition is monotone, so the least such sum runs to u at u's unchanged
+    length base[j, u] and then on through the subtree.  A pairs-graph path
+    adds the same terms in the same order, its first step 0 + c being
+    exactly c, so the pairs-graph Dijkstra returns the lengths a full
+    search without i returns, bitwise.
 
     Args:
         adjacency: symmetric weight matrix, dense (0 meaning no link) or
@@ -86,44 +132,120 @@ def all_pairs_shortest_paths(adjacency: np.ndarray | csr_matrix,
 
     Returns:
         ShortestPathTable over the full index set; only a table without a
-        removal carries `removal_rows`.
+        removal carries `removal_rows` and `removal_pairs`.
 
     Raises:
         ValueError: `removed` is not a node id in 0..n-1, or `base` is a
             removal's table.
     """
-    G = csr_matrix(adjacency, dtype=float)
+    G = adjacency
+    if not (isinstance(G, csr_matrix) and G.dtype == np.float64):
+        G = csr_matrix(adjacency, dtype=float)
     n = G.shape[0]
     if removed is None:
-        dist = dijkstra(G, directed=True)
+        dist, parent = dijkstra(G, directed=True, return_predecessors=True)
+        marked = _removal_rows(G, dist)
         return ShortestPathTable(lengths=dist, resolved=np.arange(n),
-                                 removal_rows=_removal_rows(G, dist))
+                                 removal_rows=marked,
+                                 removal_pairs=_removal_pairs(parent, marked))
     check_node_id(removed, n, "removed")
     if base is None:
         base = all_pairs_shortest_paths(G)
     elif base.removal_rows is None:
         raise ValueError("base must be a table without a removal")
     dist = base.lengths.copy()
-    rows = np.flatnonzero(base.removal_rows[removed])
-    if rows.size:
-        dist[rows] = dijkstra(_without(G, removed), directed=True,
-                              indices=rows)
+    sources, nodes = base.removal_pairs.of(removed)
+    if sources.size:
+        dist.ravel()[sources * n + nodes] = _solve_pairs(
+            G, base.lengths, removed, sources, nodes)
     dist[removed, :] = np.inf
     dist[:, removed] = np.inf
     dist[removed, removed] = 0.0
-    return ShortestPathTable(lengths=dist, resolved=rows, removal_rows=None)
+    return ShortestPathTable(
+        lengths=dist, resolved=np.flatnonzero(base.removal_rows[removed]),
+        removal_rows=None, removal_pairs=None)
 
 
-def _without(G: csr_matrix, removed: int) -> csr_matrix:
-    """`G` with every out-link of node `removed` cut by an inf weight.
+def _removal_pairs(parent: np.ndarray, marked: np.ndarray) -> RemovalPairs:
+    """The (j, k) pairs with k below i in j's tree and j in `marked[i]`,
+    grouped by i.
 
-    Dijkstra runs directed, so a path may still reach `removed` but never
-    leaves it; no other length changes, and the caller sets its row and
-    column to inf.
+    `parent` is csgraph's predecessor table, negative at each source and
+    each unreachable node.  Every pair walks up k's ancestors at once, one
+    tree level per step, and keeps the ancestors i whose map marks j; a
+    source is unmarked for itself, so the walk records no i = j.  The flat
+    position j * n + i indexes both `parent` and the transposed map.
     """
-    data = G.data.copy()
-    data[G.indptr[removed]:G.indptr[removed + 1]] = np.inf
-    return csr_matrix((data, G.indices, G.indptr), shape=G.shape)
+    n = parent.shape[0]
+    up_of = parent.ravel()
+    marks = marked.T.ravel()
+    row = np.repeat(np.arange(0, n * n, n), n)
+    pair = np.arange(n * n)
+    up = up_of.astype(np.intp)
+    empty = np.empty(0, dtype=np.intp)
+    removals, pairs = [empty], [empty]
+    while True:
+        live = up >= 0
+        row, pair, up = row[live], pair[live], up[live]
+        if not up.size:
+            break
+        at = row + up
+        keep = marks[at]
+        removals.append(up[keep])
+        pairs.append(pair[keep])
+        up = up_of[at]
+    removal = np.concatenate(removals)
+    # numpy's stable sort is a radix sort on keys of 16 bits or fewer
+    order = np.argsort(removal.astype(np.min_scalar_type(n)), kind="stable")
+    offsets = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(np.bincount(removal, minlength=n), out=offsets[1:])
+    pair = np.concatenate(pairs)[order]
+    return RemovalPairs(offsets=offsets, sources=pair // n, nodes=pair % n)
+
+
+def _solve_pairs(G: csr_matrix, lengths: np.ndarray, removed: int,
+                 sources: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """Lengths of the (source, node) pairs below `removed` once it goes,
+    from one Dijkstra over their pairs graph (see all_pairs_shortest_paths).
+
+    Pairs are nodes 0..m-1 of the pairs graph, node m is the super source,
+    and nodes m + 1 and m + 2 are sinks with no links out.  Row k of the
+    symmetric CSR lists the links u -> k into node k, which are also its
+    links out.  So pair (j, k)'s row of the pairs graph is node k's CSR
+    row, with u read as pair (j, u) when u is in the subtree, as the first
+    sink when it is outside, and as the second when it is `removed`.  The
+    links from outside also give the super source's link to (j, k).
+    """
+    n = G.shape[0]
+    m = sources.size
+    outside, cut = m + 1, m + 2
+    # At most n * n pairs and n * nnz links: 32-bit indices, where they
+    # fit, spare csr_matrix a copy.
+    index = np.int32 if n * (n + G.nnz) + 3 < 2**31 else np.int64
+    first = G.indptr[nodes]
+    degree = G.indptr[nodes + 1] - first
+    ends = np.cumsum(degree)
+    starts = ends - degree
+    link = np.arange(ends[-1]) + np.repeat(first - starts, degree)
+    row = sources * n
+    at = np.repeat(row, degree) + G.indices[link]
+    slot = np.full(n * n, outside, dtype=index)
+    slot[row + removed] = cut
+    slot[row + nodes] = np.arange(m)
+    tail = slot[at]
+    weight = G.data[link]
+    entry = np.minimum.reduceat(
+        np.where(tail == outside, lengths.ravel()[at] + weight, np.inf),
+        starts)
+    entered = np.flatnonzero(entry < np.inf).astype(index)
+    indptr = np.empty(m + 4, dtype=index)
+    indptr[0] = 0
+    indptr[1:m + 1] = ends
+    indptr[m + 1:] = ends[-1] + entered.size
+    pairs_graph = csr_matrix((np.concatenate((weight, entry[entered])),
+                              np.concatenate((tail, entered)), indptr),
+                             shape=(m + 3, m + 3))
+    return dijkstra(pairs_graph, directed=True, indices=m)[:m]
 
 
 # (source, edge) pairs _removal_rows tests at once; bounds its temporaries.
@@ -147,9 +269,13 @@ def _removal_rows(G: csr_matrix, lengths: np.ndarray) -> np.ndarray:
     nnz = G.indices.size
     entries = np.arange(nnz)
     target = np.repeat(np.arange(n), np.diff(G.indptr))
-    # Sum over the edges into each node, and over the edges out of each.
+    # Sum over the edges into each node (its row's entries), and over the
+    # edges out of each (the entries ordered by u).
     into = csr_matrix((np.ones(nnz), entries, G.indptr), shape=(n, nnz))
-    out_of = csr_matrix((np.ones(nnz), (G.indices, entries)), shape=(n, nnz))
+    out_ptr = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(np.bincount(G.indices, minlength=n), out=out_ptr[1:])
+    out_of = csr_matrix((np.ones(nnz), np.argsort(G.indices, kind="stable"),
+                         out_ptr), shape=(n, nnz))
     marked = np.zeros((n, n), dtype=bool)
     step = max(1, _REMOVAL_BLOCK // max(nnz, 1))
     for lo in range(0, n, step):
@@ -173,14 +299,14 @@ def cyber_effect_matrix(topology: CpsTopology, t0: float,
     baseline t0.  Pairs disconnected by the removal contribute a fixed
     penalty, by default n times the longest finite base path length.
 
-    The cyber CSR is built once and shared by every removal.  Each
-    removal's table is built from the base table, re-solving only the
-    sources for which some neighbour of i has i as its only tight
-    predecessor, as the base table's removal map, built with it in one
-    pass, marks them (see all_pairs_shortest_paths); the other rows are
-    bitwise equal to the base.  A row equal to its base row sums to the
-    same float, so its ratio is exactly 1 and its entry exactly t0; the
-    ratio is computed only for the re-solved rows.
+    The cyber CSR and the base table are built once and shared by every
+    removal.  The base table records, for each removal i, the rows it can
+    change and the (j, k) pairs below i in those rows' shortest-path trees
+    (see all_pairs_shortest_paths).  Each removal's table is the base table
+    with those pairs re-solved by one Dijkstra call over a small graph on
+    the pairs, so every other entry is bitwise the base's.  A row equal to
+    its base row sums to the same float, so its ratio is exactly 1 and its
+    entry exactly t0; the ratio is computed only for the re-solved rows.
 
     Args:
         topology: validated topology; its cyber graph must be connected.
@@ -188,7 +314,8 @@ def cyber_effect_matrix(topology: CpsTopology, t0: float,
         disconnection_penalty: path length charged for pairs the removal
             disconnects; default n * max finite base length.  No library,
             CLI or demo caller passes it; it stays only because a benchmark
-            harness test passes it on, and ROADMAP item 5 deletes it.
+            harness test passes it on, and ROADMAP item 2, step A, deletes
+            it.
 
     Returns:
         n x n matrix with zero diagonal.

@@ -11,7 +11,7 @@ from .equilibrium import MarginalDistribution
 from .model import check_node_id
 
 # Read only by the benchmark harness, which sizes its fig4 stratum with it;
-# ROADMAP item 5 deletes it.
+# ROADMAP item 2, step A, deletes it.
 MIN_BAND_SAMPLES = 1000
 _MAX_RESAMPLE = 1000
 

@@ -273,6 +273,76 @@ def test_cyber_effects_match_full_recomputation():
                               expected)
 
 
+def _ring_adjacency(n, weights):
+    A = np.zeros((n, n))
+    for a, w in zip(range(n), weights):
+        A[a, (a + 1) % n] = A[(a + 1) % n, a] = w
+    return A
+
+
+def _subtree_test_graphs():
+    """Deep subtrees (rings, whose trees run half the ring deep), tied
+    subtrees (a ladder), one shortcut (a path with a chord), and a
+    weighted concentric system at a benchmark size."""
+    rng = np.random.default_rng(29)
+    graphs = [_ring_adjacency(40, np.ones(40)),
+              _ring_adjacency(40, rng.uniform(0.5, 2.0, 40))]
+    ladder = np.zeros((40, 40))  # rails 0..19 and 20..39, rung c to c + 20
+    for c in range(20):
+        ladder[c, c + 20] = ladder[c + 20, c] = 1.0
+        if c < 19:
+            for a in (c, c + 20):
+                ladder[a, a + 1] = ladder[a + 1, a] = 1.0
+    chord = path_adjacency(12)
+    chord[2, 9] = chord[9, 2] = 1.5
+    concentric = generate_concentric(
+        [(1, 4.0), (10, 2.0), (40, 1.5), (80, 1.0)], 0.7).cyber_adjacency
+    weights = np.triu(np.where(concentric > 0,
+                               rng.uniform(0.5, 2.0, concentric.shape), 0.0))
+    return graphs + [ladder, chord, weights + weights.T]
+
+
+def test_subtree_re_solve_matches_full_recomputation():
+    for A in _subtree_test_graphs():
+        graph = csr_matrix(A)
+        base = all_pairs_shortest_paths(graph)
+        for i in range(A.shape[0]):
+            table = all_pairs_shortest_paths(graph, removed=i, base=base)
+            assert np.array_equal(table.lengths, _table_without(A, i))
+        t0 = 1.0 / 7.0
+        assert np.array_equal(cyber_effect_matrix(cyber_topology(A), t0),
+                              _cyber_effects_from_full_tables(A, t0))
+
+
+def test_removal_pairs_hold_every_changed_entry():
+    # a removal changes entries only at its recorded pairs, and records
+    # pairs only in rows its map marks; the last graph has two parts
+    parts = np.zeros((7, 7))
+    parts[:4, :4] = path_adjacency(4)
+    parts[4:, 4:] = star_adjacency(2)
+    graphs = (_removal_test_graphs() + _subtree_test_graphs()
+              + [path_adjacency(1), path_adjacency(2), parts])
+    for A in graphs:
+        n = A.shape[0]
+        base = all_pairs_shortest_paths(A)
+        pairs = base.removal_pairs
+        assert pairs.offsets[0] == 0 and pairs.offsets[-1] == pairs.nodes.size
+        assert np.all(np.diff(pairs.offsets) >= 0)
+        for i in range(n):
+            sources, nodes = pairs.of(i)
+            recorded = np.zeros((n, n), dtype=bool)
+            recorded[sources, nodes] = True
+            assert recorded.sum() == sources.size  # no pair twice
+            assert base.removal_rows[i, sources].all()
+            assert not np.any(nodes == i) and not np.any(sources == i)
+            changed = (all_pairs_shortest_paths(A, removed=i, base=base)
+                       .lengths != base.lengths)
+            changed[i, :] = changed[:, i] = False
+            assert not np.any(changed & ~recorded)
+        if n <= 2:
+            assert pairs.nodes.size == 0
+
+
 def test_default_params_solve_tiny_systems():
     for levels in ([(1, 3.0)], [(1, 3.0), (1, 1.0)], [(1, 3.0), (2, 1.0)],
                    [(1, 3.0), (1, 2.0), (1, 1.0)]):
