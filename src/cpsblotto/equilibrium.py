@@ -19,7 +19,9 @@ root.
 from __future__ import annotations
 
 import math
+import operator
 import sys
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,8 +45,9 @@ class MarginalDistribution:
 
     CDF(r) = atom_at_zero + (1 - atom_at_zero) * r / support_upper for
     r in [0, support_upper], so the distribution is an atom at zero plus a
-    uniform segment.  Its position in a solution's marginals_d/marginals_a
-    is its battlefield, and the tuple that holds it names its owner.
+    uniform segment.  It is the per-battlefield view that a Marginals
+    builds when read: its index in a solution's marginals_d or marginals_a
+    is its battlefield, and the field names its owner.
     """
 
     atom_at_zero: float
@@ -62,6 +65,71 @@ class MarginalDistribution:
         return (1.0 - self.atom_at_zero) * self.support_upper / 2.0
 
 
+@dataclass(frozen=True, eq=False)
+class Marginals(Sequence):
+    """One player's equilibrium marginals on every battlefield.
+
+    atom[i] is the mass at zero and upper[i] the support's upper end on
+    battlefield i; both are read-only float arrays.  Item i is battlefield
+    i's MarginalDistribution, built only when read, so the marginals index,
+    slice, iterate and concatenate as a tuple of those records would.  A
+    slice or a sum is a Marginals, equal only to a Marginals with equal
+    arrays.
+    """
+
+    atom: np.ndarray
+    upper: np.ndarray
+
+    def __post_init__(self) -> None:
+        for name in ("atom", "upper"):
+            values = np.array(getattr(self, name), dtype=float)
+            values.setflags(write=False)
+            object.__setattr__(self, name, values)
+        if self.atom.ndim != 1 or self.atom.shape != self.upper.shape:
+            raise ValueError(
+                f"atom and upper must be 1-D arrays of one length, got "
+                f"shapes {self.atom.shape} and {self.upper.shape}")
+
+    @classmethod
+    def of(cls, marginals: Iterable[MarginalDistribution]) -> Marginals:
+        """The marginals as arrays; a Marginals is returned unchanged."""
+        if isinstance(marginals, Marginals):
+            return marginals
+        marginals = tuple(marginals)
+        return cls([m.atom_at_zero for m in marginals],
+                   [m.support_upper for m in marginals])
+
+    def __len__(self) -> int:
+        return self.atom.size
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return Marginals(self.atom[index], self.upper[index])
+        # item() gives Python floats: cdf arithmetic on numpy scalars is
+        # several times slower.
+        index = operator.index(index)
+        return MarginalDistribution(self.atom.item(index),
+                                    self.upper.item(index))
+
+    def __iter__(self):
+        return map(MarginalDistribution, self.atom.tolist(),
+                   self.upper.tolist())
+
+    def __add__(self, other: Iterable[MarginalDistribution]) -> Marginals:
+        other = Marginals.of(other)
+        return Marginals(np.concatenate((self.atom, other.atom)),
+                         np.concatenate((self.upper, other.upper)))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Marginals):
+            return NotImplemented
+        return (np.array_equal(self.atom, other.atom)
+                and np.array_equal(self.upper, other.upper))
+
+    def __hash__(self) -> int:
+        return hash((tuple(self.atom.tolist()), tuple(self.upper.tolist())))
+
+
 @dataclass(frozen=True)
 class EquilibriumSolution:
     """Full analytic solution of one game instance; marginals_d[i] and
@@ -71,8 +139,8 @@ class EquilibriumSolution:
     lambda_d: float
     lambda_a: float
     omega_a: frozenset[int]
-    marginals_d: tuple[MarginalDistribution, ...]
-    marginals_a: tuple[MarginalDistribution, ...]
+    marginals_d: Marginals
+    marginals_a: Marginals
     payoff_d: float
     payoff_a: float
     cubic_residual: float
@@ -326,11 +394,8 @@ def solve_equilibrium(g: np.ndarray, h: np.ndarray, budget_d: float,
         raise EquilibriumRegimeError(
             f"atom mass {atom[bad[0]]} outside [0, 1] on battlefield {bad[0]}")
     atom = np.clip(atom, 0.0, 1.0)
-    uppers = upper.tolist()
-    marginals_d = tuple(map(MarginalDistribution,
-                            np.where(members, atom, 0.0).tolist(), uppers))
-    marginals_a = tuple(map(MarginalDistribution,
-                            np.where(members, 0.0, atom).tolist(), uppers))
+    marginals_d = Marginals(np.where(members, atom, 0.0), upper)
+    marginals_a = Marginals(np.where(members, 0.0, atom), upper)
 
     p_attacker_wins = _by_side(members, 1.0 - g_in * mu / (2.0 * h_in),
                                h_out / (2.0 * g_out * mu))
@@ -433,12 +498,12 @@ def single_dependency_case(h: np.ndarray, budget_d: float, budget_a: float
 
 def solution_document(solution: EquilibriumSolution) -> dict:
     """Serialize a solution to the documented JSON schema: the attacker's
-    marginals, then the defender's, each with "i" its tuple position."""
-    marginals = [{"i": i, "owner": owner, "atom": marginal.atom_at_zero,
-                  "upper": marginal.support_upper}
+    marginals, then the defender's, each with "i" its battlefield."""
+    marginals = [{"i": i, "owner": owner, "atom": atom, "upper": upper}
                  for owner, side in (("attacker", solution.marginals_a),
                                      ("defender", solution.marginals_d))
-                 for i, marginal in enumerate(side)]
+                 for i, (atom, upper) in enumerate(
+                     zip(side.atom.tolist(), side.upper.tolist()))]
     return {
         "mu": solution.mu,
         "lambda_A": solution.lambda_a,

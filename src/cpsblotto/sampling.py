@@ -4,16 +4,19 @@ probabilities read from one marginal."""
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Sequence
 
 import numpy as np
 
-from .equilibrium import MarginalDistribution
+from .equilibrium import MarginalDistribution, Marginals
 from .model import check_node_id
 
 # Read only by the benchmark harness, which sizes its fig4 stratum with it;
 # ROADMAP item 2, step A, deletes it.
 MIN_BAND_SAMPLES = 1000
 _MAX_RESAMPLE = 1000
+# Entries per block of draw_marginals' passes: 512 KiB of float64.
+_BLOCK_ENTRIES = 1 << 16
 
 
 def _check_budget(budget: float) -> None:
@@ -21,39 +24,50 @@ def _check_budget(budget: float) -> None:
         raise ValueError(f"budget must be finite and positive, got {budget}")
 
 
-def draw_marginals(marginals: tuple[MarginalDistribution, ...],
+def draw_marginals(marginals: Iterable[MarginalDistribution],
                    rng: np.random.Generator, count: int = 1) -> np.ndarray:
     """Independent draws from each marginal, one row per sample.
 
-    Atom draws yield 0; otherwise the value is uniform on the support.
+    One uniform u per entry serves both the atom and the value: with atom
+    a and support upper end u_max, the draw is 0 where u < a and
+    (u - a) / (1 - a) * u_max otherwise.  P(u < a) = a, and given u >= a,
+    (u - a) / (1 - a) is uniform on [0, 1), so each entry has its
+    marginal's law.  Dividing by 1 - a before scaling keeps every draw at
+    or below u_max, since u - a rounds to at most 1 - a; a column with
+    a = 1 divides by 1 instead and gives only zeros.
     """
-    atoms = np.array([m.atom_at_zero for m in marginals])
-    uppers = np.array([m.support_upper for m in marginals])
-    draws = rng.random((count, len(marginals)))
-    kept = draws >= atoms
-    # Refilling the first buffer draws the same stream as a second array.
-    rng.random(out=draws)
-    draws *= uppers
-    # Exact zeroing: the scaled values are finite and non-negative.
-    draws *= kept
+    marginals = Marginals.of(marginals)
+    atom, upper = marginals.atom, marginals.upper
+    divisor = np.where(atom < 1.0, 1.0 - atom, 1.0)
+    draws = rng.random((count, atom.size))
+    # Four passes over one block of rows at a time, which stays in cache.
+    rows = max(1, _BLOCK_ENTRIES // max(1, atom.size))
+    for start in range(0, count, rows):
+        block = draws[start:start + rows]
+        block -= atom
+        # Exact zeroing: u - a is negative exactly where u < a.
+        np.maximum(block, 0.0, out=block)
+        block /= divisor
+        block *= upper
     return draws
 
 
-def sample_allocations(marginals: tuple[MarginalDistribution, ...],
+def sample_allocations(marginals: Iterable[MarginalDistribution],
                        budget: float, count: int,
                        rng: np.random.Generator) -> np.ndarray:
     """Draw joint allocations on the budget simplex.
 
-    Each row is drawn independently from the marginals and rescaled by
+    Each row is drawn independently from the marginals (draw_marginals:
+    one uniform per entry, which keeps each marginal's law) and rescaled by
     budget / row-sum so it lands exactly on the simplex; all-zero rows (every
     marginal hit its atom) are redrawn.  Each row is summed once: a resample
     round sums only the rows it redraws.
 
     The rows sit exactly on the budget but do not keep the marginals: the
     rescaling moves each battlefield's mean.  On the nine-node system
-    (200k rows) the attacker's means move by -20% to +31% and the
-    defender's by -4.5% to +3.4%.  Use draw_marginals for draws with the
-    equilibrium marginals.
+    (200k rows, seed 0) the attacker's means move by -19.5% to +30.4% and
+    the defender's by -4.3% to +3.3%.  Use draw_marginals for draws with
+    the equilibrium marginals.
 
     Returns:
         (count, n) array whose rows sum to `budget`.
@@ -62,6 +76,7 @@ def sample_allocations(marginals: tuple[MarginalDistribution, ...],
         ValueError: budget is not finite and positive.
     """
     _check_budget(budget)
+    marginals = Marginals.of(marginals)
     samples = draw_marginals(marginals, rng, count)
     sums = samples.sum(axis=1)
     for _ in range(_MAX_RESAMPLE):
@@ -77,7 +92,7 @@ def sample_allocations(marginals: tuple[MarginalDistribution, ...],
     return samples
 
 
-def allocation_band_probability(marginals: tuple[MarginalDistribution, ...],
+def allocation_band_probability(marginals: Sequence[MarginalDistribution],
                                 battlefield: int, share: float,
                                 epsilon: float, budget: float) -> float:
     """P(|r_i / budget - share| <= epsilon) under the equilibrium marginal.

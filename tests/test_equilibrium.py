@@ -11,7 +11,8 @@ from cpsblotto import (EquilibriumRegimeError, complete_info_payoffs,
                        single_dependency_case, solve_equilibrium)
 from cpsblotto import equilibrium
 from cpsblotto.equilibrium import (_BREAKPOINT_RTOL, CUBIC_RESIDUAL_RTOL,
-                                   MarginalDistribution, _cubic_scale,
+                                   MarginalDistribution, Marginals,
+                                   _cubic_scale,
                                    _cubic_value, _head_sums,
                                    _passes_residual_gate, _scan_partitions,
                                    _tail_sums, solution_document)
@@ -649,3 +650,98 @@ def test_marginal_distribution_cdf_shape():
     assert abs(marginal.cdf(0.625) - 0.8) < 1e-12
     assert marginal.cdf(1.25) == 1.0
     assert abs(marginal.mean() - 0.25) < 1e-12  # budget 1 over 4 fields
+
+
+def record_tuple(marginals):
+    """The marginals as the tuple of per-battlefield records they stand
+    for, built from the arrays without going through Marginals."""
+    return tuple(MarginalDistribution(atom, upper) for atom, upper in zip(
+        marginals.atom.tolist(), marginals.upper.tolist()))
+
+
+def test_marginals_arrays_are_read_only_copies():
+    sol = solve_equilibrium(np.array([0.2, 0.4, 0.4]),
+                            np.array([0.7, 0.2, 0.1]), 1.2, 1.0)
+    for side in (sol.marginals_d, sol.marginals_a):
+        assert side.atom.dtype == side.upper.dtype == np.float64
+        for values in (side.atom, side.upper):
+            with pytest.raises(ValueError, match="read-only"):
+                values[0] = 0.5
+    atom, upper = np.array([0.25, 0.0]), np.array([2.0, 1.0])
+    marginals = Marginals(atom, upper)
+    atom[0] = 0.5  # the caller's arrays stay writable and unshared
+    assert atom.flags.writeable and marginals.atom.tolist() == [0.25, 0.0]
+    for bad in (([0.1, 0.2], [1.0]), ([[0.1]], [[1.0]])):
+        with pytest.raises(ValueError, match="1-D arrays of one length"):
+            Marginals(*bad)
+
+
+def test_marginals_read_as_the_tuple_of_records():
+    g = np.array([0.2, 0.4, 0.4, 0.3, 0.1, 0.6]) / 2.0
+    h = np.array([0.7, 0.2, 0.1, 0.3, 0.5, 0.2]) / 2.0
+    sol = solve_equilibrium(g, h, 1.2, 1.0)
+    assert sol.omega_a  # the two sides' atoms differ
+    old_d, old_a = record_tuple(sol.marginals_d), record_tuple(sol.marginals_a)
+    for side, old in ((sol.marginals_d, old_d), (sol.marginals_a, old_a)):
+        assert len(side) == len(old) == 6
+        assert tuple(side) == old
+        assert [side[i] for i in range(-6, 6)] == [old[i]
+                                                   for i in range(-6, 6)]
+        assert side[np.int64(2)] == old[2] and side[True] == old[1]
+        assert type(side[0].atom_at_zero) is float
+        for cut in (slice(1, 4), slice(None, None, -2), slice(4, 1),
+                    slice(-3, None)):
+            assert isinstance(side[cut], Marginals)
+            assert tuple(side[cut]) == old[cut]
+        with pytest.raises(IndexError):
+            side[6]
+        with pytest.raises(TypeError):
+            side[1.0]
+        assert list(reversed(side)) == list(reversed(old))
+        assert side[3] in side
+    both = sol.marginals_d + sol.marginals_a
+    assert isinstance(both, Marginals) and tuple(both) == old_d + old_a
+    assert tuple(sol.marginals_d + old_a) == old_d + old_a
+    assert sum(m.mean() for m in both) == pytest.approx(2.2, rel=1e-12)
+
+
+def test_marginals_of_converts_a_tuple_once():
+    records = (MarginalDistribution(0.25, 2.0), MarginalDistribution(0.0, 1.5),
+               MarginalDistribution(1.0, 0.0))
+    marginals = Marginals.of(records)
+    assert marginals.atom.tolist() == [0.25, 0.0, 1.0]
+    assert marginals.upper.tolist() == [2.0, 1.5, 0.0]
+    assert not marginals.atom.flags.writeable
+    assert tuple(marginals) == records
+    assert Marginals.of(marginals) is marginals
+    assert Marginals.of(iter(records)) == marginals
+    assert len(Marginals.of(())) == 0
+
+
+def test_solutions_compare_and_hash_by_value():
+    g = np.array([0.2, 0.4, 0.4])
+    h = np.array([0.7, 0.2, 0.1])
+    first, again = (solve_equilibrium(g, h, 1.2, 1.0) for _ in range(2))
+    other = solve_equilibrium(g, h, 1.3, 1.0)
+    assert first == again and first != other
+    assert first.marginals_d == again.marginals_d
+    assert first.marginals_d != first.marginals_a
+    assert first.marginals_d != first.marginals_d[:2]
+    assert first.marginals_d != record_tuple(first.marginals_d)
+    assert hash(first) == hash(again)
+    assert len({first, again, other}) == 2
+
+
+def test_large_solve_builds_no_per_battlefield_records(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a MarginalDistribution was built")
+
+    monkeypatch.setattr(MarginalDistribution, "__init__", refuse)
+    rng = np.random.default_rng(5)
+    g = normalize_weights(rng.dirichlet(np.ones(5000)))
+    h = normalize_weights(rng.dirichlet(np.ones(5000)))
+    sol = solve_equilibrium(g, h, 1.5, 1.0)
+    assert len(sol.marginals_d) == len(sol.marginals_a) == 5000
+    assert sol.omega_a
+    with pytest.raises(AssertionError, match="was built"):
+        sol.marginals_d[0]

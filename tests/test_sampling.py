@@ -176,14 +176,14 @@ def test_draw_marginals_respects_atoms_and_supports():
 
 
 def reference_sample_allocations(marginals, budget, count, rng):
-    """The sampler before the one-pass rewrite: two fresh uniform arrays and
-    np.where per draw, and every row re-summed on each resample round."""
+    """The sampler in plain form: one fresh uniform array per draw, read
+    through np.where as the atom where u < a and as (u - a) / (1 - a) of the
+    support otherwise, and every row re-summed on each resample round."""
     def draw(k):
         atoms = np.array([m.atom_at_zero for m in marginals])
         uppers = np.array([m.support_upper for m in marginals])
-        hit_atom = rng.random((k, len(marginals))) < atoms
-        values = rng.random((k, len(marginals))) * uppers
-        return np.where(hit_atom, 0.0, values)
+        u = rng.random((k, len(marginals)))
+        return np.where(u < atoms, 0.0, (u - atoms) / (1.0 - atoms) * uppers)
 
     samples = draw(count)
     while True:
@@ -221,3 +221,81 @@ def test_draws_keep_each_marginal_within_monte_carlo_error():
             variance = (1.0 - atom) * upper**2 / 3.0 - m.mean()**2
             assert abs(column.mean() - m.mean()) <= 4.0 * np.sqrt(
                 variance / count)
+
+
+def test_draws_pass_a_kolmogorov_smirnov_test_against_each_marginal_cdf():
+    # D = sup |F_n - F| per battlefield.  F has an atom at zero, where F_n
+    # jumps by the share of zero draws; above zero F is continuous, so the
+    # supremum is taken at the draws, on both sides of each step.
+    # sqrt(count) * D > 2 has limiting probability 7e-4 for a continuous F
+    # and less with an atom; 2 / sqrt(count) is four of F_n's standard
+    # errors at their widest, sqrt(0.25 / count).
+    values = battlefield_values(default_nine_node(), default_params(9))
+    sol = solve_equilibrium(values.defender, values.attacker, 2.5, 1.0)
+    count = 200_000
+    critical = 2.0 / np.sqrt(count)
+    assert max(m.atom_at_zero for m in sol.marginals_a) > 0.7
+    for marginals in (sol.marginals_d, sol.marginals_a):
+        draws = draw_marginals(marginals, np.random.default_rng(12), count)
+        for m, column in zip(marginals, draws.T):
+            assert column.min() >= 0.0
+            assert column.max() <= m.support_upper
+            points, hits = np.unique(column, return_counts=True)
+            after = np.cumsum(hits) / count
+            before = after - hits / count
+            cdf = np.array([m.cdf(x) for x in points.tolist()])
+            cdf_before = np.where(points > 0.0, cdf, 0.0)
+            distance = max(np.abs(after - cdf).max(),
+                           np.abs(before - cdf_before).max())
+            assert distance <= critical, (m, distance)
+
+
+class FixedUniforms:
+    """A stand-in generator whose random() returns one row of uniforms
+    for every requested row, and counts its calls."""
+
+    def __init__(self, row):
+        self.row = np.asarray(row, dtype=float)
+        self.calls = 0
+
+    def random(self, size):
+        self.calls += 1
+        return np.tile(self.row, (size[0], 1))
+
+
+def test_draws_stay_in_the_support_at_extreme_uniforms():
+    # the largest uniform a generator returns, 1 - 2**-53, and an atom's
+    # edge: no warning on atoms 0 or 1, and no draw above its support
+    atoms = [0.0, 0.0, 1e-300, 0.1, 0.3, 0.5, 0.7, 1.0 - 2**-52, 1.0, 1.0]
+    uppers = [1.0, 0.0, 3.0, 1e-300, 0.7, 1.9, 1.1, 2.5, 1.0, 0.0]
+    marginals = tuple(map(MarginalDistribution, atoms, uppers))
+    top = 1.0 - 2**-53
+    for u in (0.0, 2**-53, 0.3, 0.5, 0.7, top):
+        rng = FixedUniforms(np.full(len(atoms), u))
+        draws = draw_marginals(marginals, rng, 3)
+        assert rng.calls == 1
+        assert np.all(draws >= 0.0) and np.all(draws <= uppers)
+        hit = u < np.array(atoms)
+        assert np.all((draws == 0.0)[:, hit])
+    draws = draw_marginals(marginals, FixedUniforms(np.full(len(atoms), top)))
+    assert draws[0, 0] == top and draws[0, -2:].tolist() == [0.0, 0.0]
+
+
+def test_each_draw_makes_one_generator_call():
+    class Counting:
+        def __init__(self, seed):
+            self.rng, self.calls = np.random.default_rng(seed), 0
+
+        def random(self, size):
+            self.calls += 1
+            return self.rng.random(size)
+
+    values = battlefield_values(default_nine_node(), default_params(9))
+    sol = solve_equilibrium(values.defender, values.attacker, 2.5, 1.0)
+    rng = Counting(1)
+    draw_marginals(sol.marginals_a, rng, 5000)
+    assert rng.calls == 1
+    # the defender has no atom, so no row is redrawn
+    rows = sample_allocations(sol.marginals_d, 2.5, 5000, rng)
+    assert rng.calls == 2
+    assert np.abs(rows.sum(axis=1) - 2.5).max() <= 1e-9 * 2.5
