@@ -19,9 +19,7 @@ root.
 from __future__ import annotations
 
 import math
-import operator
 import sys
-from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,40 +39,29 @@ class EquilibriumRegimeError(RuntimeError):
 
 @dataclass(frozen=True)
 class MarginalDistribution:
-    """One player's equilibrium marginal on one battlefield.
+    """One player's equilibrium marginal on one battlefield: an atom of mass
+    atom_at_zero at zero plus a uniform segment up to support_upper.
 
-    CDF(r) = atom_at_zero + (1 - atom_at_zero) * r / support_upper for
-    r in [0, support_upper], so the distribution is an atom at zero plus a
-    uniform segment.  It is the per-battlefield view that a Marginals
-    builds when read: its index in a solution's marginals_d or marginals_a
-    is its battlefield, and the field names its owner.
+    The library reads marginals only as a Marginals' arrays; iterating a
+    Marginals yields these records, one per battlefield, for the benchmark
+    harness, which reads mean() and support_upper through them.
     """
 
     atom_at_zero: float
     support_upper: float
-
-    def cdf(self, r: float) -> float:
-        if r < 0.0:
-            return 0.0
-        if r >= self.support_upper or self.support_upper == 0.0:
-            return 1.0
-        return self.atom_at_zero + (1.0 - self.atom_at_zero) * (
-            r / self.support_upper)
 
     def mean(self) -> float:
         return (1.0 - self.atom_at_zero) * self.support_upper / 2.0
 
 
 @dataclass(frozen=True, eq=False)
-class Marginals(Sequence):
+class Marginals:
     """One player's equilibrium marginals on every battlefield.
 
     atom[i] is the mass at zero and upper[i] the support's upper end on
-    battlefield i; both are read-only float arrays.  Item i is battlefield
-    i's MarginalDistribution, built only when read, so the marginals index,
-    slice, iterate and concatenate as a tuple of those records would.  A
-    slice or a sum is a Marginals, equal only to a Marginals with equal
-    arrays.
+    battlefield i; both are read-only float arrays.  Iteration yields one
+    MarginalDistribution per battlefield, built as it is read.  Marginals
+    compare and hash by their arrays.
     """
 
     atom: np.ndarray
@@ -90,35 +77,12 @@ class Marginals(Sequence):
                 f"atom and upper must be 1-D arrays of one length, got "
                 f"shapes {self.atom.shape} and {self.upper.shape}")
 
-    @classmethod
-    def of(cls, marginals: Iterable[MarginalDistribution]) -> Marginals:
-        """The marginals as arrays; a Marginals is returned unchanged."""
-        if isinstance(marginals, Marginals):
-            return marginals
-        marginals = tuple(marginals)
-        return cls([m.atom_at_zero for m in marginals],
-                   [m.support_upper for m in marginals])
-
     def __len__(self) -> int:
         return self.atom.size
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return Marginals(self.atom[index], self.upper[index])
-        # item() gives Python floats: cdf arithmetic on numpy scalars is
-        # several times slower.
-        index = operator.index(index)
-        return MarginalDistribution(self.atom.item(index),
-                                    self.upper.item(index))
 
     def __iter__(self):
         return map(MarginalDistribution, self.atom.tolist(),
                    self.upper.tolist())
-
-    def __add__(self, other: Iterable[MarginalDistribution]) -> Marginals:
-        other = Marginals.of(other)
-        return Marginals(np.concatenate((self.atom, other.atom)),
-                         np.concatenate((self.upper, other.upper)))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Marginals):
@@ -132,8 +96,8 @@ class Marginals(Sequence):
 
 @dataclass(frozen=True)
 class EquilibriumSolution:
-    """Full analytic solution of one game instance; marginals_d[i] and
-    marginals_a[i] are the two players' marginals on battlefield i."""
+    """Full analytic solution of one game instance; marginals_d and
+    marginals_a hold the two players' marginals, by battlefield."""
 
     mu: float
     lambda_d: float

@@ -314,8 +314,7 @@ def cyber_effect_matrix(topology: CpsTopology, t0: float,
         disconnection_penalty: path length charged for pairs the removal
             disconnects; default n * max finite base length.  No library,
             CLI or demo caller passes it; it stays only because a benchmark
-            harness test passes it on, and ROADMAP item 2, step A, deletes
-            it.
+            harness test passes it on, and ROADMAP item 1 deletes it.
 
     Returns:
         n x n matrix with zero diagonal.

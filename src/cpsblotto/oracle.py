@@ -261,13 +261,15 @@ def cross_validate(g: np.ndarray, h: np.ndarray, budget_d: float,
     the comparison.
 
     Args:
-        grid_units: units for the smaller (attacker) budget, at least 20.
+        grid_units: units for the smaller (attacker) budget, at least 20;
+            20 is a floor, not a bound on grid error.
 
     Raises:
         ValidationError: a budget, g or h is invalid (as in solve_equilibrium).
     """
     if grid_units < 20:
-        raise ValueError("grid_units must be at least 20 to bound grid error")
+        raise ValueError(
+            "grid_units must be at least 20, a floor, not an error bound")
     check_budgets(budget_d, budget_a)
     units_a = grid_units
     units_d = int(round(grid_units * budget_d / budget_a))

@@ -4,15 +4,14 @@ probabilities read from one marginal."""
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Sequence
 
 import numpy as np
 
-from .equilibrium import MarginalDistribution, Marginals
+from .equilibrium import Marginals
 from .model import check_node_id
 
 # Read only by the benchmark harness, which sizes its fig4 stratum with it;
-# ROADMAP item 2, step A, deletes it.
+# ROADMAP item 1 deletes it.
 MIN_BAND_SAMPLES = 1000
 _MAX_RESAMPLE = 1000
 # Entries per block of draw_marginals' passes: 512 KiB of float64.
@@ -24,9 +23,19 @@ def _check_budget(budget: float) -> None:
         raise ValueError(f"budget must be finite and positive, got {budget}")
 
 
-def draw_marginals(marginals: Iterable[MarginalDistribution],
-                   rng: np.random.Generator, count: int = 1) -> np.ndarray:
-    """Independent draws from each marginal, one row per sample.
+def _cdf(atom: float, upper: float, r: float) -> float:
+    """CDF at r of an atom `atom` at zero plus a uniform segment up to
+    `upper`; a zero upper end is a point mass at zero."""
+    if r < 0.0:
+        return 0.0
+    if r >= upper or upper == 0.0:
+        return 1.0
+    return atom + (1.0 - atom) * (r / upper)
+
+
+def draw_marginals(marginals: Marginals, rng: np.random.Generator,
+                   count: int = 1) -> np.ndarray:
+    """Independent draws from one player's marginals, one row per sample.
 
     One uniform u per entry serves both the atom and the value: with atom
     a and support upper end u_max, the draw is 0 where u < a and
@@ -36,7 +45,6 @@ def draw_marginals(marginals: Iterable[MarginalDistribution],
     or below u_max, since u - a rounds to at most 1 - a; a column with
     a = 1 divides by 1 instead and gives only zeros.
     """
-    marginals = Marginals.of(marginals)
     atom, upper = marginals.atom, marginals.upper
     divisor = np.where(atom < 1.0, 1.0 - atom, 1.0)
     draws = rng.random((count, atom.size))
@@ -52,10 +60,9 @@ def draw_marginals(marginals: Iterable[MarginalDistribution],
     return draws
 
 
-def sample_allocations(marginals: Iterable[MarginalDistribution],
-                       budget: float, count: int,
+def sample_allocations(marginals: Marginals, budget: float, count: int,
                        rng: np.random.Generator) -> np.ndarray:
-    """Draw joint allocations on the budget simplex.
+    """Joint allocations of one player's marginals on the budget simplex.
 
     Each row is drawn independently from the marginals (draw_marginals:
     one uniform per entry, which keeps each marginal's law) and rescaled by
@@ -76,7 +83,6 @@ def sample_allocations(marginals: Iterable[MarginalDistribution],
         ValueError: budget is not finite and positive.
     """
     _check_budget(budget)
-    marginals = Marginals.of(marginals)
     samples = draw_marginals(marginals, rng, count)
     sums = samples.sum(axis=1)
     for _ in range(_MAX_RESAMPLE):
@@ -92,9 +98,9 @@ def sample_allocations(marginals: Iterable[MarginalDistribution],
     return samples
 
 
-def allocation_band_probability(marginals: Sequence[MarginalDistribution],
-                                battlefield: int, share: float,
-                                epsilon: float, budget: float) -> float:
+def allocation_band_probability(marginals: Marginals, battlefield: int,
+                                share: float, epsilon: float,
+                                budget: float) -> float:
     """P(|r_i / budget - share| <= epsilon) under the equilibrium marginal.
 
     The probability depends only on the law of r_i, so it is the same for
@@ -108,8 +114,8 @@ def allocation_band_probability(marginals: Sequence[MarginalDistribution],
     and P = [lo <= 0] when u = 0 (a point mass at zero).
 
     Args:
-        marginals: one player's marginals, one per battlefield, in budget
-            units.
+        marginals: one player's marginals, whose atom and upper arrays
+            are read at `battlefield`; the upper ends are in budget units.
         battlefield: index of the battlefield to watch.
         share: target budget fraction, in (0, 1]; a one-node system's
             only share is 1.
@@ -128,8 +134,10 @@ def allocation_band_probability(marginals: Sequence[MarginalDistribution],
     if not (0.0 < share <= 1.0 and 0.0 < epsilon < 1.0):
         raise ValueError("share and epsilon must lie in (0, 1] and (0, 1)")
     _check_budget(budget)
-    marginal = marginals[battlefield]
+    # Python floats: _cdf on numpy scalars is several times slower.
+    atom = marginals.atom.item(battlefield)
+    upper = marginals.upper.item(battlefield)
     lo = (share - epsilon) * budget
     # F is continuous above 0, and F(lo-) = 0 for lo <= 0 keeps the atom in.
-    below = marginal.cdf(lo) if lo > 0.0 else 0.0
-    return marginal.cdf((share + epsilon) * budget) - below
+    below = _cdf(atom, upper, lo) if lo > 0.0 else 0.0
+    return _cdf(atom, upper, (share + epsilon) * budget) - below

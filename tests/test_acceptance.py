@@ -232,8 +232,9 @@ def test_criterion_8_solver_internal_consistency():
         spend_a = sum(m.mean() for m in sol.marginals_a)
         assert abs(spend_d - budget_d) <= 1e-9 * budget_d
         assert abs(spend_a - budget_a) <= 1e-9 * budget_a
-        for marginal in sol.marginals_d + sol.marginals_a:
-            assert 0.0 <= marginal.atom_at_zero <= 1.0
+        for side in (sol.marginals_d, sol.marginals_a):
+            for marginal in side:
+                assert 0.0 <= marginal.atom_at_zero <= 1.0
         assert 0.0 <= sol.payoff_d <= 1.0
         assert 0.0 <= sol.payoff_a <= 1.0
     assert solved + regime_errors == 1000

@@ -17,6 +17,7 @@ from cpsblotto.equilibrium import (_BREAKPOINT_RTOL, CUBIC_RESIDUAL_RTOL,
                                    _passes_residual_gate, _scan_partitions,
                                    _tail_sums, solution_document)
 from cpsblotto.model import GameParams, ValidationError, normalize_weights
+from cpsblotto.sampling import allocation_band_probability
 
 UNIFORM4 = np.full(4, 0.25)
 
@@ -79,9 +80,10 @@ def test_partition_matches_ratio_threshold():
     ratios = h / g
     assert sol.omega_a == frozenset(np.flatnonzero(ratios > sol.mu).tolist())
     assert len(sol.omega_a) > 0  # the 3.5x battlefield is attacker-favored
-    for marginal in sol.marginals_d + sol.marginals_a:
-        assert 0.0 <= marginal.atom_at_zero <= 1.0
-        assert marginal.support_upper > 0.0
+    for side in (sol.marginals_d, sol.marginals_a):
+        for marginal in side:
+            assert 0.0 <= marginal.atom_at_zero <= 1.0
+            assert marginal.support_upper > 0.0
     assert 0.0 <= sol.payoff_a <= 1.0 and 0.0 <= sol.payoff_d <= 1.0
 
 
@@ -571,7 +573,7 @@ def test_single_dependency_closed_forms():
     assert abs(sol.payoff_a - report.payoff_a) < 1e-15
     assert abs(sol.lambda_d - report.lambda_d) < 1e-12
     # the top battlefield's support stretches to 2 R_D h_m
-    assert abs(sol.marginals_a[0].support_upper - 2.5) < 1e-9
+    assert abs(sol.marginals_a.upper[0] - 2.5) < 1e-9
 
     assert abs(report.payoff_d_baseline - 0.8) < 1e-15
     assert report.defender_gain > 0.0
@@ -638,18 +640,26 @@ def test_solution_document_lists_attacker_then_defender_by_position():
     for entry in entries:
         side = sol.marginals_a if entry["owner"] == "attacker" else (
             sol.marginals_d)
-        assert MarginalDistribution(entry["atom"], entry["upper"]) == (
-            side[entry["i"]])
+        assert (entry["atom"], entry["upper"]) == (
+            side.atom[entry["i"]], side.upper[entry["i"]])
 
 
 def test_marginal_distribution_cdf_shape():
     sol = solve_equilibrium(UNIFORM4, UNIFORM4, 2.5, 1.0)
-    marginal = sol.marginals_a[0]  # atom 0.6, uniform tail up to 1.25
-    assert marginal.cdf(-0.1) == 0.0
-    assert abs(marginal.cdf(0.0) - 0.6) < 1e-12
-    assert abs(marginal.cdf(0.625) - 0.8) < 1e-12
-    assert marginal.cdf(1.25) == 1.0
+    marginal = next(iter(sol.marginals_a))  # atom 0.6, uniform up to 1.25
     assert abs(marginal.mean() - 0.25) < 1e-12  # budget 1 over 4 fields
+
+    def band(share, epsilon, budget=1.0):
+        return allocation_band_probability(sol.marginals_a, 0, share,
+                                           epsilon, budget)
+
+    # the CDF read through bands: the atom of 0.6 at zero, 0.1 on each of
+    # (0, 0.3125] and (0.3125, 0.625], so F(0.625) = 0.8, and F(1.25) = 1
+    assert abs(band(0.15625, 0.15625) - 0.7) < 1e-12  # [0, 0.3125]
+    assert abs(band(0.46875, 0.15625) - 0.1) < 1e-12  # [0.3125, 0.625]
+    assert abs(band(0.3125, 0.3125) - 0.8) < 1e-12  # [0, 0.625]
+    assert band(0.625, 0.625) == 1.0  # [0, 1.25]
+    assert band(0.95, 0.01, 2.0) == 0.0  # [1.88, 1.92]: above the support
 
 
 def record_tuple(marginals):
@@ -685,37 +695,9 @@ def test_marginals_read_as_the_tuple_of_records():
     for side, old in ((sol.marginals_d, old_d), (sol.marginals_a, old_a)):
         assert len(side) == len(old) == 6
         assert tuple(side) == old
-        assert [side[i] for i in range(-6, 6)] == [old[i]
-                                                   for i in range(-6, 6)]
-        assert side[np.int64(2)] == old[2] and side[True] == old[1]
-        assert type(side[0].atom_at_zero) is float
-        for cut in (slice(1, 4), slice(None, None, -2), slice(4, 1),
-                    slice(-3, None)):
-            assert isinstance(side[cut], Marginals)
-            assert tuple(side[cut]) == old[cut]
-        with pytest.raises(IndexError):
-            side[6]
-        with pytest.raises(TypeError):
-            side[1.0]
-        assert list(reversed(side)) == list(reversed(old))
-        assert side[3] in side
-    both = sol.marginals_d + sol.marginals_a
-    assert isinstance(both, Marginals) and tuple(both) == old_d + old_a
-    assert tuple(sol.marginals_d + old_a) == old_d + old_a
-    assert sum(m.mean() for m in both) == pytest.approx(2.2, rel=1e-12)
-
-
-def test_marginals_of_converts_a_tuple_once():
-    records = (MarginalDistribution(0.25, 2.0), MarginalDistribution(0.0, 1.5),
-               MarginalDistribution(1.0, 0.0))
-    marginals = Marginals.of(records)
-    assert marginals.atom.tolist() == [0.25, 0.0, 1.0]
-    assert marginals.upper.tolist() == [2.0, 1.5, 0.0]
-    assert not marginals.atom.flags.writeable
-    assert tuple(marginals) == records
-    assert Marginals.of(marginals) is marginals
-    assert Marginals.of(iter(records)) == marginals
-    assert len(Marginals.of(())) == 0
+        assert type(next(iter(side)).atom_at_zero) is float
+    assert sum(m.mean() for side in (sol.marginals_d, sol.marginals_a)
+               for m in side) == pytest.approx(2.2, rel=1e-12)
 
 
 def test_solutions_compare_and_hash_by_value():
@@ -726,7 +708,8 @@ def test_solutions_compare_and_hash_by_value():
     assert first == again and first != other
     assert first.marginals_d == again.marginals_d
     assert first.marginals_d != first.marginals_a
-    assert first.marginals_d != first.marginals_d[:2]
+    assert first.marginals_d != Marginals(first.marginals_d.atom[:2],
+                                          first.marginals_d.upper[:2])
     assert first.marginals_d != record_tuple(first.marginals_d)
     assert hash(first) == hash(again)
     assert len({first, again, other}) == 2
@@ -744,4 +727,4 @@ def test_large_solve_builds_no_per_battlefield_records(monkeypatch):
     assert len(sol.marginals_d) == len(sol.marginals_a) == 5000
     assert sol.omega_a
     with pytest.raises(AssertionError, match="was built"):
-        sol.marginals_d[0]
+        next(iter(sol.marginals_d))

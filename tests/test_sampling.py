@@ -6,14 +6,25 @@ import pytest
 from cpsblotto import (band_probability_table, battlefield_values,
                        default_nine_node, default_params, sample_allocations,
                        solve_equilibrium)
-from cpsblotto.equilibrium import MarginalDistribution
+from cpsblotto.equilibrium import Marginals
+from cpsblotto.experiments import DEFAULT_SWEEP_POINTS, _symmetry_path
 from cpsblotto.sampling import allocation_band_probability, draw_marginals
 
 UNIFORM4 = np.full(4, 0.25)
 
 
 def uniform_marginals(n: int, upper: float = 1.0):
-    return (MarginalDistribution(atom_at_zero=0.0, support_upper=upper),) * n
+    return Marginals(np.zeros(n), np.full(n, upper))
+
+
+def marginal_cdf(atom: float, upper: float, r: float) -> float:
+    """The CDF of an atom at zero plus a uniform segment up to upper, with
+    the float operations the band probability is pinned to."""
+    if r < 0.0:
+        return 0.0
+    if r >= upper or upper == 0.0:
+        return 1.0
+    return atom + (1.0 - atom) * (r / upper)
 
 
 def test_rows_land_exactly_on_the_budget_simplex():
@@ -57,7 +68,7 @@ def test_defender_sample_means_track_the_marginal_means():
 
 def test_band_probability_matches_hand_values():
     # atom 1/4 at zero, uniform on (0, 2]; the band is share +- epsilon of R
-    m = (MarginalDistribution(atom_at_zero=0.25, support_upper=2.0),)
+    m = Marginals([0.25], [2.0])
 
     def band(share, epsilon, budget):
         return allocation_band_probability(m, 0, share, epsilon, budget)
@@ -78,7 +89,7 @@ def test_band_probability_matches_hand_values():
     assert band(0.3, 0.3, 4.0) == 1.0
     # u = 0 is a point mass at zero, whatever the atom reads
     for atom in (0.0, 1.0):
-        point = (MarginalDistribution(atom_at_zero=atom, support_upper=0.0),)
+        point = Marginals([atom], [0.0])
         assert allocation_band_probability(point, 0, 0.1, 0.2, 4.0) == 1.0
         assert allocation_band_probability(point, 0, 0.1, 0.1, 4.0) == 1.0
         assert allocation_band_probability(point, 0, 0.3, 0.1, 4.0) == 0.0
@@ -120,11 +131,62 @@ def test_band_table_on_a_one_node_system():
     sol = solve_equilibrium(np.array([1.0]), np.array([1.0]), 2.5, 1.0)
     assert [row[:5] for row in rows] == [(1.0, 0.0, 0, "defender", 1.0),
                                          (1.0, 0.0, 0, "attacker", 1.0)]
-    for row, marginal, budget in zip(rows, (sol.marginals_d[0],
-                                            sol.marginals_a[0]), (2.5, 1.0)):
+    for row, side, budget in zip(rows, (sol.marginals_d, sol.marginals_a),
+                                 (2.5, 1.0)):
+        atom, upper = side.atom.item(0), side.upper.item(0)
         # F is continuous above 0, so F(lo-) = F(lo) at lo = 0.95 R
-        assert row[5] == (marginal.cdf((1.0 + 0.05) * budget)
-                          - marginal.cdf((1.0 - 0.05) * budget))
+        assert row[5] == (marginal_cdf(atom, upper, (1.0 + 0.05) * budget)
+                          - marginal_cdf(atom, upper, (1.0 - 0.05) * budget))
+
+
+def reference_band(atom, upper, share, epsilon, budget):
+    """F(hi) - F(lo-) through marginal_cdf, with F(lo-) = 0 for lo <= 0."""
+    lo = (share - epsilon) * budget
+    below = marginal_cdf(atom, upper, lo) if lo > 0.0 else 0.0
+    return marginal_cdf(atom, upper, (share + epsilon) * budget) - below
+
+
+def test_band_table_matches_the_reference_cdf_bitwise():
+    # the fig4 CSV prints 9 digits, so only this test sees a change in the
+    # band probability's last bits
+    values = battlefield_values(default_nine_node(), default_params(9))
+    nodes = tuple(range(9))
+    rows = band_probability_table(values.attacker, nodes,
+                                  g_base=values.defender)
+    h, path = _symmetry_path(values.attacker, DEFAULT_SWEEP_POINTS,
+                             values.defender)
+    assert len(rows) == len(path) * len(nodes) * 2
+    rows = iter(rows)
+    for g in path:
+        sol = solve_equilibrium(g, h, 2.5, 1.0)
+        for node in nodes:
+            for owner, side, share, budget in (
+                    ("defender", sol.marginals_d, float(g[node]), 2.5),
+                    ("attacker", sol.marginals_a, float(h[node]), 1.0)):
+                row = next(rows)
+                assert row[2:5] == (node, owner, share)
+                assert row[5] == reference_band(
+                    side.atom.item(node), side.upper.item(node), share,
+                    0.05, budget), row
+
+
+def test_band_probability_matches_the_reference_cdf_at_the_edges():
+    # atoms 0 and 1, an upper end of 0, bands whose lo is exactly 0, and
+    # bands whose hi meets or passes the upper end
+    atoms = (0.0, 1.0, 0.25, 0.6, 1.0 - 2**-52)
+    uppers = (0.0, 2.0, 1.25, 1e-300, 3.0)
+    bands = ((0.25, 0.25, 2.0), (0.5, 0.5, 2.0), (0.25, 0.25, 4.0),
+             (0.5, 0.25, 4.0), (0.9, 0.1, 4.0), (0.1, 0.2, 4.0),
+             (0.3, 0.05, 4.0), (0.8, 0.1, 4.0), (1.0, 0.05, 1.0),
+             (0.3, 0.1, 3.0), (0.1, 0.1, 1e-300))
+    for atom in atoms:
+        marginals = Marginals(np.full(len(uppers), atom), uppers)
+        for i, upper in enumerate(uppers):
+            for share, epsilon, budget in bands:
+                assert allocation_band_probability(
+                    marginals, i, share, epsilon, budget) == reference_band(
+                    atom, upper, share, epsilon, budget), (
+                    atom, upper, share, epsilon, budget)
 
 
 def test_band_table_agrees_with_independent_marginal_draws():
@@ -158,14 +220,13 @@ def test_band_table_agrees_with_independent_marginal_draws():
 
 
 def test_all_atom_marginals_exhaust_the_resampler():
-    dead = (MarginalDistribution(atom_at_zero=1.0, support_upper=1.0),) * 3
+    dead = Marginals(np.ones(3), np.ones(3))
     with pytest.raises(RuntimeError, match="non-zero allocation"):
         sample_allocations(dead, 1.0, 4, np.random.default_rng(2))
 
 
 def test_draw_marginals_respects_atoms_and_supports():
-    marginals = (MarginalDistribution(0.6, 1.25),
-                 MarginalDistribution(0.0, 0.5))
+    marginals = Marginals([0.6, 0.0], [1.25, 0.5])
     rng = np.random.default_rng(7)
     draws = draw_marginals(marginals, rng, 20_000)
     zero_rate = np.mean(draws[:, 0] == 0.0)
@@ -197,8 +258,7 @@ def reference_sample_allocations(marginals, budget, count, rng):
 def test_resampler_matches_the_reference_bitwise():
     # an all-atom row has probability 0.8**3 = 0.512, so about half the rows
     # are redrawn in the first round and several rounds follow
-    heavy = tuple(MarginalDistribution(0.8, 1.0 + 0.5 * i)
-                  for i in range(3))
+    heavy = Marginals(np.full(3, 0.8), [1.0 + 0.5 * i for i in range(3)])
     for seed in range(4):
         for count in (1, 5, 4000):
             rows = sample_allocations(heavy, 2.5, count,
@@ -243,7 +303,8 @@ def test_draws_pass_a_kolmogorov_smirnov_test_against_each_marginal_cdf():
             points, hits = np.unique(column, return_counts=True)
             after = np.cumsum(hits) / count
             before = after - hits / count
-            cdf = np.array([m.cdf(x) for x in points.tolist()])
+            cdf = np.array([marginal_cdf(m.atom_at_zero, m.support_upper, x)
+                            for x in points.tolist()])
             cdf_before = np.where(points > 0.0, cdf, 0.0)
             distance = max(np.abs(after - cdf).max(),
                            np.abs(before - cdf_before).max())
@@ -268,7 +329,7 @@ def test_draws_stay_in_the_support_at_extreme_uniforms():
     # edge: no warning on atoms 0 or 1, and no draw above its support
     atoms = [0.0, 0.0, 1e-300, 0.1, 0.3, 0.5, 0.7, 1.0 - 2**-52, 1.0, 1.0]
     uppers = [1.0, 0.0, 3.0, 1e-300, 0.7, 1.9, 1.1, 2.5, 1.0, 0.0]
-    marginals = tuple(map(MarginalDistribution, atoms, uppers))
+    marginals = Marginals(atoms, uppers)
     top = 1.0 - 2**-53
     for u in (0.0, 2**-53, 0.3, 0.5, 0.7, top):
         rng = FixedUniforms(np.full(len(atoms), u))
