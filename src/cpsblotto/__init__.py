@@ -13,7 +13,7 @@ __version__ = "0.1.0"
 # else is imported from its module.
 from .model import (ScenarioError, ValidationError, default_nine_node,
                     default_params, generate_concentric, load_scenario,
-                    save_scenario, validate)
+                    save_scenario)
 from .cascade import cascade_failure
 from .metrics import battlefield_values, effect_matrices
 from .equilibrium import (EquilibriumRegimeError, complete_info_payoffs,
@@ -27,7 +27,7 @@ from .experiments import (band_probability_table, flow_capacity_sweep,
 __all__ = [
     "__version__",
     "ScenarioError", "ValidationError", "default_nine_node", "default_params",
-    "generate_concentric", "load_scenario", "save_scenario", "validate",
+    "generate_concentric", "load_scenario", "save_scenario",
     "cascade_failure",
     "battlefield_values", "effect_matrices",
     "EquilibriumRegimeError", "complete_info_payoffs",

@@ -102,8 +102,7 @@ def _rebalance(links: FlowLinks, n: int, failed: int, node: int,
     if deficit <= _TOL:
         return None
 
-    suppliers = [link for link in links.suppliers[node]
-                 if link[0] != failed and link[0] != node]
+    suppliers = [link for link in links.suppliers[node] if link[0] != failed]
     headroom = [max(capacity - flow, 0.0) for _, capacity, flow in suppliers]
     total = _dense_sum(len(headroom), list(enumerate(headroom)))
     if total >= deficit:
@@ -125,8 +124,8 @@ def _pop_group(pending: list[int], links: tuple[dict[int, float], ...]
     """Extract the next processable group from `pending` (ascending ids).
 
     Selects the members none of whose `links` (out-links or in-links) leads
-    to a remaining member.  The group is empty only when the remaining
-    members' links hold a cycle (a self-loop counts as one).
+    to a remaining member.  A topology's flows are acyclic, so the group is
+    never empty.
     """
     waiting = set(pending)
     held = [not waiting.isdisjoint(links[j]) for j in pending]
@@ -143,29 +142,25 @@ def cascade_failure(topology: CpsTopology, failed: int) -> CascadeResult:
     first.  Groups are processed in ascending node id.  Each node is
     rebalanced once.  Rebalancing a node writes only its own column, so the
     links among the nodes still pending are pre-failure links, and acyclic
-    flows (which `validate` checks) leave no group empty.
+    flows, which every topology has, leave no group empty.
 
     The cascade walks the topology's `flow_links`, built once per
     topology, and touches only the nodes it rebalances; the dense `flows`
     of the result is the one n x n array it writes.
 
     Args:
-        topology: validated topology.
+        topology: the system.
         failed: id of the node to remove.
 
     Returns:
         CascadeResult with the post-cascade flows and per-node losses.
 
     Raises:
-        ValueError: `failed` is not a node id in 0..n-1, or the flows hold
-            a cycle through the nodes the cascade visits.
+        ValueError: `failed` is not a node id in 0..n-1.
     """
     n = topology.n
     check_node_id(failed, n, "failed")
     F = np.array(topology.flows)
-    if F[failed, failed] > 0:
-        # Its own customer: the zeroed row would hide the self-loop.
-        raise ValueError("cycle in flow graph")
     links = topology.flow_links
     customers = list(links.outflow[failed])
     first_order = set(customers).union(links.inflow[failed])
@@ -183,8 +178,6 @@ def cascade_failure(topology: CpsTopology, failed: int) -> CascadeResult:
                              (sorted(second_order), links.inflow)):
         while pending:
             group = _pop_group(pending, held_by)
-            if not group:
-                raise ValueError("cycle in flow graph")
             order.append(tuple(group))
             for j in group:
                 record = _rebalance(links, n, failed, j, raised)
@@ -217,7 +210,7 @@ def physical_effect_matrix(topology: CpsTopology) -> np.ndarray:
     are 0, and so is the diagonal: a cascade never rebalances the failed node.
 
     Args:
-        topology: validated topology.
+        topology: the system.
 
     Returns:
         n x n effect matrix with entries in [0, 1] and zero diagonal.

@@ -1,6 +1,7 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 scenario/validation error, 2 solver regime error.
+Exit codes: 0 success, 1 scenario/validation error or an --out path that
+cannot be written, 2 solver regime error.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from contextlib import nullcontext
 
 from . import __version__
 from .model import (GameParams, ScenarioError, default_nine_node,
-                    default_params, load_scenario, validate, _read_scenario)
+                    default_params, load_scenario)
 from .metrics import battlefield_values, effect_matrices, effective_values
 from .equilibrium import (EquilibriumRegimeError, solution_document,
                           solve_equilibrium)
@@ -72,17 +73,11 @@ def _emit(lines: list[str], out: str | None) -> None:
         fh.writelines(line + "\n" for line in lines)
 
 
-def cmd_validate(args) -> int:
-    topology = (_read_scenario(args.scenario)[0] if args.scenario
+def cmd_validate(args) -> None:
+    topology = (load_scenario(args.scenario)[0] if args.scenario
                 else default_nine_node())
-    problems = validate(topology)
-    if problems:
-        for problem in problems:
-            print(f"INVALID: {problem}")
-        return 1
     print(f"OK: {topology.n} nodes, "
           f"{int((topology.capacities > 0).sum())} flow edges")
-    return 0
 
 
 def cmd_effects(args) -> None:
@@ -237,12 +232,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        # A subcommand returns its exit code, or None on success.
-        return args.func(args) or 0
-    except (ValueError, EquilibriumRegimeError) as exc:
+        args.func(args)
+    except (ValueError, OSError, EquilibriumRegimeError) as exc:
         # ScenarioError and ValidationError are ValueErrors.
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, EquilibriumRegimeError) else 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -309,7 +309,7 @@ def cyber_effect_matrix(topology: CpsTopology, t0: float,
     entry exactly t0; the ratio is computed only for the re-solved rows.
 
     Args:
-        topology: validated topology; its cyber graph must be connected.
+        topology: the system; its cyber graph must be connected.
         t0: baseline effect when the removal changes no path.
         disconnection_penalty: path length charged for pairs the removal
             disconnects; default n * max finite base length.  No library,
@@ -334,18 +334,18 @@ def cyber_effect_matrix(topology: CpsTopology, t0: float,
         disconnection_penalty = n * base.lengths.max()
 
     T = np.full((n, n), t0, dtype=float)
-    others = ~np.eye(n, dtype=bool)
     for i in range(n):
         sub = all_pairs_shortest_paths(graph, removed=i, base=base)
         rows = sub.resolved
         if rows.size:
-            keep = others[rows]
-            keep[:, i] = False
+            # Pairs to i leave both sums; both diagonals are 0 already.
             lengths = sub.lengths[rows]
             capped = np.where(np.isfinite(lengths), lengths,
                               disconnection_penalty)
-            num = (capped * keep).sum(axis=1)
-            den = (base.lengths[rows] * keep).sum(axis=1)
+            before = base.lengths[rows]
+            capped[:, i] = before[:, i] = 0.0
+            num = capped.sum(axis=1)
+            den = before.sum(axis=1)
             ratio = np.divide(num, den, out=np.ones_like(num), where=den > 0)
             T[rows, i] = ratio - 1.0 + t0
         T[i, i] = 0.0

@@ -197,7 +197,8 @@ def _link_lists(matrix: np.ndarray, *values: np.ndarray) -> list[list]:
 
 @dataclass(frozen=True)
 class CpsTopology:
-    """Validated system topology; node i is position i of every field.
+    """System topology, valid by construction (see `validate`); node i is
+    position i of every field.
 
     Attributes:
         levels: each node's tier.
@@ -226,6 +227,9 @@ class CpsTopology:
             arr = np.array(getattr(self, name), dtype=float, order="C")
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+        problems = validate(self)
+        if problems:
+            raise ValidationError("; ".join(problems))
 
     @property
     def n(self) -> int:
@@ -281,8 +285,8 @@ def check_weights(alpha: float, beta: float) -> None:
 def validate(topology: CpsTopology) -> list[str]:
     """Check every structural invariant; return violation messages.
 
-    An empty list means the topology is valid.  Messages name the violated
-    invariant and the offending node or edge.
+    CpsTopology construction raises ValidationError on any.  Messages name
+    the violated invariant and the offending node or edge.
     """
     problems: list[str] = []
     n = topology.n
@@ -464,20 +468,11 @@ def _read_json(path: str, what: str):
         raise ScenarioError(f"cannot parse {what} {path}: {exc}") from exc
 
 
-def _read_scenario(path: str) -> tuple[CpsTopology, GameParams]:
-    """Parse a scenario file without checking the structural invariants."""
-    return _parse_scenario(_read_json(path, "scenario"))
-
-
 def load_scenario(path: str) -> tuple[CpsTopology, GameParams]:
     """(topology, params) from a UTF-8 scenario file (see SCENARIO_FIELDS),
     weights normalized to sum 1; ScenarioError for a file not in the format,
     ValidationError for a topology that breaks a structural invariant."""
-    topology, params = _read_scenario(path)
-    problems = validate(topology)
-    if problems:
-        raise ValidationError("; ".join(problems))
-    return topology, params
+    return _parse_scenario(_read_json(path, "scenario"))
 
 
 def _entry(section: str, *values) -> dict:
@@ -528,7 +523,7 @@ def generate_concentric(levels: list[tuple[int, float]],
         flow_fill: fraction of capacity in use on every edge, in (0, 1].
 
     Returns:
-        A validated CpsTopology.
+        The CpsTopology.
     """
     if not levels:
         raise ValidationError("levels must be non-empty")
@@ -580,12 +575,8 @@ def generate_concentric(levels: list[tuple[int, float]],
     mask = C > 0
     A[mask | mask.T] = 1.0
 
-    topology = CpsTopology(levels=node_levels, human_interaction=weights,
-                           flows=F, capacities=C, cyber_adjacency=A)
-    problems = validate(topology)
-    if problems:
-        raise ValidationError("; ".join(problems))
-    return topology
+    return CpsTopology(levels=node_levels, human_interaction=weights,
+                       flows=F, capacities=C, cyber_adjacency=A)
 
 
 # (node count, h weight) per tier of the nine-node system, reference first.

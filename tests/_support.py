@@ -12,7 +12,8 @@ def routed_dag(rng: np.random.Generator) -> CpsTopology:
 
     Node 0 is the reference source; the last one or two nodes are pure
     sinks.  Every mid node sits on at least one source-to-sink path and
-    every sink terminates one, so the topology always validates.
+    every sink terminates one, so the topology always meets the structural
+    rules that construction checks.
     """
     n = int(rng.integers(4, 10))
     sinks = max(1, int(rng.integers(1, 3)))

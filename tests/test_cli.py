@@ -1,14 +1,17 @@
 """End-to-end command-line interface behavior and exit codes."""
 
 import argparse
+import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
 
-from cpsblotto import (EquilibriumRegimeError, battlefield_values,
-                       default_nine_node, default_params,
-                       generate_concentric, metrics, save_scenario)
+from cpsblotto import (EquilibriumRegimeError, ValidationError,
+                       battlefield_values, default_nine_node, default_params,
+                       generate_concentric, load_scenario, metrics,
+                       save_scenario)
 from cpsblotto.cli import build_parser, main
 from cpsblotto.model import scenario_document
 from _support import TABLE_CASES, TABLE_H
@@ -35,9 +38,32 @@ def test_validate_flags_broken_scenario(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text(json.dumps(doc))
     assert main(["validate", "--scenario", str(path)]) == 1
-    out = capsys.readouterr().out
-    assert "INVALID:" in out
-    assert "exceeds capacity" in out
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "exceeds capacity" in err
+
+
+def test_one_rule_every_entry_point(tmp_path, capsys):
+    # An over-capacity edge meets the same rule, with the same message,
+    # whether the topology is built, read from a file or checked by the CLI.
+    topology = generate_concentric([(1, 2.0), (2, 1.0)], flow_fill=0.7)
+    F = topology.flows.copy()
+    F[0, 1] = topology.capacities[0, 1] * 50.0
+    with pytest.raises(ValidationError) as built:
+        dataclasses.replace(topology, flows=F)
+    message = str(built.value)
+    assert message == "flow exceeds capacity on edge (0, 1)"
+
+    doc = scenario_document(topology, default_params(3))
+    edge = next(e for e in doc["edges"] if (e["from"], e["to"]) == (0, 1))
+    edge["flow"] = F[0, 1]
+    path = tmp_path / "over_capacity.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        load_scenario(str(path))
+
+    assert main(["validate", "--scenario", str(path)]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("section, key", [
@@ -87,6 +113,21 @@ def test_effects_writes_four_csv_files(tmp_path, capsys):
     help_text = " ".join(capsys.readouterr().out.split())
     assert "directory for the four CSV files (default effects_out)" \
         in help_text
+
+
+def test_effects_out_on_an_existing_file_is_exit_one(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert main(["effects", "--out", str(taken)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert taken.read_text() == ""
+
+
+def test_solve_out_in_a_missing_directory_is_exit_one(tmp_path, capsys):
+    out = tmp_path / "missing" / "x.json"
+    assert main(["solve", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.parent.exists()
 
 
 def test_solve_emits_parseable_solution(capsys, tmp_path):

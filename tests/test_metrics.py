@@ -11,7 +11,7 @@ from cpsblotto import (ValidationError, battlefield_values, default_nine_node,
                        solve_equilibrium)
 from cpsblotto.metrics import (all_pairs_shortest_paths, cyber_effect_matrix,
                                effective_values, interdependency_matrix)
-from cpsblotto.model import normalize_weights
+from cpsblotto.model import CpsTopology, NodeLevel, normalize_weights
 from _support import (cyber_topology, path_adjacency, random_level_spec,
                       star_adjacency)
 
@@ -67,10 +67,17 @@ def test_complete_graph_is_inert():
 
 
 def test_disconnected_base_graph_is_rejected():
+    # the flow edge 0 -> 2 bridges the cyber parts {0, 1} and {2, 3}, so
+    # every node is reachable and the topology valid, but the cyber graph
+    # alone is disconnected
     A = np.zeros((4, 4))
     A[0, 1] = A[1, 0] = 1.0
     A[2, 3] = A[3, 2] = 1.0
-    topo = cyber_topology(A)
+    F = np.zeros((4, 4))
+    F[0, 2] = 1.0
+    topo = CpsTopology(levels=[NodeLevel.REFERENCE] + [NodeLevel.ORDINARY] * 3,
+                       human_interaction=np.ones(4), flows=F,
+                       capacities=F * 2, cyber_adjacency=A)
     with pytest.raises(ValidationError, match="disconnected"):
         cyber_effect_matrix(topo, 0.1)
 
