@@ -38,9 +38,10 @@ def main():
 
     # Round-trip through the scenario file format the CLI consumes.
     params = default_params(n)
-    path = os.path.join(tempfile.mkdtemp(), "nine_node.json")
-    save_scenario(topology, params, path)
-    reloaded, reloaded_params = load_scenario(path)
+    with tempfile.TemporaryDirectory() as folder:
+        path = os.path.join(folder, "nine_node.json")
+        save_scenario(topology, params, path)
+        reloaded, reloaded_params = load_scenario(path)
     assert np.array_equal(reloaded.flows, topology.flows)
     assert reloaded_params.budget_d == params.budget_d
     print(f"saved and reloaded {path} (flows identical)")

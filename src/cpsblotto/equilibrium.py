@@ -3,17 +3,19 @@
 Battlefield i is worth g_i to the defender and h_i to the attacker (both
 vectors positive and summing to 1).  Players split budgets R_D >= R_A across
 battlefields simultaneously; the larger allocation wins a battlefield, ties
-pay nobody.  The mixed equilibrium is characterized by two multipliers
-(lambda_D, lambda_A): on battlefields the defender favors, the defender
-randomizes uniformly on [0, h_i/lambda_A] while the attacker mixes an atom at
-zero with a uniform part on the same support; on attacker-favored
-battlefields (those in omega_a, where h_i/g_i exceeds mu = lambda_A/lambda_D)
-the roles mirror.  mu solves a cubic determined by the budget ratio and the
-partition; the partition in turn is fixed by mu, so the solver scans all
-threshold partitions of the sorted ratios h_i/g_i.  Where several mu are
-consistent, it returns the largest among the roots whose cubic terms
-neither overflow nor all underflow, and within one partition the largest
-root.
+pay nobody.  The game is General Lotto, each budget binding in expectation
+(Hart 2008; Kovenock & Roberson 2021), whose uniform-marginal equilibria are
+the paper's closed forms; the oracle plays exact-budget Blotto.  The mixed
+equilibrium is characterized by two multipliers (lambda_D, lambda_A): on
+battlefields the defender favors, the defender randomizes uniformly on
+[0, h_i/lambda_A] while the attacker mixes an atom at zero with a uniform
+part on the same support; on attacker-favored battlefields (those in
+omega_a, where h_i/g_i exceeds mu = lambda_A/lambda_D) the roles mirror.
+mu solves a cubic determined by the budget ratio and the partition; the
+partition in turn is fixed by mu, so the solver scans all threshold
+partitions of the sorted ratios h_i/g_i.  Where several mu are consistent,
+it returns the largest among the roots whose cubic terms neither overflow
+nor all underflow, and within one partition the largest root.
 """
 
 from __future__ import annotations

@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import breadth_first_order, connected_components
+from scipy.sparse.csgraph import connected_components
 
 # Conservation is enforced at nodes that both receive and send flow.
 FLOW_BALANCE_TOL = 1e-6
@@ -261,14 +261,21 @@ def check_node_id(node: object, n: int, what: str) -> None:
         raise ValueError(f"{what} node id {node!r} out of range 0..{n - 1}")
 
 
+def check_budget(name: str, budget: float) -> None:
+    """Raise ValidationError, naming `name`, unless `budget` is finite and
+    positive; a non-finite one reads "must be finite", as in check_values."""
+    if not np.isfinite(budget):
+        raise ValidationError(f"{name} must be finite")
+    if budget <= 0.0:
+        raise ValidationError(f"{name} must be finite and positive, "
+                              f"got {budget}")
+
+
 def check_budgets(budget_d: float, budget_a: float) -> None:
-    """Raise ValidationError unless R_D and R_A are finite, positive and
+    """Raise ValidationError unless R_D and R_A pass check_budget and
     R_D >= R_A."""
-    for name, budget in (("R_D", budget_d), ("R_A", budget_a)):
-        if not np.isfinite(budget):
-            raise ValidationError(f"{name} must be finite")
-    if budget_d <= 0.0 or budget_a <= 0.0:
-        raise ValidationError("budgets must be positive")
+    check_budget("R_D", budget_d)
+    check_budget("R_A", budget_a)
     if budget_d < budget_a:
         raise ValidationError("defender budget must be >= attacker budget")
 
@@ -332,21 +339,17 @@ def validate(topology: CpsTopology) -> list[str]:
                 f"conservation violated at node {j}: "
                 f"inflow {inflow[j]:.9g} != outflow {outflow[j]:.9g}")
 
-    if refs and not problems:
-        # Reachability over the union of physical and cyber links.
-        link = csr_matrix((F > 0) | (F.T > 0) | (A > 0))
-        reach = np.zeros(n, dtype=bool)
-        reach[breadth_first_order(link, refs[0],
-                                  return_predecessors=False)] = True
-        for j in np.flatnonzero(~reach):
-            problems.append(f"node {j} unreachable from reference node")
-
     if not np.array_equal(A, A.T):
         problems.append("cyber adjacency must be symmetric")
     if np.any(np.diag(A) != 0):
         problems.append("cyber adjacency diagonal must be zero")
     if np.any(A < 0):
         problems.append("cyber link weights must be non-negative")
+    # T needs a cyber path between every pair, which reaches every node.
+    parts, part = connected_components(csr_matrix(A > 0), directed=False)
+    if parts > 1:
+        other = int(np.argmax(part != part[0]))
+        problems.append(f"cyber graph is disconnected (nodes 0 and {other})")
     return problems
 
 

@@ -4,7 +4,10 @@ The continuous game is discretized onto an integer grid: each player's pure
 strategies are the compositions of their (integer) budget over the
 battlefields.  Simultaneous fictitious play on the discrete game approximates
 the mixed equilibrium, and its time-averaged payoffs are compared against the
-analytic ones.  This route shares no code with the analytic solver.
+analytic ones.  This route shares no code with the analytic solver.  The
+discrete game is exact-budget Colonel Blotto, the analytic one General Lotto
+(budgets bind in expectation), so they can differ beyond grid error: on one
+battlefield at R_D / R_A = 2.5, Blotto pays 1.0 / 0.0 and Lotto 0.8 / 0.2.
 """
 
 from __future__ import annotations

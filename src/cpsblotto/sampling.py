@@ -3,12 +3,10 @@ probabilities read from one marginal."""
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .equilibrium import Marginals
-from .model import check_node_id
+from .model import check_budget, check_node_id
 
 # Read only by the benchmark harness, which sizes its fig4 stratum with it;
 # ROADMAP item 1 deletes it.
@@ -16,11 +14,6 @@ MIN_BAND_SAMPLES = 1000
 _MAX_RESAMPLE = 1000
 # Entries per block of draw_marginals' passes: 512 KiB of float64.
 _BLOCK_ENTRIES = 1 << 16
-
-
-def _check_budget(budget: float) -> None:
-    if not (math.isfinite(budget) and budget > 0.0):
-        raise ValueError(f"budget must be finite and positive, got {budget}")
 
 
 def _cdf(atom: float, upper: float, r: float) -> float:
@@ -82,7 +75,7 @@ def sample_allocations(marginals: Marginals, budget: float, count: int,
     Raises:
         ValueError: budget is not finite and positive.
     """
-    _check_budget(budget)
+    check_budget("budget", budget)
     samples = draw_marginals(marginals, rng, count)
     sums = samples.sum(axis=1)
     for _ in range(_MAX_RESAMPLE):
@@ -133,7 +126,7 @@ def allocation_band_probability(marginals: Marginals, battlefield: int,
     check_node_id(battlefield, len(marginals), "battlefield")
     if not (0.0 < share <= 1.0 and 0.0 < epsilon < 1.0):
         raise ValueError("share and epsilon must lie in (0, 1] and (0, 1)")
-    _check_budget(budget)
+    check_budget("budget", budget)
     # Python floats: _cdf on numpy scalars is several times slower.
     atom = marginals.atom.item(battlefield)
     upper = marginals.upper.item(battlefield)

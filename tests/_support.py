@@ -12,8 +12,10 @@ def routed_dag(rng: np.random.Generator) -> CpsTopology:
 
     Node 0 is the reference source; the last one or two nodes are pure
     sinks.  Every mid node sits on at least one source-to-sink path and
-    every sink terminates one, so the topology always meets the structural
-    rules that construction checks.
+    every sink terminates one, and the cyber graph is the unit-weight
+    skeleton of the flow edges (the scenario reader's and the generator's
+    default), which those paths connect.  So the topology always meets the
+    structural rules that construction checks.
     """
     n = int(rng.integers(4, 10))
     sinks = max(1, int(rng.integers(1, 3)))
@@ -40,7 +42,8 @@ def routed_dag(rng: np.random.Generator) -> CpsTopology:
               + [NodeLevel.ORDINARY] * sinks)
     return CpsTopology(levels=levels,
                        human_interaction=rng.uniform(0.5, 1.5, n), flows=F,
-                       capacities=C, cyber_adjacency=np.zeros((n, n)))
+                       capacities=C,
+                       cyber_adjacency=((F > 0) | (F.T > 0)).astype(float))
 
 
 def random_level_spec(rng: np.random.Generator) -> list[tuple[int, float]]:

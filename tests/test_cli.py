@@ -31,18 +31,6 @@ def test_validate_default_system(capsys):
     assert out.startswith("OK: 9 nodes")
 
 
-def test_validate_flags_broken_scenario(tmp_path, capsys):
-    topology = generate_concentric([(1, 2.0), (2, 1.0)], flow_fill=0.7)
-    doc = scenario_document(topology, default_params(3))
-    doc["edges"][0]["flow"] = doc["edges"][0]["capacity"] * 50.0
-    path = tmp_path / "broken.json"
-    path.write_text(json.dumps(doc))
-    assert main(["validate", "--scenario", str(path)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ")
-    assert "exceeds capacity" in err
-
-
 def test_one_rule_every_entry_point(tmp_path, capsys):
     # An over-capacity edge meets the same rule, with the same message,
     # whether the topology is built, read from a file or checked by the CLI.
@@ -180,17 +168,6 @@ def test_table1_names_an_unreadable_file(tmp_path, capsys):
             f"error: cannot parse table file {malformed}: ")
 
 
-def test_table1_tiny_column_is_a_regime_error(tmp_path, capsys):
-    # The column's only consistent partitions have roots whose cubic terms
-    # overflow; the CLI must report that, not print a traceback.
-    path = tmp_path / "tiny.json"
-    path.write_text(json.dumps({"h": [1e-170, 1.0 - 1e-170],
-                                "g_columns": {"tiny": [1.0 - 1e-300,
-                                                       1e-300]}}))
-    assert main(["table1", "--scenario", str(path)]) == 2
-    assert capsys.readouterr().err.startswith("error: no equilibrium")
-
-
 def _scenario_with(**edits):
     doc = scenario_document(
         generate_concentric([(1, 2.0), (2, 1.0)], flow_fill=0.7),
@@ -234,18 +211,12 @@ def _appended(section, entry):
                  "edge entry must be a JSON object", id="scenario-edge-array"),
     pytest.param("solve", _scenario_with(params=[2.5, 1.0]),
                  "params must be a JSON object", id="scenario-params-array"),
-    pytest.param("solve", _edited("nodes", {"id": None}),
-                 "'id' must be an integer in node entry, got null",
-                 id="scenario-id-null"),
     pytest.param("solve", _edited("nodes", {"id": 1.7}),
                  "'id' must be an integer in node entry, got 1.7",
                  id="scenario-id-float"),
     pytest.param("solve", _edited("nodes", {"id": "1"}),
                  "'id' must be an integer in node entry, got \"1\"",
                  id="scenario-id-string"),
-    pytest.param("solve", _edited("nodes", {"h": "0.5"}),
-                 "'h' must be a number in node entry, got \"0.5\"",
-                 id="scenario-h-string"),
     pytest.param("solve", _edited("nodes", {"h": True}),
                  "'h' must be a number in node entry, got true",
                  id="scenario-h-bool"),

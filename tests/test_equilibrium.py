@@ -546,9 +546,9 @@ _BUDGET_CHECKS = {
     (np.nan, 1.0, "R_D must be finite"),
     (np.inf, 1.0, "R_D must be finite"),
     (2.5, np.inf, "R_A must be finite"),
-    (-1.0, -2.0, "budgets must be positive"),
-    (0.0, 0.0, "budgets must be positive"),
-    (2.5, 0.0, "budgets must be positive"),
+    (-1.0, -2.0, "R_D must be finite and positive, got -1.0"),
+    (0.0, 0.0, "R_D must be finite and positive, got 0.0"),
+    (2.5, 0.0, "R_A must be finite and positive, got 0.0"),
     (1.0, 2.0, "defender budget must be >= attacker budget"),
 ])
 def test_every_budget_check_is_the_same_typed_error(caller, budget_d,

@@ -68,18 +68,18 @@ def test_complete_graph_is_inert():
 
 def test_disconnected_base_graph_is_rejected():
     # the flow edge 0 -> 2 bridges the cyber parts {0, 1} and {2, 3}, so
-    # every node is reachable and the topology valid, but the cyber graph
-    # alone is disconnected
+    # every node is reachable from the reference, but T needs a cyber path
+    # between every pair: construction rejects the topology
     A = np.zeros((4, 4))
     A[0, 1] = A[1, 0] = 1.0
     A[2, 3] = A[3, 2] = 1.0
     F = np.zeros((4, 4))
     F[0, 2] = 1.0
-    topo = CpsTopology(levels=[NodeLevel.REFERENCE] + [NodeLevel.ORDINARY] * 3,
-                       human_interaction=np.ones(4), flows=F,
-                       capacities=F * 2, cyber_adjacency=A)
-    with pytest.raises(ValidationError, match="disconnected"):
-        cyber_effect_matrix(topo, 0.1)
+    with pytest.raises(ValidationError, match=r"^cyber graph is "
+                       r"disconnected \(nodes 0 and 2\)$"):
+        CpsTopology(levels=[NodeLevel.REFERENCE] + [NodeLevel.ORDINARY] * 3,
+                    human_interaction=np.ones(4), flows=F, capacities=F * 2,
+                    cyber_adjacency=A)
 
 
 def test_custom_disconnection_penalty_scales_the_hit():

@@ -19,12 +19,13 @@ from cpsblotto.model import (CpsTopology, GameParams, NodeLevel,
 
 
 def small_valid_topology() -> CpsTopology:
-    # 0 -> 1 -> 2 chain carrying one unit, cyber link closing the triangle.
+    # 0 -> 1 -> 2 chain carrying one unit; cyber links 0-1 and 0-2.
     F = np.array([[0.0, 1.0, 0.0],
                   [0.0, 0.0, 1.0],
                   [0.0, 0.0, 0.0]])
     C = F * 2.0
     A = np.zeros((3, 3))
+    A[0, 1] = A[1, 0] = 1.0
     A[0, 2] = A[2, 0] = 1.0
     return CpsTopology(
         levels=(NodeLevel.REFERENCE, NodeLevel.MAIN, NodeLevel.ORDINARY),
@@ -190,11 +191,12 @@ def test_validate_flags_each_violation():
                        match="conservation violated at node 1"):
         dataclasses.replace(base, flows=F, capacities=C)
 
-    A = np.zeros((3, 3))  # cyber link was the only edge reaching node 2's pair
+    A = np.zeros((3, 3))  # no cyber links: three cyber parts
     F = np.array([[0.0, 1.0, 0.0],
                   [0.0, 0.0, 0.0],
                   [0.0, 0.0, 0.0]])
-    with pytest.raises(ValidationError, match="unreachable"):
+    with pytest.raises(ValidationError,
+                       match=r"cyber graph is disconnected \(nodes 0 and 1\)"):
         dataclasses.replace(base, flows=F, capacities=F * 2,
                             cyber_adjacency=A)
 

@@ -219,6 +219,19 @@ def test_two_field_shutout_is_reported_honestly():
     assert doc["abs_diff"] == max(report.abs_diff_d, report.abs_diff_a)
 
 
+def test_one_field_lotto_and_blotto_values_differ():
+    # The solver solves General Lotto, where a budget binds in expectation:
+    # on one field the defender draws uniformly on [0, 2 R_D], the attacker
+    # does the same with probability R_A / R_D and bids 0 otherwise, and so
+    # wins R_A / (2 R_D) = 0.2.  The oracle plays exact-budget Blotto, where
+    # the richer defender bids all of R_D and takes the field outright.
+    report = cross_validate([1.0], [1.0], 2.5, 1.0, 20, 2000)
+    assert (report.analytic_payoff_d, report.analytic_payoff_a) == (0.8, 0.2)
+    assert (report.oracle_payoff_d, report.oracle_payoff_a) == (1.0, 0.0)
+    assert report.abs_diff_a == 0.2
+    assert not report.passed
+
+
 def test_cross_validation_in_the_feasible_regime():
     # moderate budget advantage, no extreme value skew: both routes agree
     h = np.array([0.5, 0.3, 0.2])
@@ -241,7 +254,7 @@ def test_grid_floor_is_enforced():
 @pytest.mark.parametrize("budget_d, budget_a, message", [
     (np.inf, 1.0, "R_D must be finite"),
     (np.nan, 1.0, "R_D must be finite"),
-    (2.5, 0.0, "budgets must be positive"),
+    (2.5, 0.0, "R_A must be finite and positive, got 0.0"),
 ])
 def test_cross_validate_checks_budgets_before_gridding(budget_d, budget_a,
                                                        message):
