@@ -29,7 +29,9 @@ print(f"failing node {failed}: processing order {result.processing_order}")
 for record in result.records:
     print(f"  node {record.node}: deficit {record.deficit:.3f} = "
           f"absorbed {record.absorbed:.3f} + lost {record.lost:.3f}")
-print("per-node lost flow:", np.round(result.per_node_loss, 3))
+for (supplier, customer), flow in result.raised.items():
+    print(f"  rerouted flow {supplier} -> {customer}: "
+          f"{topology.flows[supplier, customer]:.3f} -> {flow:.3f}")
 
 mats = effect_matrices(topology, params)
 print(f"\nphysical effects of node {failed} (column {failed}):")

@@ -13,8 +13,6 @@ moves off the baseline.
 
 import os
 
-import numpy as np
-
 from cpsblotto import (battlefield_values, default_nine_node, default_params,
                        flow_capacity_sweep, symmetry_sweep, write_csv)
 

@@ -34,19 +34,19 @@ class RebalanceRecord:
 class CascadeResult:
     """Outcome of one failure cascade.
 
+    The post-cascade flows are the topology's flows with the failed node's
+    row and column removed and `raised` written in.
+
     Attributes:
-        failed_node: the removed node.
-        flows: post-cascade flow matrix (row/column of the failed node zero).
-        per_node_loss: flow units lost at each surviving node, 0 elsewhere.
         processing_order: node groups in the order they were rebalanced.
-        records: per-node deficit/absorbed/lost accounting.
+        records: per-node deficit/absorbed/lost accounting; a node without
+            a record lost nothing.
+        raised: the flow each rebalance set, keyed (supplier, customer).
     """
 
-    failed_node: int
-    flows: np.ndarray
-    per_node_loss: np.ndarray
     processing_order: tuple[tuple[int, ...], ...]
     records: tuple[RebalanceRecord, ...]
+    raised: dict[tuple[int, int], float]
 
 
 def _dense_sum(size: int, entries: list[tuple[int, float]]) -> float:
@@ -145,22 +145,20 @@ def cascade_failure(topology: CpsTopology, failed: int) -> CascadeResult:
     flows, which every topology has, leave no group empty.
 
     The cascade walks the topology's `flow_links`, built once per
-    topology, and touches only the nodes it rebalances; the dense `flows`
-    of the result is the one n x n array it writes.
+    topology, and touches only the nodes it rebalances.
 
     Args:
         topology: the system.
         failed: id of the node to remove.
 
     Returns:
-        CascadeResult with the post-cascade flows and per-node losses.
+        CascadeResult with the rebalance records and the flows they set.
 
     Raises:
         ValueError: `failed` is not a node id in 0..n-1.
     """
     n = topology.n
     check_node_id(failed, n, "failed")
-    F = np.array(topology.flows)
     links = topology.flow_links
     customers = list(links.outflow[failed])
     first_order = set(customers).union(links.inflow[failed])
@@ -170,7 +168,6 @@ def cascade_failure(topology: CpsTopology, failed: int) -> CascadeResult:
     second_order -= first_order
     second_order.discard(failed)
 
-    per_node_loss = np.zeros(n)
     raised: dict[int, dict[int, float]] = {}
     records: list[RebalanceRecord] = []
     order: list[tuple[int, ...]] = []
@@ -183,18 +180,10 @@ def cascade_failure(topology: CpsTopology, failed: int) -> CascadeResult:
                 record = _rebalance(links, n, failed, j, raised)
                 if record is not None:
                     records.append(record)
-                    per_node_loss[j] = record.lost
-
-    F[failed, :] = 0.0
-    F[:, failed] = 0.0
-    for i, row in raised.items():
-        F[i, list(row)] = list(row.values())
-    F.setflags(write=False)
-    per_node_loss.setflags(write=False)
-    return CascadeResult(failed_node=failed, flows=F,
-                         per_node_loss=per_node_loss,
-                         processing_order=tuple(order),
-                         records=tuple(records))
+    return CascadeResult(
+        processing_order=tuple(order), records=tuple(records),
+        raised={(i, j): flow for i, row in raised.items()
+                for j, flow in row.items()})
 
 
 def node_throughput(topology: CpsTopology) -> np.ndarray:
@@ -219,7 +208,8 @@ def physical_effect_matrix(topology: CpsTopology) -> np.ndarray:
     throughput = node_throughput(topology)[:, None]
     losses = np.zeros((n, n))
     for i in range(n):
-        losses[:, i] = cascade_failure(topology, i).per_node_loss
+        for record in cascade_failure(topology, i).records:
+            losses[record.node, i] = record.lost
     effects = np.divide(losses, throughput, out=np.zeros((n, n)),
                         where=throughput > 0)
     return np.clip(effects, 0.0, 1.0)

@@ -18,7 +18,8 @@ class RemovalPairs:
     """The entries each single-node removal can change, grouped by removal.
 
     Entry (j, k) is a pair of removal i when k lies below i in source j's
-    shortest-path tree and `removal_rows[i]` marks row j.
+    shortest-path tree and removal i can change row j (see
+    all_pairs_shortest_paths).
 
     Attributes:
         offsets: n + 1 ascending positions; removal i's pairs are
@@ -44,22 +45,13 @@ class ShortestPathTable:
 
     Attributes:
         lengths: n x n table, row j holding the lengths from source j.
-        resolved: ascending source rows this call re-solved: every row of
-            a table without a removal, and the rows marked in
-            `removal_rows[removed]` of a removal's, whose entries at the
-            removal's pairs were re-solved.  A row outside it is bitwise
-            the base row.
-        removal_rows: on a table without a removal, the n x n boolean map
-            whose row i marks the source rows a removal of node i can
-            change (see all_pairs_shortest_paths); None on a removal's
-            table.
         removal_pairs: on a table without a removal, the entries each
-            removal re-solves; None on a removal's table.
+            removal re-solves; every other entry of a removal's table,
+            outside the removed node's row and column, is bitwise the
+            base's.  None on a removal's table.
     """
 
     lengths: np.ndarray
-    resolved: np.ndarray
-    removal_rows: np.ndarray | None
     removal_pairs: RemovalPairs | None
 
 
@@ -95,14 +87,14 @@ def all_pairs_shortest_paths(adjacency: np.ndarray | csr_matrix,
     paths.  Removing node i can change source j's entries only at the
     nodes below i in j's tree: any other node keeps its tree path, which
     avoids i and whose float sum is the base length, and no path gets
-    shorter when i goes.  Of the rows with nodes below i, only those that
-    `removal_rows[i]` marks can change.  Call an edge (u, k) tight for
-    source j when base[j, u] + A[u, k] == base[j, k] in float64.  Row j is
-    marked when some neighbour k of i has i as a tight predecessor and no
-    other tight predecessor strictly closer to j.  Otherwise every node
-    keeps a tight chain back to j that avoids i: a neighbour of i steps to
-    its other tight predecessor, any other node to its parent in the base
-    search, each settled earlier.  Such a chain already attains the base
+    shorter when i goes.  Of the rows with nodes below i, only those
+    marked for i can change.  Call an edge (u, k) tight for source j when
+    base[j, u] + A[u, k] == base[j, k] in float64.  Row j is marked when
+    some neighbour k of i has i as a tight predecessor and no other tight
+    predecessor strictly closer to j.  Otherwise every node keeps a tight
+    chain back to j that avoids i: a neighbour of i steps to its other
+    tight predecessor, any other node to its parent in the base search,
+    each settled earlier.  Such a chain already attains the base
     length, so the row comes back bitwise unchanged.  A tie that exact
     equality misses only costs a needless re-solve, never a wrong row.
     The base table records the entries left, below i in a marked row, as
@@ -127,17 +119,16 @@ def all_pairs_shortest_paths(adjacency: np.ndarray | csr_matrix,
             CSR (each stored entry a link).
         removed: optional node to exclude, in 0..n-1; its row/column come
             back inf.
-        base: the same adjacency's table without a removal, built when
-            omitted; passing it saves that build, and never changes the
-            lengths.
+        base: the same adjacency's table without a removal; a removal
+            needs it.
 
     Returns:
         ShortestPathTable over the full index set; only a table without a
-        removal carries `removal_rows` and `removal_pairs`.
+        removal carries `removal_pairs`.
 
     Raises:
-        ValueError: `removed` is not a node id in 0..n-1, or `base` is a
-            removal's table.
+        ValueError: `removed` is not a node id in 0..n-1, or `base` is
+            missing or a removal's table.
     """
     G = adjacency
     if not (isinstance(G, csr_matrix) and G.dtype == np.float64):
@@ -145,14 +136,11 @@ def all_pairs_shortest_paths(adjacency: np.ndarray | csr_matrix,
     n = G.shape[0]
     if removed is None:
         dist, parent = dijkstra(G, directed=True, return_predecessors=True)
-        marked = _removal_rows(G, dist)
-        return ShortestPathTable(lengths=dist, resolved=np.arange(n),
-                                 removal_rows=marked,
-                                 removal_pairs=_removal_pairs(parent, marked))
+        return ShortestPathTable(
+            lengths=dist,
+            removal_pairs=_removal_pairs(parent, _removal_rows(G, dist)))
     check_node_id(removed, n, "removed")
-    if base is None:
-        base = all_pairs_shortest_paths(G)
-    elif base.removal_rows is None:
+    if base is None or base.removal_pairs is None:
         raise ValueError("base must be a table without a removal")
     dist = base.lengths.copy()
     sources, nodes = base.removal_pairs.of(removed)
@@ -162,9 +150,7 @@ def all_pairs_shortest_paths(adjacency: np.ndarray | csr_matrix,
     dist[removed, :] = np.inf
     dist[:, removed] = np.inf
     dist[removed, removed] = 0.0
-    return ShortestPathTable(
-        lengths=dist, resolved=np.flatnonzero(base.removal_rows[removed]),
-        removal_rows=None, removal_pairs=None)
+    return ShortestPathTable(lengths=dist, removal_pairs=None)
 
 
 def _removal_pairs(parent: np.ndarray, marked: np.ndarray) -> RemovalPairs:
@@ -301,13 +287,14 @@ def cyber_effect_matrix(topology: CpsTopology, t0: float,
     penalty, by default n times the longest finite base path length.
 
     The cyber CSR and the base table are built once and shared by every
-    removal.  The base table records, for each removal i, the rows it can
-    change and the (j, k) pairs below i in those rows' shortest-path trees
-    (see all_pairs_shortest_paths).  Each removal's table is the base table
+    removal.  The base table records, for each removal i, the (j, k) pairs
+    below i in the shortest-path trees of the rows it can change (see
+    all_pairs_shortest_paths).  Each removal's table is the base table
     with those pairs re-solved by one Dijkstra call over a small graph on
-    the pairs, so every other entry is bitwise the base's.  A row equal to
-    its base row sums to the same float, so its ratio is exactly 1 and its
-    entry exactly t0; the ratio is computed only for the re-solved rows.
+    the pairs, so every other entry is bitwise the base's.  A row with no
+    pair is its base row and sums to the same float, so its ratio is
+    exactly 1 and its entry exactly t0; the ratio is computed only for the
+    rows with pairs.
 
     Args:
         topology: the system, its cyber graph connected by construction.
@@ -329,7 +316,8 @@ def cyber_effect_matrix(topology: CpsTopology, t0: float,
     T = np.full((n, n), t0, dtype=float)
     for i in range(n):
         sub = all_pairs_shortest_paths(graph, removed=i, base=base)
-        rows = sub.resolved
+        sources, _ = base.removal_pairs.of(i)
+        rows = np.flatnonzero(np.bincount(sources, minlength=n))
         if rows.size:
             # Pairs to i leave both sums; both diagonals are 0 already.
             lengths = sub.lengths[rows]

@@ -24,6 +24,22 @@ def topology_from_flows(F: np.ndarray, C: np.ndarray) -> CpsTopology:
                        capacities=C, cyber_adjacency=A)
 
 
+def post_failure_flows(topology: CpsTopology, failed: int,
+                       raised: dict[tuple[int, int], float]) -> np.ndarray:
+    """The dense flows after a cascade: the failed node's row and column
+    removed, and the rebalanced flows written in."""
+    F = topology.flows.copy()
+    F[failed, :] = F[:, failed] = 0.0
+    for (i, j), flow in raised.items():
+        F[i, j] = flow
+    return F
+
+
+def lost_flow(result) -> dict[int, float]:
+    """Each rebalanced node's lost flow, from the cascade's records."""
+    return {record.node: record.lost for record in result.records}
+
+
 def test_rebalance_single_supplier_within_headroom():
     # r(0) -> i(1) -> j(3), alternate supplier k(2) -> j with headroom 8
     F = np.zeros((4, 4)); C = np.zeros((4, 4))
@@ -32,8 +48,7 @@ def test_rebalance_single_supplier_within_headroom():
     F[2, 3] = 2.0; C[2, 3] = 10.0
     topo = topology_from_flows(F, C)
     result = cascade_failure(topo, 1)
-    assert result.flows[1, 3] == 0.0   # failed row removed by the cascade
-    assert result.flows[2, 3] == 6.0
+    assert result.raised == {(2, 3): 6.0}   # only k's flow to j moved
     assert topo.flows[1, 3] == 4.0     # input untouched
     record = next(r for r in result.records if r.node == 3)
     assert record.deficit == 4.0
@@ -47,7 +62,7 @@ def test_rebalance_saturates_at_capacity():
     F[1, 3] = 4.0; C[1, 3] = 8.0
     F[2, 3] = 2.0; C[2, 3] = 5.0   # headroom 3 < deficit 4
     result = cascade_failure(topology_from_flows(F, C), 1)
-    assert result.flows[2, 3] == 5.0
+    assert result.raised[2, 3] == 5.0
     record = next(r for r in result.records if r.node == 3)
     assert record.lost == 1.0
 
@@ -80,10 +95,8 @@ def test_leaf_failure_only_zeroes_the_failed_node():
                   [0.0, 0.0, 0.0]])
     topo = topology_from_flows(F, F * 2)
     result = cascade_failure(topo, 2)
-    expected = F.copy()
-    expected[2, :] = 0.0; expected[:, 2] = 0.0
-    assert np.array_equal(result.flows, expected)
-    assert result.per_node_loss.sum() == 0.0
+    assert result.raised == {}
+    assert sum(lost_flow(result).values()) == 0.0
 
 
 def test_chain_total_loss_downstream():
@@ -105,11 +118,11 @@ def test_diamond_absorbs_via_surviving_branch():
     C[0, 2] = 2.0   # the surviving branch can also be resupplied
     topo = topology_from_flows(F, C)
     result = cascade_failure(topo, 1)
-    assert result.flows[2, 3] == 2.0
-    assert result.per_node_loss[3] == 0.0
+    assert result.raised[2, 3] == 2.0
+    assert lost_flow(result)[3] == 0.0
     # node 2 raised its outflow and pulled the difference from node 0
-    assert result.flows[0, 2] == 2.0
-    assert result.per_node_loss[2] == 0.0
+    assert result.raised[0, 2] == 2.0
+    assert lost_flow(result)[2] == 0.0
 
 
 def test_diamond_upstream_shortfall_is_recorded():
@@ -120,9 +133,9 @@ def test_diamond_upstream_shortfall_is_recorded():
     C[2, 3] = 2.0
     topo = topology_from_flows(F, C)
     result = cascade_failure(topo, 1)
-    assert result.flows[2, 3] == 2.0
-    assert result.per_node_loss[3] == 0.0
-    assert result.per_node_loss[2] == 1.0
+    assert result.raised[2, 3] == 2.0
+    assert lost_flow(result)[3] == 0.0
+    assert lost_flow(result)[2] == 1.0
     record = next(r for r in result.records if r.node == 2)
     assert record.deficit == 1.0 and record.lost == 1.0
 
@@ -173,7 +186,8 @@ def test_cascade_determinism():
     assert validate(topo) == []
     a = cascade_failure(topo, 1)
     b = cascade_failure(topo, 1)
-    assert np.array_equal(a.flows, b.flows)
+    assert a.raised == b.raised
+    assert a.records == b.records
     assert a.processing_order == b.processing_order
     assert np.array_equal(physical_effect_matrix(topo),
                           physical_effect_matrix(topo))
@@ -183,11 +197,10 @@ def test_failed_row_and_column_are_zeroed():
     rng = np.random.default_rng(23)
     topo = routed_dag(rng)
     for failed in range(topo.n):
-        result = cascade_failure(topo, failed)
-        assert np.all(result.flows[failed, :] == 0.0)
-        assert np.all(result.flows[:, failed] == 0.0)
-        assert np.all(result.flows <= topo.capacities + 1e-12)
-        assert np.all(result.flows >= 0.0)
+        for (i, j), flow in cascade_failure(topo, failed).raised.items():
+            assert failed not in (i, j)
+            assert topo.capacities[i, j] > 0.0
+            assert 0.0 <= flow <= topo.capacities[i, j] + 1e-12
 
 
 def test_accounting_identity_on_random_topologies():
@@ -365,8 +378,12 @@ def test_cascade_matches_the_dense_cascade_bitwise(monkeypatch):
         for failed in range(topo.n):
             result = cascade_failure(topo, failed)
             flows, loss, order, records = _dense_cascade(topo, failed)
-            assert np.array_equal(result.flows, flows)
-            assert np.array_equal(result.per_node_loss, loss)
+            assert np.array_equal(
+                post_failure_flows(topo, failed, result.raised), flows)
+            record_loss = np.zeros(topo.n)
+            for node, lost in lost_flow(result).items():
+                record_loss[node] = lost
+            assert np.array_equal(record_loss, loss)
             assert result.processing_order == order
             assert result.records == records
             opened += int(((flows > 0) & (topo.flows == 0)).sum())

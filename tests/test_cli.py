@@ -5,7 +5,6 @@ import dataclasses
 import json
 import re
 
-import numpy as np
 import pytest
 
 from cpsblotto import (EquilibriumRegimeError, ValidationError,

@@ -24,7 +24,9 @@ def test_shortest_paths_on_a_line():
 
 
 def test_shortest_paths_with_removal():
-    table = all_pairs_shortest_paths(path_adjacency(4), removed=1)
+    A = path_adjacency(4)
+    table = all_pairs_shortest_paths(A, removed=1,
+                                     base=all_pairs_shortest_paths(A))
     assert np.isinf(table.lengths[0, 2])
     assert not np.isfinite(table.lengths[0, 3])
     assert table.lengths[2, 3] == 1.0
@@ -155,10 +157,11 @@ def test_base_table_leaves_removal_tables_unchanged():
     for A in _removal_test_graphs():
         graph = csr_matrix(A)  # as cyber_effect_matrix passes it
         base = all_pairs_shortest_paths(graph)
+        dense = all_pairs_shortest_paths(A)
         assert np.array_equal(base.lengths, _undirected_lengths(A))
         for i in range(A.shape[0]):
             fast = all_pairs_shortest_paths(graph, removed=i, base=base)
-            full = all_pairs_shortest_paths(A, removed=i)
+            full = all_pairs_shortest_paths(A, removed=i, base=dense)
             reference = _table_without(A, i)
             assert np.array_equal(fast.lengths, reference)
             assert np.array_equal(full.lengths, reference)
@@ -191,21 +194,19 @@ def test_resolved_rows_are_the_marked_rows():
     graphs = _removal_test_graphs() + [path_adjacency(n) for n in (1, 2, 3)]
     for A in graphs:
         n = A.shape[0]
+        G = csr_matrix(A, dtype=float)
         base = all_pairs_shortest_paths(A)
-        assert np.array_equal(base.resolved, np.arange(n))
         for i in range(n):
-            marked = _rows_through(csr_matrix(A), base.lengths, i)
+            marked = _rows_through(G, base.lengths, i)
+            # the re-solved rows, those with pairs, are marked rows
+            sources, _ = base.removal_pairs.of(i)
+            assert marked[sources].all()
             table = all_pairs_shortest_paths(A, removed=i, base=base)
-            assert np.array_equal(table.resolved, np.flatnonzero(marked))
             outside = ~marked
             outside[i] = False
             # column i is cut to inf; every other entry is the base's
             assert np.array_equal(np.delete(table.lengths[outside], i, 1),
                                   np.delete(base.lengths[outside], i, 1))
-            # without a base the call builds one and reads the same rows
-            assert np.array_equal(
-                all_pairs_shortest_paths(A, removed=i).resolved,
-                table.resolved)
 
 
 @pytest.mark.parametrize("block", [None, 1, 50])
@@ -224,11 +225,12 @@ def test_removal_map_matches_the_per_removal_test(monkeypatch, block):
     graphs += [concentric, weights + weights.T]
     for A in graphs:
         G = csr_matrix(A)
-        base = all_pairs_shortest_paths(G)
-        assert base.removal_rows.shape == A.shape
+        lengths = all_pairs_shortest_paths(G).lengths
+        removal_rows = metrics._removal_rows(G, lengths)
+        assert removal_rows.shape == A.shape
         for i in range(A.shape[0]):
-            assert np.array_equal(base.removal_rows[i],
-                                  _rows_through(G, base.lengths, i))
+            assert np.array_equal(removal_rows[i],
+                                  _rows_through(G, lengths, i))
 
 
 @pytest.mark.parametrize("removed", [-3, 4, True, np.bool_(False), 1.0,
@@ -246,10 +248,12 @@ def test_removed_node_out_of_range_is_a_value_error(removed):
 
 def test_base_must_be_a_table_without_a_removal():
     A = path_adjacency(4)
-    removal = all_pairs_shortest_paths(A, removed=1)
-    assert removal.removal_rows is None
-    with pytest.raises(ValueError, match="without a removal"):
-        all_pairs_shortest_paths(A, removed=2, base=removal)
+    removal = all_pairs_shortest_paths(A, removed=1,
+                                       base=all_pairs_shortest_paths(A))
+    assert removal.removal_pairs is None
+    for base in (None, removal):
+        with pytest.raises(ValueError, match="without a removal"):
+            all_pairs_shortest_paths(A, removed=2, base=base)
 
 
 def _cyber_effects_from_full_tables(A, t0):
@@ -332,6 +336,8 @@ def test_removal_pairs_hold_every_changed_entry():
     for A in graphs:
         n = A.shape[0]
         base = all_pairs_shortest_paths(A)
+        removal_rows = metrics._removal_rows(csr_matrix(A, dtype=float),
+                                             base.lengths)
         pairs = base.removal_pairs
         assert pairs.offsets[0] == 0 and pairs.offsets[-1] == pairs.nodes.size
         assert np.all(np.diff(pairs.offsets) >= 0)
@@ -340,7 +346,7 @@ def test_removal_pairs_hold_every_changed_entry():
             recorded = np.zeros((n, n), dtype=bool)
             recorded[sources, nodes] = True
             assert recorded.sum() == sources.size  # no pair twice
-            assert base.removal_rows[i, sources].all()
+            assert removal_rows[i, sources].all()
             assert not np.any(nodes == i) and not np.any(sources == i)
             changed = (all_pairs_shortest_paths(A, removed=i, base=base)
                        .lengths != base.lengths)

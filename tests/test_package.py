@@ -1,4 +1,5 @@
-"""The package's public names: exactly what the demos and the README use."""
+"""The package's public names: exactly what the demos and the README use;
+and every module uses each name it imports."""
 
 import ast
 import glob
@@ -35,3 +36,35 @@ def test_exports_are_the_demo_names_and_the_error_types():
     with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
         readme = set(re.findall(r"\bcb\.(\w+)", fh.read()))
     assert readme and readme <= demos
+
+
+def _unused_imports(path: str) -> list[str]:
+    """The names `path` imports and never reads.  A name in the module's
+    `__all__` counts as read: the module exports it."""
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                name = alias.asname or alias.name.partition(".")[0]
+                imported[name] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(target, ast.Name) and target.id == "__all__"
+                for target in node.targets):
+            read |= set(ast.literal_eval(node.value))
+    return [f"{os.path.relpath(path, ROOT)}:{line} {name}"
+            for name, line in imported.items() if name not in read]
+
+
+def test_every_module_uses_each_name_it_imports():
+    paths = [path for folder in ("src/cpsblotto", "tests", "demos")
+             for path in glob.glob(os.path.join(ROOT, folder, "*.py"))]
+    assert len(paths) > 20
+    assert [unused for path in sorted(paths)
+            for unused in _unused_imports(path)] == []
