@@ -19,7 +19,7 @@ from cpsblotto import (battlefield_values, cascade_failure, default_nine_node,
 
 np.set_printoptions(precision=3, suppress=True)
 
-topology = default_nine_node(flow_fill=0.7)
+topology = default_nine_node()
 params = default_params(topology.n)
 
 # Fail main node 1 and walk the rebalancing steps.

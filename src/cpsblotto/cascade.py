@@ -106,10 +106,10 @@ def _rebalance(links: FlowLinks, n: int, failed: int, node: int,
     headroom = [max(capacity - flow, 0.0) for _, capacity, flow in suppliers]
     total = _dense_sum(len(headroom), list(enumerate(headroom)))
     if total >= deficit:
-        if total > 0.0:
-            share = deficit / total
-            for (i, _, flow), room in zip(suppliers, headroom):
-                raised.setdefault(i, {})[node] = flow + room * share
+        # deficit > _TOL here, so total is positive.
+        share = deficit / total
+        for (i, _, flow), room in zip(suppliers, headroom):
+            raised.setdefault(i, {})[node] = flow + room * share
         absorbed = deficit
     else:
         for i, capacity, _ in suppliers:

@@ -74,8 +74,7 @@ def _emit(lines: list[str], out: str | None) -> None:
 
 
 def cmd_validate(args) -> None:
-    topology = (load_scenario(args.scenario)[0] if args.scenario
-                else default_nine_node())
+    topology, _ = _load_or_default(args)
     print(f"OK: {topology.n} nodes, "
           f"{int((topology.capacities > 0).sum())} flow edges")
 

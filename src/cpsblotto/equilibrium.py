@@ -62,8 +62,8 @@ class Marginals:
 
     atom[i] is the mass at zero and upper[i] the support's upper end on
     battlefield i; both are read-only float arrays.  Iteration yields one
-    MarginalDistribution per battlefield, built as it is read.  Marginals
-    compare and hash by their arrays.
+    MarginalDistribution per battlefield, built as it is read.  Like every
+    record that holds arrays, Marginals compare by identity.
     """
 
     atom: np.ndarray
@@ -86,17 +86,8 @@ class Marginals:
         return map(MarginalDistribution, self.atom.tolist(),
                    self.upper.tolist())
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Marginals):
-            return NotImplemented
-        return (np.array_equal(self.atom, other.atom)
-                and np.array_equal(self.upper, other.upper))
 
-    def __hash__(self) -> int:
-        return hash((tuple(self.atom.tolist()), tuple(self.upper.tolist())))
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EquilibriumSolution:
     """Full analytic solution of one game instance; marginals_d and
     marginals_a hold the two players' marginals, by battlefield."""
@@ -386,10 +377,11 @@ def complete_info_payoffs(budget_d: float, budget_a: float
     return 1.0 - payoff_a, payoff_a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SingleDependencyReport:
     """Closed forms for the one-dependency special case (see
-    single_dependency_case)."""
+    single_dependency_case): the defender values g, the multipliers and
+    the two payoffs."""
 
     g: np.ndarray
     mu: float
@@ -397,10 +389,6 @@ class SingleDependencyReport:
     lambda_a: float
     payoff_d: float
     payoff_a: float
-    payoff_d_baseline: float
-    defender_gain: float
-    variant_payoff_d: float
-    variant_consistent: bool
 
 
 def single_dependency_case(h: np.ndarray, budget_d: float, budget_a: float
@@ -411,11 +399,10 @@ def single_dependency_case(h: np.ndarray, budget_d: float, budget_a: float
     lowest-valued node (weight h_l) and no other coupling exists, so
     g_m = (h_m + h_l)/(1 + h_l) and g_i = h_i/(1 + h_l) elsewhere.  Valid
     when R_D/R_A >= (h_m + h_l)/(h_m + h_l - h_m h_l); every battlefield is
-    then defender-favored and the attacker payoff stays R_A/(2 R_D).
-
-    The report also carries a published closed-form variant of the defender
-    payoff (variant_payoff_d) that disagrees with the integrated payoff for
-    R_D != R_A; variant_consistent flags whether the two agree.
+    then defender-favored and the attacker payoff stays R_A/(2 R_D).  The
+    defender payoff is 1 - 1/(2 mu), where mu = (R_D/R_A) s and
+    s = (1 + h_l)(h_m + h_l - h_m h_l)/(h_m + h_l); the published variant
+    1 + (R_D - 2 R_A)/(2 R_D) s disagrees with it for R_D != R_A.
 
     Raises:
         ValidationError: h breaks the value rule (check_values, summing to
@@ -449,17 +436,9 @@ def single_dependency_case(h: np.ndarray, budget_d: float, budget_a: float
 
     payoff_a = budget_a / (2.0 * budget_d)
     payoff_d = 1.0 - 1.0 / (2.0 * mu)
-    payoff_d_baseline, _ = complete_info_payoffs(budget_d, budget_a)
-
-    # Published alternate closed form, kept only as a flagged cross-check.
-    variant = 1.0 + (budget_d - 2.0 * budget_a) / (2.0 * budget_d) * shape
     return SingleDependencyReport(
         g=g, mu=float(mu), lambda_d=float(lambda_d), lambda_a=float(lambda_a),
-        payoff_d=float(payoff_d), payoff_a=float(payoff_a),
-        payoff_d_baseline=float(payoff_d_baseline),
-        defender_gain=float(payoff_d - payoff_d_baseline),
-        variant_payoff_d=float(variant),
-        variant_consistent=bool(abs(variant - payoff_d) <= 1e-9))
+        payoff_d=float(payoff_d), payoff_a=float(payoff_a))
 
 
 def solution_document(solution: EquilibriumSolution) -> dict:

@@ -13,7 +13,7 @@ from .model import (CpsTopology, GameParams, check_effects,
 from .cascade import physical_effect_matrix
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RemovalPairs:
     """The entries each single-node removal can change, grouped by removal.
 
@@ -38,7 +38,7 @@ class RemovalPairs:
         return self.sources[lo:hi], self.nodes[lo:hi]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ShortestPathTable:
     """All-pairs shortest path lengths; inf marks unreachable pairs (none
     in a topology's base table: its cyber graph is connected).
@@ -55,7 +55,7 @@ class ShortestPathTable:
     removal_pairs: RemovalPairs | None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EffectMatrices:
     """Per-failure effect matrices: column i holds the effects of losing i."""
 
@@ -64,7 +64,7 @@ class EffectMatrices:
     interdependency: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BattlefieldValues:
     """Attacker values h and defender values g, both summing to 1."""
 
@@ -325,9 +325,9 @@ def cyber_effect_matrix(topology: CpsTopology, t0: float,
                               disconnection_penalty)
             before = base.lengths[rows]
             capped[:, i] = before[:, i] = 0.0
-            num = capped.sum(axis=1)
-            den = before.sum(axis=1)
-            ratio = np.divide(num, den, out=np.ones_like(num), where=den > 0)
+            # A row with pairs holds some k other than i and j, whose base
+            # length is positive, so its sum before the removal is too.
+            ratio = capped.sum(axis=1) / before.sum(axis=1)
             T[rows, i] = ratio - 1.0 + t0
         T[i, i] = 0.0
     return T

@@ -195,7 +195,7 @@ def _link_lists(matrix: np.ndarray, *values: np.ndarray) -> list[list]:
     return lists
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CpsTopology:
     """System topology, valid by construction (see `validate`); node i is
     position i of every field.
@@ -462,12 +462,24 @@ def _parse_scenario(doc: object) -> tuple[CpsTopology, GameParams]:
                        flows=F, capacities=C, cyber_adjacency=A), params
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object's dict; ValueError on a repeated key, of which a dict
+    would silently keep only the last value."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"repeated key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def _read_json(path: str, what: str):
     """The JSON document in a UTF-8 file; ScenarioError names the path."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
-    except (OSError, ValueError) as exc:  # bad UTF-8, bad JSON, huge ints
+            return json.load(fh, object_pairs_hook=_unique_keys)
+    except (OSError, ValueError) as exc:
+        # Bad UTF-8, bad JSON, huge ints or a repeated key.
         raise ScenarioError(f"cannot parse {what} {path}: {exc}") from exc
 
 
@@ -586,6 +598,7 @@ def generate_concentric(levels: list[tuple[int, float]],
 NINE_NODE_LEVELS = ((1, 4.0), (3, 2.0), (5, 1.0))
 
 
-def default_nine_node(flow_fill: float = 0.7) -> CpsTopology:
-    """The canonical 9-node demo system: 1 reference, 3 main, 5 ordinary."""
-    return generate_concentric(list(NINE_NODE_LEVELS), flow_fill)
+def default_nine_node() -> CpsTopology:
+    """The canonical 9-node demo system: 1 reference, 3 main, 5 ordinary,
+    every edge filled to 0.7 of its capacity."""
+    return generate_concentric(list(NINE_NODE_LEVELS), 0.7)

@@ -52,7 +52,7 @@ def enumerate_strategies(units: int, battlefields: int) -> np.ndarray:
     return np.diff(edges, axis=1) - 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiscreteGame:
     """Discrete allocation game on an integer grid.
 
@@ -80,7 +80,7 @@ class DiscreteGame:
         return U_d, U_a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FictitiousPlayResult:
     payoff_d: float
     payoff_a: float

@@ -76,7 +76,7 @@ def test_criterion_3_single_dependency_suite():
         assert abs(solution.payoff_a - report.payoff_a) <= 1e-12
         assert abs(solution.payoff_d - report.payoff_d) <= 1e-12
         # one dependency always helps the defender (g != h strictly)
-        assert report.payoff_d > report.payoff_d_baseline
+        assert report.payoff_d > complete_info_payoffs(budget_d, budget_a)[0]
         checked += 1
     elapsed = time.monotonic() - start
     assert elapsed < 5.0

@@ -10,7 +10,8 @@ from cpsblotto import (ValidationError, cascade_failure, default_nine_node,
 from cpsblotto import cascade
 from cpsblotto.cascade import (RebalanceRecord, node_throughput,
                                physical_effect_matrix)
-from cpsblotto.model import CpsTopology, NodeLevel, validate
+from cpsblotto.model import (NINE_NODE_LEVELS, CpsTopology, NodeLevel,
+                             validate)
 from _support import routed_dag, random_level_spec
 
 
@@ -86,7 +87,7 @@ def test_cascade_rejects_cyclic_flows():
 @pytest.mark.parametrize("failed", [-1, 9, True, 1.0])
 def test_failed_node_out_of_range_is_a_value_error(failed):
     with pytest.raises(ValueError, match=r"out of range 0\.\.8"):
-        cascade_failure(default_nine_node(0.7), failed)
+        cascade_failure(default_nine_node(), failed)
 
 
 def test_leaf_failure_only_zeroes_the_failed_node():
@@ -161,7 +162,7 @@ def test_throughput_uses_larger_flow_side():
 def test_nine_node_closed_forms():
     for fill, expected in ((0.6, (2 * 0.6 - 1) / (2 * 0.6)),
                            (0.7, (2 * 0.7 - 1) / (2 * 0.7))):
-        topo = default_nine_node(fill)
+        topo = generate_concentric(list(NINE_NODE_LEVELS), fill)
         E = physical_effect_matrix(topo)
         # a main node loses everything when the reference fails
         assert all(E[m, 0] == 1.0 for m in (1, 2, 3))
@@ -176,7 +177,8 @@ def test_nine_node_closed_forms():
 
 def test_low_fill_kills_main_to_ordinary_effects():
     # below half fill the surviving parent has enough headroom for everything
-    E = physical_effect_matrix(default_nine_node(0.4))
+    E = physical_effect_matrix(
+        generate_concentric(list(NINE_NODE_LEVELS), 0.4))
     assert np.all(E[4:, 1:4] == 0.0)
 
 
@@ -237,7 +239,7 @@ def test_more_capacity_never_worsens_layered_effects():
 def test_processing_order_customers_before_suppliers():
     # failing the reference of the 9-node system touches the three mains
     # (direct customers) first, then their ordinary customers
-    topo = default_nine_node(0.7)
+    topo = default_nine_node()
     result = cascade_failure(topo, 0)
     first = set(result.processing_order[0])
     assert first <= {1, 2, 3}
@@ -411,7 +413,7 @@ def test_link_list_sums_match_numpy():
 
 
 def test_flow_links_are_built_once_per_topology():
-    topo = default_nine_node(0.7)
+    topo = default_nine_node()
     links = topo.flow_links
     assert topo.flow_links is links
     cascade_failure(topo, 1)

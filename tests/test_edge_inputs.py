@@ -15,19 +15,20 @@ import pytest
 
 from cpsblotto import (EquilibriumRegimeError, ScenarioError, ValidationError,
                        battlefield_values, default_params,
-                       generate_concentric, load_scenario, solve_equilibrium,
-                       write_csv)
+                       generate_concentric, load_scenario, load_value_table,
+                       solve_equilibrium, write_csv)
 from cpsblotto.cli import main
 from cpsblotto.model import scenario_document
 
 
 class Fails(NamedTuple):
-    """The library raises `error` with a message starting `prefix`; the
-    CLI exits `code` and prints the same message."""
+    """The library raises `error` with a message starting `prefix` and
+    ending `suffix`; the CLI exits `code` and prints the same message."""
 
     error: type
     prefix: str
     code: int
+    suffix: str = ""
 
 
 def _three_node(**params) -> dict:
@@ -74,6 +75,9 @@ SCENARIOS = {
     "string-weight": _edited("nodes", h="0.5"),
     "over-capacity": _edited("edges", flow=2.0),
     "NaN": _edited("edges", flow=float("nan")),
+    # Raw JSON text: a dict cannot hold a repeated key.
+    "repeated-key": json.dumps(_three_node()).replace(
+        '"R_A": 1.0', '"R_A": 1.0, "R_A": 2.0'),
 }
 
 # The scenario subcommands, in the order the parser lists them.
@@ -127,6 +131,8 @@ SCENARIO_CELLS = {
     "over-capacity": _every_column(Fails(
         ValidationError, "flow exceeds capacity on edge (0, 1)", 1)),
     "NaN": _every_column(Fails(ValidationError, "flows must be finite", 1)),
+    "repeated-key": _every_column(Fails(
+        ScenarioError, "cannot parse scenario ", 1, "repeated key 'R_A'")),
 }
 
 # (h, g, R_D, R_A); the CLI reads them as a table1 file with the column
@@ -156,6 +162,12 @@ VALUE_CELLS = {
     "n=2": {"library": (0.86, 0.2), "table1": (0.86, 0.2)},
 }
 
+# A table file whose column "a" is listed twice, as raw JSON text.
+REPEATED_COLUMN = ('{"h": [0.5, 0.5], "g_columns": '
+                   '{"a": [0.9, 0.1], "a": [0.5, 0.5]}}')
+TABLE_CELLS = dict.fromkeys(("library", "table1"), Fails(
+    ScenarioError, "cannot parse table file ", 1, "repeated key 'a'"))
+
 # Every subcommand that writes a file takes --out; effects takes a
 # directory, which it makes.  A path below a regular file cannot be either.
 _NOT_A_DIRECTORY = Fails(NotADirectoryError, "[Errno 20] Not a directory", 1)
@@ -174,7 +186,8 @@ def _library(call, expected):
     """The result of `call()`, or None once it has raised as `expected`."""
     if isinstance(expected, Fails):
         with pytest.raises(expected.error,
-                           match=f"^{re.escape(expected.prefix)}"):
+                           match=f"^{re.escape(expected.prefix)}.*"
+                                 f"{re.escape(expected.suffix)}$"):
             call()
         return None
     return call()
@@ -187,7 +200,7 @@ def _cli(argv: list[str], expected, capsys) -> str | None:
     if isinstance(expected, Fails):
         assert (code, out) == (expected.code, "")
         assert err.startswith(f"error: {expected.prefix}")
-        assert err.count("\n") == 1 and err.endswith("\n")
+        assert err.count("\n") == 1 and err.endswith(f"{expected.suffix}\n")
         return None
     assert (code, err) == (0, "")
     return out
@@ -233,7 +246,9 @@ _READ_RESULT = {
 @pytest.mark.parametrize("row, column, expected", _cells(SCENARIO_CELLS))
 def test_scenario_edge_input(tmp_path, capsys, row, column, expected):
     path = tmp_path / "scenario.json"
-    path.write_text(json.dumps(SCENARIOS[row]))  # NaN as a NaN literal
+    doc = SCENARIOS[row]
+    # Raw text as it stands; json.dumps writes NaN as a NaN literal.
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
     out = tmp_path / "out"
     if column == "library":
         result = _library(lambda: _pipeline(str(path)), expected)
@@ -265,6 +280,17 @@ def test_value_edge_input(tmp_path, capsys, row, column, expected):
         name, payoff_d, payoff_a = _data_lines(out)[-1].split(",")
         assert name == "g"
         _assert_result((float(payoff_d), float(payoff_a)), expected)
+
+
+@pytest.mark.parametrize("row, column, expected",
+                         _cells({"repeated-key": TABLE_CELLS}))
+def test_table_file_edge_input(tmp_path, capsys, row, column, expected):
+    path = tmp_path / "table.json"
+    path.write_text(REPEATED_COLUMN)
+    if column == "library":
+        _library(lambda: load_value_table(str(path)), expected)
+    else:
+        _cli(["table1", "--scenario", str(path)], expected, capsys)
 
 
 @pytest.mark.parametrize("row, column, expected",

@@ -575,9 +575,9 @@ def test_single_dependency_closed_forms():
     # the top battlefield's support stretches to 2 R_D h_m
     assert abs(sol.marginals_a.upper[0] - 2.5) < 1e-9
 
-    assert abs(report.payoff_d_baseline - 0.8) < 1e-15
-    assert report.defender_gain > 0.0
-    assert report.payoff_d > report.payoff_d_baseline
+    baseline_d, _ = complete_info_payoffs(2.5, 1.0)
+    assert abs(baseline_d - 0.8) < 1e-15
+    assert report.payoff_d > baseline_d
 
 
 def test_single_dependency_regime_bound():
@@ -587,13 +587,6 @@ def test_single_dependency_regime_bound():
         single_dependency_case(h, budget_d=1.1, budget_a=1.0)
     report = single_dependency_case(h, budget_d=1.2, budget_a=1.0)
     assert report.payoff_d >= 0.0
-
-
-def test_single_dependency_variant_is_flagged_not_trusted():
-    h = np.array([0.5, 0.3, 0.2])
-    report = single_dependency_case(h, budget_d=2.5, budget_a=1.0)
-    assert not report.variant_consistent
-    assert abs(report.variant_payoff_d - report.payoff_d) > 1e-3
 
 
 def test_single_dependency_rejects_degenerate_h():
@@ -698,21 +691,6 @@ def test_marginals_read_as_the_tuple_of_records():
         assert type(next(iter(side)).atom_at_zero) is float
     assert sum(m.mean() for side in (sol.marginals_d, sol.marginals_a)
                for m in side) == pytest.approx(2.2, rel=1e-12)
-
-
-def test_solutions_compare_and_hash_by_value():
-    g = np.array([0.2, 0.4, 0.4])
-    h = np.array([0.7, 0.2, 0.1])
-    first, again = (solve_equilibrium(g, h, 1.2, 1.0) for _ in range(2))
-    other = solve_equilibrium(g, h, 1.3, 1.0)
-    assert first == again and first != other
-    assert first.marginals_d == again.marginals_d
-    assert first.marginals_d != first.marginals_a
-    assert first.marginals_d != Marginals(first.marginals_d.atom[:2],
-                                          first.marginals_d.upper[:2])
-    assert first.marginals_d != record_tuple(first.marginals_d)
-    assert hash(first) == hash(again)
-    assert len({first, again, other}) == 2
 
 
 def test_large_solve_builds_no_per_battlefield_records(monkeypatch):

@@ -11,7 +11,8 @@ from cpsblotto import (ValidationError, battlefield_values, default_nine_node,
                        solve_equilibrium)
 from cpsblotto.metrics import (all_pairs_shortest_paths, cyber_effect_matrix,
                                effective_values, interdependency_matrix)
-from cpsblotto.model import CpsTopology, NodeLevel, normalize_weights
+from cpsblotto.model import (NINE_NODE_LEVELS, CpsTopology, NodeLevel,
+                             normalize_weights)
 from _support import (cyber_topology, path_adjacency, random_level_spec,
                       star_adjacency)
 
@@ -491,7 +492,7 @@ def test_effective_values_monotone_in_coupling():
 
 
 def test_pipeline_on_default_system():
-    topo = default_nine_node(0.7)
+    topo = default_nine_node()
     params = default_params(9)
     mats = effect_matrices(topo, params)
     n = topo.n
@@ -523,7 +524,8 @@ def test_defender_values_flatten_as_slack_vanishes():
     worst = []
     spread = []
     for fill in (0.7, 0.9, 1.0):
-        g = battlefield_values(default_nine_node(fill), params).defender
+        topo = generate_concentric(list(NINE_NODE_LEVELS), fill)
+        g = battlefield_values(topo, params).defender
         worst.append(np.abs(g - 1.0 / 9.0).max())
         spread.append(g.max() - g.min())
     assert worst[0] > worst[1] > worst[2]

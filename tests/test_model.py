@@ -13,9 +13,9 @@ from cpsblotto import (ScenarioError, ValidationError, band_probability_table,
                        save_scenario, single_dependency_case,
                        solve_equilibrium, symmetry_sweep)
 from cpsblotto.metrics import effective_values
-from cpsblotto.model import (CpsTopology, GameParams, NodeLevel,
-                             normalize_weights, scenario_document, validate,
-                             _parse_scenario)
+from cpsblotto.model import (NINE_NODE_LEVELS, CpsTopology, GameParams,
+                             NodeLevel, normalize_weights, scenario_document,
+                             validate, _parse_scenario)
 
 
 def small_valid_topology() -> CpsTopology:
@@ -125,7 +125,8 @@ def test_human_interaction_normalized():
 
 def test_validate_accepts_generated_topologies():
     for fill in (0.1, 0.5, 0.7, 1.0):
-        assert validate(default_nine_node(fill)) == []
+        topo = generate_concentric(list(NINE_NODE_LEVELS), fill)
+        assert validate(topo) == []
 
 
 @pytest.mark.parametrize("weights, message", [
@@ -256,7 +257,7 @@ def test_generate_concentric_rejects_bad_inputs():
 
 
 def test_scenario_round_trip(tmp_path):
-    topo = default_nine_node(0.7)
+    topo = default_nine_node()
     params = default_params(9)
     path = tmp_path / "scenario.json"
     save_scenario(topo, params, str(path))

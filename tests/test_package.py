@@ -1,12 +1,20 @@
 """The package's public names: exactly what the demos and the README use;
-and every module uses each name it imports."""
+every module uses each name it imports; and records that hold arrays
+compare by identity."""
 
 import ast
+import dataclasses
 import glob
+import importlib
 import os
+import pkgutil
 import re
+import typing
+
+import numpy as np
 
 import cpsblotto
+from cpsblotto.equilibrium import Marginals
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 ERROR_TYPES = {"ScenarioError", "ValidationError", "EquilibriumRegimeError"}
@@ -68,3 +76,35 @@ def test_every_module_uses_each_name_it_imports():
     assert len(paths) > 20
     assert [unused for path in sorted(paths)
             for unused in _unused_imports(path)] == []
+
+
+def _records() -> list[type]:
+    """Every dataclass the package's modules define."""
+    modules = [importlib.import_module(f"cpsblotto.{info.name}")
+               for info in pkgutil.iter_modules(cpsblotto.__path__)]
+    return [cls for module in modules for cls in vars(module).values()
+            if dataclasses.is_dataclass(cls)
+            and cls.__module__ == module.__name__]
+
+
+def test_records_that_hold_arrays_compare_by_identity():
+    # Array fields make a generated __eq__ raise ValueError and a generated
+    # __hash__ raise TypeError.
+    params = cpsblotto.default_params(9)
+    topologies = [cpsblotto.default_nine_node() for _ in range(2)]
+    values = [cpsblotto.battlefield_values(topology, params)
+              for topology in topologies]
+    solutions = [cpsblotto.solve_equilibrium(v.defender, v.attacker, 2.5, 1.0)
+                 for v in values]
+    for first, again in (topologies, values, solutions):
+        assert (first == again) is False
+        assert first == first
+        assert isinstance(hash(first), int)
+
+    holders = [cls for cls in _records()
+               if {np.ndarray, Marginals} & set(
+                   typing.get_type_hints(cls).values())]
+    assert {"CpsTopology", "BattlefieldValues", "EquilibriumSolution",
+            "Marginals"} <= {cls.__name__ for cls in holders}
+    assert [cls.__name__ for cls in holders
+            if cls.__dataclass_params__.eq] == []
