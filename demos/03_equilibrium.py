@@ -14,6 +14,13 @@ from cpsblotto import (battlefield_values, complete_info_payoffs,
                        solve_equilibrium)
 
 
+def _by_node(marginals):
+    """Per node: the atom a at zero, the support's upper end u, and the
+    mean (1 - a) * u / 2 of the atom plus the uniform segment up to u."""
+    atom, upper = marginals.atom.tolist(), marginals.upper.tolist()
+    return atom, upper, [(1.0 - a) * u / 2.0 for a, u in zip(atom, upper)]
+
+
 def main():
     topology = default_nine_node()
     params = default_params(topology.n)
@@ -27,16 +34,17 @@ def main():
     print(f"attacker-favored set: {sorted(solution.omega_a) or 'empty'}")
     print(f"cubic residual = {solution.cubic_residual:.2e}")
 
+    atom_d, upper_d, mean_d = _by_node(solution.marginals_d)
+    atom_a, upper_a, mean_a = _by_node(solution.marginals_a)
     print("\nper-node marginals (atom at zero, support upper end, mean):")
-    for i, (m_d, m_a) in enumerate(zip(solution.marginals_d,
-                                       solution.marginals_a)):
-        print(f"  node {i}: defender ({m_d.atom_at_zero:.3f}, "
-              f"{m_d.support_upper:.3f}, {m_d.mean():.3f})   "
-              f"attacker ({m_a.atom_at_zero:.3f}, "
-              f"{m_a.support_upper:.3f}, {m_a.mean():.3f})")
+    for i in range(topology.n):
+        print(f"  node {i}: defender ({atom_d[i]:.3f}, "
+              f"{upper_d[i]:.3f}, {mean_d[i]:.3f})   "
+              f"attacker ({atom_a[i]:.3f}, "
+              f"{upper_a[i]:.3f}, {mean_a[i]:.3f})")
 
-    spend_d = sum(m.mean() for m in solution.marginals_d)
-    spend_a = sum(m.mean() for m in solution.marginals_a)
+    spend_d = sum(mean_d)
+    spend_a = sum(mean_a)
     print(f"expected spend: defender {spend_d:.6f} / {params.budget_d}, "
           f"attacker {spend_a:.6f} / {params.budget_a}")
 

@@ -30,7 +30,7 @@ class RebalanceRecord:
     lost: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CascadeResult:
     """Outcome of one failure cascade.
 

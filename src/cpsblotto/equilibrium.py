@@ -44,9 +44,9 @@ class MarginalDistribution:
     """One player's equilibrium marginal on one battlefield: an atom of mass
     atom_at_zero at zero plus a uniform segment up to support_upper.
 
-    The library reads marginals only as a Marginals' arrays; iterating a
-    Marginals yields these records, one per battlefield, for the benchmark
-    harness, which reads mean() and support_upper through them.
+    The library and the demos read marginals only as a Marginals' arrays;
+    iterating a Marginals yields these records, one per battlefield, for
+    the benchmark harness and the tests, which read them.
     """
 
     atom_at_zero: float

@@ -14,31 +14,6 @@ from .cascade import physical_effect_matrix
 
 
 @dataclass(frozen=True, eq=False)
-class RemovalPairs:
-    """The entries each single-node removal can change, grouped by removal.
-
-    Entry (j, k) is a pair of removal i when k lies below i in source j's
-    shortest-path tree and removal i can change row j (see
-    all_pairs_shortest_paths).
-
-    Attributes:
-        offsets: n + 1 ascending positions; removal i's pairs are
-            positions offsets[i]:offsets[i + 1] of `sources` and `nodes`.
-        sources: the source row j of each pair.
-        nodes: the node k of each pair.
-    """
-
-    offsets: np.ndarray
-    sources: np.ndarray
-    nodes: np.ndarray
-
-    def of(self, removed: int) -> tuple[np.ndarray, np.ndarray]:
-        """The sources and nodes of removal `removed`'s pairs."""
-        lo, hi = self.offsets[removed], self.offsets[removed + 1]
-        return self.sources[lo:hi], self.nodes[lo:hi]
-
-
-@dataclass(frozen=True, eq=False)
 class ShortestPathTable:
     """All-pairs shortest path lengths; inf marks unreachable pairs (none
     in a topology's base table: its cyber graph is connected).
@@ -46,13 +21,15 @@ class ShortestPathTable:
     Attributes:
         lengths: n x n table, row j holding the lengths from source j.
         removal_pairs: on a table without a removal, the entries each
-            removal re-solves; every other entry of a removal's table,
-            outside the removed node's row and column, is bitwise the
-            base's.  None on a removal's table.
+            removal re-solves: entry i holds the sources j and the nodes k
+            of removal i's (j, k) pairs, two arrays of one length.  Every
+            other entry of a removal's table, outside the removed node's
+            row and column, is bitwise the base's.  None on a removal's
+            table.
     """
 
     lengths: np.ndarray
-    removal_pairs: RemovalPairs | None
+    removal_pairs: tuple[tuple[np.ndarray, np.ndarray], ...] | None
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,9 +75,9 @@ def all_pairs_shortest_paths(adjacency: np.ndarray | csr_matrix,
     length, so the row comes back bitwise unchanged.  A tie that exact
     equality misses only costs a needless re-solve, never a wrong row.
     The base table records the entries left, below i in a marked row, as
-    `removal_pairs`.
+    `removal_pairs[i]`.
 
-    A removal copies the base table and re-solves its pairs with one
+    A removal i copies the base table and re-solves its pairs with one
     Dijkstra call over a small "pairs graph": a super source, and one node
     per pair.  The super source links to pair (j, k) with weight the least
     base[j, u] + A[u, k] over the links u -> k whose u lies outside the
@@ -143,7 +120,7 @@ def all_pairs_shortest_paths(adjacency: np.ndarray | csr_matrix,
     if base is None or base.removal_pairs is None:
         raise ValueError("base must be a table without a removal")
     dist = base.lengths.copy()
-    sources, nodes = base.removal_pairs.of(removed)
+    sources, nodes = base.removal_pairs[removed]
     if sources.size:
         dist.ravel()[sources * n + nodes] = _solve_pairs(
             G, base.lengths, removed, sources, nodes)
@@ -153,9 +130,10 @@ def all_pairs_shortest_paths(adjacency: np.ndarray | csr_matrix,
     return ShortestPathTable(lengths=dist, removal_pairs=None)
 
 
-def _removal_pairs(parent: np.ndarray, marked: np.ndarray) -> RemovalPairs:
-    """The (j, k) pairs with k below i in j's tree and j in `marked[i]`,
-    grouped by i.
+def _removal_pairs(parent: np.ndarray, marked: np.ndarray
+                   ) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """The (j, k) pairs with k below i in j's tree and j in `marked[i]`:
+    entry i holds removal i's sources j and nodes k.
 
     `parent` is csgraph's predecessor table, negative at each source and
     each unreachable node.  Every pair walks up k's ancestors at once, one
@@ -184,10 +162,9 @@ def _removal_pairs(parent: np.ndarray, marked: np.ndarray) -> RemovalPairs:
     removal = np.concatenate(removals)
     # numpy's stable sort is a radix sort on keys of 16 bits or fewer
     order = np.argsort(removal.astype(np.min_scalar_type(n)), kind="stable")
-    offsets = np.zeros(n + 1, dtype=np.intp)
-    np.cumsum(np.bincount(removal, minlength=n), out=offsets[1:])
+    bounds = np.cumsum(np.bincount(removal, minlength=n))[:-1]
     pair = np.concatenate(pairs)[order]
-    return RemovalPairs(offsets=offsets, sources=pair // n, nodes=pair % n)
+    return tuple(zip(np.split(pair // n, bounds), np.split(pair % n, bounds)))
 
 
 def _solve_pairs(G: csr_matrix, lengths: np.ndarray, removed: int,
@@ -249,20 +226,18 @@ def _removal_rows(G: csr_matrix, lengths: np.ndarray) -> np.ndarray:
     row k's entries are k's incoming edges.  The test runs over every
     (source, edge) pair, for blocks of sources: an edge u -> k is the sole
     way in when it is tight and no other edge into k is a strict detour,
-    and r is marked for j when one of its edges is.  The diagonal stays
+    and r is marked for j when one of its edges is.  The CSR is symmetric,
+    so the edges out of r are the mirrors of row r's entries, and one
+    incidence matrix sums over both: the edges into each node as they
+    stand, the edges out of it once reordered by u.  The diagonal stays
     unmarked: the removed node's row comes back all inf.
     """
     n = lengths.shape[0]
     nnz = G.indices.size
     entries = np.arange(nnz)
     target = np.repeat(np.arange(n), np.diff(G.indptr))
-    # Sum over the edges into each node (its row's entries), and over the
-    # edges out of each (the entries ordered by u).
     into = csr_matrix((np.ones(nnz), entries, G.indptr), shape=(n, nnz))
-    out_ptr = np.zeros(n + 1, dtype=np.intp)
-    np.cumsum(np.bincount(G.indices, minlength=n), out=out_ptr[1:])
-    out_of = csr_matrix((np.ones(nnz), np.argsort(G.indices, kind="stable"),
-                         out_ptr), shape=(n, nnz))
+    mirror = np.argsort(G.indices, kind="stable")
     marked = np.zeros((n, n), dtype=bool)
     step = max(1, _REMOVAL_BLOCK // max(nnz, 1))
     for lo in range(0, n, step):
@@ -271,7 +246,7 @@ def _removal_rows(G: csr_matrix, lengths: np.ndarray) -> np.ndarray:
         tight = to_u + G.data[:, None] == to_k
         detour = tight & (to_u < to_k)
         sole = tight & ((into @ detour)[target] == detour)
-        marked[:, lo:lo + step] = (out_of @ sole) > 0
+        marked[:, lo:lo + step] = (into @ sole[mirror]) > 0
     np.fill_diagonal(marked, False)
     return marked
 
@@ -316,7 +291,7 @@ def cyber_effect_matrix(topology: CpsTopology, t0: float,
     T = np.full((n, n), t0, dtype=float)
     for i in range(n):
         sub = all_pairs_shortest_paths(graph, removed=i, base=base)
-        sources, _ = base.removal_pairs.of(i)
+        sources, _ = base.removal_pairs[i]
         rows = np.flatnonzero(np.bincount(sources, minlength=n))
         if rows.size:
             # Pairs to i leave both sums; both diagonals are 0 already.

@@ -161,7 +161,7 @@ def normalize_weights(h: np.ndarray) -> np.ndarray:
     return h
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FlowLinks:
     """A topology's flow and capacity links as per-node lists.
 

@@ -17,10 +17,8 @@ _BLOCK_ENTRIES = 1 << 16
 
 
 def _cdf(atom: float, upper: float, r: float) -> float:
-    """CDF at r of an atom `atom` at zero plus a uniform segment up to
+    """CDF at r > 0 of an atom `atom` at zero plus a uniform segment up to
     `upper`; a zero upper end is a point mass at zero."""
-    if r < 0.0:
-        return 0.0
     if r >= upper or upper == 0.0:
         return 1.0
     return atom + (1.0 - atom) * (r / upper)

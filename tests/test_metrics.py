@@ -200,7 +200,7 @@ def test_resolved_rows_are_the_marked_rows():
         for i in range(n):
             marked = _rows_through(G, base.lengths, i)
             # the re-solved rows, those with pairs, are marked rows
-            sources, _ = base.removal_pairs.of(i)
+            sources, _ = base.removal_pairs[i]
             assert marked[sources].all()
             table = all_pairs_shortest_paths(A, removed=i, base=base)
             outside = ~marked
@@ -340,10 +340,10 @@ def test_removal_pairs_hold_every_changed_entry():
         removal_rows = metrics._removal_rows(csr_matrix(A, dtype=float),
                                              base.lengths)
         pairs = base.removal_pairs
-        assert pairs.offsets[0] == 0 and pairs.offsets[-1] == pairs.nodes.size
-        assert np.all(np.diff(pairs.offsets) >= 0)
+        assert len(pairs) == n
+        assert all(sources.size == nodes.size for sources, nodes in pairs)
         for i in range(n):
-            sources, nodes = pairs.of(i)
+            sources, nodes = pairs[i]
             recorded = np.zeros((n, n), dtype=bool)
             recorded[sources, nodes] = True
             assert recorded.sum() == sources.size  # no pair twice
@@ -354,7 +354,7 @@ def test_removal_pairs_hold_every_changed_entry():
             changed[i, :] = changed[:, i] = False
             assert not np.any(changed & ~recorded)
         if n <= 2:
-            assert pairs.nodes.size == 0
+            assert all(nodes.size == 0 for _, nodes in pairs)
 
 
 def test_default_params_solve_tiny_systems():

@@ -77,6 +77,8 @@ _VALUE_FAULTS = {
     "zero": ([0.5, 0.5, 0.0], "must be positive"),
     "negative": ([0.6, 0.5, -0.1], "must be positive"),
     "wrong_length": ([0.5, 0.5], "has wrong length 2, expected 3"),
+    "empty": ([], "must be a non-empty 1-D vector"),
+    "two_d": ([[0.5, 0.3, 0.2]], "must be a non-empty 1-D vector"),
 }
 
 
@@ -158,6 +160,16 @@ def test_validate_flags_each_violation():
     with pytest.raises(ValidationError,
                        match="^node weights h must be positive$"):
         dataclasses.replace(base, human_interaction=[2.0, 0.0, 1.0])
+
+    with pytest.raises(ValidationError,
+                       match=r"^flows matrix must be 3x3, got \(2, 2\)$"):
+        dataclasses.replace(base, flows=np.zeros((2, 2)))
+
+    C = base.capacities.copy()
+    C[2, 0] = -1.0  # no edge 2 -> 0
+    with pytest.raises(ValidationError,
+                       match="^capacities must be non-negative"):
+        dataclasses.replace(base, capacities=C)
 
     F = base.flows.copy()
     F[0, 1] = 5.0  # above capacity 2
@@ -254,6 +266,11 @@ def test_generate_concentric_rejects_bad_inputs():
         generate_concentric([(1, 4.0), (3, 2.0), (5, 1.0)], flow_fill=0.0)
     with pytest.raises(ValueError):
         generate_concentric([(1, 4.0), (3, 2.0), (5, 1.0)], flow_fill=1.2)
+    with pytest.raises(ValueError, match="^levels must be non-empty$"):
+        generate_concentric([], flow_fill=0.7)
+    with pytest.raises(ValueError,
+                       match="^level node counts must be positive$"):
+        generate_concentric([(1, 4.0), (0, 2.0)], flow_fill=0.7)
 
 
 def test_scenario_round_trip(tmp_path):
@@ -279,6 +296,12 @@ def test_scenario_round_trip(tmp_path):
         assert doc[section]
         assert all(list(entry) == keys for entry in doc[section])
     assert list(doc["params"]) == ["alpha", "beta", "t0", "R_D", "R_A"]
+    # without cyber_edges, the cyber graph is the unit-weight skeleton of
+    # the flow edges, which is what default_nine_node generates
+    doc = scenario_document(topo, params)
+    del doc["cyber_edges"]
+    assert np.array_equal(_parse_scenario(doc)[0].cyber_adjacency,
+                          topo.cyber_adjacency)
 
 
 def test_scenario_schema_rejects_missing_and_unknown_keys():

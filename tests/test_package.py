@@ -1,6 +1,6 @@
 """The package's public names: exactly what the demos and the README use;
-every module uses each name it imports; and records that hold arrays
-compare by identity."""
+every module uses each name it imports; and records that hold arrays or
+dicts compare by identity."""
 
 import ast
 import dataclasses
@@ -87,9 +87,17 @@ def _records() -> list[type]:
             and cls.__module__ == module.__name__]
 
 
+def _holds_array_or_dict(hint) -> bool:
+    """Whether a field's type is, or contains, an array, Marginals or dict."""
+    return (hint in (np.ndarray, Marginals, dict)
+            or typing.get_origin(hint) is dict
+            or any(_holds_array_or_dict(arg) for arg in typing.get_args(hint)))
+
+
 def test_records_that_hold_arrays_compare_by_identity():
     # Array fields make a generated __eq__ raise ValueError and a generated
-    # __hash__ raise TypeError.
+    # __hash__ raise TypeError; dict fields, even inside a tuple, make a
+    # generated __hash__ raise TypeError.
     params = cpsblotto.default_params(9)
     topologies = [cpsblotto.default_nine_node() for _ in range(2)]
     values = [cpsblotto.battlefield_values(topology, params)
@@ -102,9 +110,10 @@ def test_records_that_hold_arrays_compare_by_identity():
         assert isinstance(hash(first), int)
 
     holders = [cls for cls in _records()
-               if {np.ndarray, Marginals} & set(
-                   typing.get_type_hints(cls).values())]
+               if any(map(_holds_array_or_dict,
+                          typing.get_type_hints(cls).values()))]
     assert {"CpsTopology", "BattlefieldValues", "EquilibriumSolution",
-            "Marginals"} <= {cls.__name__ for cls in holders}
+            "Marginals", "CascadeResult", "FlowLinks"} <= {
+                cls.__name__ for cls in holders}
     assert [cls.__name__ for cls in holders
             if cls.__dataclass_params__.eq] == []
