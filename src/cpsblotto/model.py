@@ -147,9 +147,13 @@ def normalize_weights(h: np.ndarray) -> np.ndarray:
 
     Iterates the division until the array reaches a bitwise fixed point, so
     normalizing an already-normalized vector returns it unchanged and
-    load/save round trips stay bit-exact.
+    load/save round trips stay bit-exact.  Weights whose sum could
+    overflow (the largest above float max / n) are first divided by the
+    largest one; all others keep their bits.
     """
     h = check_values("weights", h)
+    if h.max() > np.finfo(float).max / h.size:
+        h = h / h.max()
     for _ in range(32):
         s = h.sum()
         if s == 1.0:
@@ -272,12 +276,15 @@ def check_budget(name: str, budget: float) -> None:
 
 
 def check_budgets(budget_d: float, budget_a: float) -> None:
-    """Raise ValidationError unless R_D and R_A pass check_budget and
-    R_D >= R_A."""
+    """Raise ValidationError unless R_D and R_A pass check_budget,
+    R_D >= R_A and the ratio R_D / R_A is finite."""
     check_budget("R_D", budget_d)
     check_budget("R_A", budget_a)
     if budget_d < budget_a:
         raise ValidationError("defender budget must be >= attacker budget")
+    # Python floats overflow to inf without a warning.
+    if not np.isfinite(float(budget_d) / float(budget_a)):
+        raise ValidationError("budget ratio R_D / R_A must be finite")
 
 
 def check_weights(alpha: float, beta: float) -> None:

@@ -126,9 +126,6 @@ def fictitious_play(game: DiscreteGame, iterations: int
       leads after each of the first m adds.  A twin (gap_j = 0 and
       rate_j = 0) is exempt: its adds are bitwise the leader's, and its
       higher index keeps it behind.
-    - When no add can be guaranteed, one plain step is taken, and so are
-      the next four steps; that is a cost heuristic, and the result does
-      not depend on it.
 
     A run never crosses a checkpoint, and the best-response counts are
     exact integers, so the checkpoints, mixtures and gap are bitwise the
@@ -154,7 +151,6 @@ def fictitious_play(game: DiscreteGame, iterations: int
     payoff_bound = float(max(np.abs(U_d).max(), np.abs(U_a).max()))
 
     pair = None
-    plain = 0
     checkpoints: list[tuple[float, float]] = []
     step = max(1, iterations // 200)
     t = 0
@@ -169,21 +165,10 @@ def fictitious_play(game: DiscreteGame, iterations: int
                 leaders[:n_d] = br_d
                 leaders[n_d:] = n_d + br_a
                 rate = inc - inc[leaders]
-                closing = np.flatnonzero(rate > 0.0)
-                closing_rate = rate[closing]
-                holding = np.flatnonzero(rate <= 0.0)
-                holding_rate = rate[holding]
             left = end - t
-            run = 1
-            if plain:
-                plain -= 1
-            elif left > 1:
-                run = _safe_run(score, leaders, closing, closing_rate,
-                                holding, holding_rate, left,
-                                2.0 * left * eps
-                                * (score_bound + (t + left) * payoff_bound))
-                if run == 1:
-                    plain = 4
+            run = _safe_run(score[leaders] - score, rate, left,
+                            2.0 * left * eps
+                            * (score_bound + end * payoff_bound))
             for _ in range(run):
                 add(inc)
             counts_d[br_d] += run
@@ -204,25 +189,24 @@ def fictitious_play(game: DiscreteGame, iterations: int
         series=tuple(checkpoints))
 
 
-def _safe_run(score: np.ndarray, leaders: np.ndarray, closing: np.ndarray,
-              closing_rate: np.ndarray, holding: np.ndarray,
-              holding_rate: np.ndarray, left: int, tol: float) -> int:
+def _safe_run(gap: np.ndarray, rate: np.ndarray, left: int,
+              tol: float) -> int:
     """Steps, 1 to `left`, over which the current best responses hold.
 
-    `leaders` gives each score entry its player's leader; `closing` and
-    `holding` index the entries whose rate (see `fictitious_play`) is
-    positive and not positive, with those rates alongside.
+    `gap` and `rate` give each score entry's gap and rate to its player's
+    leader (see `fictitious_play`); `tol` is the rounding bound over
+    `left` adds.
     """
-    gap = score[leaders] - score
+    closing = rate > 0.0
     # An entry that is not closing in is nearest after one add, at
     # gap - rate; a twin sits at exactly 0 there and is exempt.
-    slack = gap[holding] - holding_rate
+    slack = (gap - rate)[~closing]
     if ((slack > 0.0) & (slack <= tol)).any():
         return 1
-    if closing.size == 0:
+    if not closing.any():
         return left
     # A closing entry allows the k-th add only for k < (gap - tol) / rate.
-    horizon = float(((gap[closing] - tol) / closing_rate).min())
+    horizon = float(((gap[closing] - tol) / rate[closing]).min())
     return 1 + min(left - 1, max(0, ceil(horizon) - 1))
 
 
@@ -269,13 +253,19 @@ def cross_validate(g: np.ndarray, h: np.ndarray, budget_d: float,
 
     Raises:
         ValidationError: a budget, g or h is invalid (as in solve_equilibrium).
+        ValueError: grid_units is below 20, or grid_units * R_D / R_A is
+            not finite.
     """
     if grid_units < 20:
         raise ValueError(
             "grid_units must be at least 20, a floor, not an error bound")
     check_budgets(budget_d, budget_a)
     units_a = grid_units
-    units_d = int(round(grid_units * budget_d / budget_a))
+    scaled_d = grid_units * float(budget_d) / float(budget_a)
+    if not np.isfinite(scaled_d):
+        raise ValueError(f"defender units {grid_units} * R_D / R_A "
+                         "must be finite")
+    units_d = int(round(scaled_d))
     g = np.asarray(g, dtype=float)
     h = np.asarray(h, dtype=float)
 

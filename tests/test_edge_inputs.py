@@ -14,7 +14,7 @@ from typing import NamedTuple
 import pytest
 
 from cpsblotto import (EquilibriumRegimeError, ScenarioError, ValidationError,
-                       battlefield_values, default_params,
+                       battlefield_values, cross_validate, default_params,
                        generate_concentric, load_scenario, load_value_table,
                        solve_equilibrium, write_csv)
 from cpsblotto.cli import main
@@ -71,6 +71,10 @@ SCENARIOS = {
     "disconnected-cyber-graph": _scenario(
         [("reference", 1.0)] + [("ordinary", 1.0)] * 3, [(0, 2, 1.0, 2.0)],
         [(0, 1), (2, 3)], t0=0.5),
+    "R_D/R_A=inf": _three_node(R_D=1e308, R_A=1e-308),
+    # The weights' sum overflows.
+    "h=1e308": {**_three_node(), "nodes": [
+        {**node, "h": 1e308} for node in _three_node()["nodes"]]},
     "null-id": _edited("nodes", id=None),
     "string-weight": _edited("nodes", h="0.5"),
     "over-capacity": _edited("edges", flow=2.0),
@@ -88,6 +92,8 @@ _SCENARIO_COMMANDS = ("validate", "effects", "solve", "sweep-symmetry", "fig4",
 def _every_column(outcome: Fails) -> dict:
     return dict.fromkeys(("library",) + _SCENARIO_COMMANDS, outcome)
 
+
+_RATIO = Fails(ValidationError, "budget ratio R_D / R_A must be finite", 1)
 
 # A result is the payoff pair (D, A) of the library's solution, of solve's
 # JSON or of the oracle's analytic solve; validate's line; or the CSV lines
@@ -122,6 +128,17 @@ SCENARIO_CELLS = {
         "fig4": "1,0,1,attacker,0.333333333,0.0144",
         "oracle": (0.8079877112135176, 0.20161290322580644),
     },
+    "R_D/R_A=inf": _every_column(_RATIO),
+    # The cells of the same file with every h = 1: the weights are 1/3 each.
+    "h=1e308": {
+        "library": (0.82923551268875, 0.19999999999999998),
+        "validate": "OK: 3 nodes, 2 flow edges",
+        "effects": ["0,0.539568345", "1,0.230215827", "2,0.230215827"],
+        "solve": (0.82923551268875, 0.19999999999999998),
+        "sweep-symmetry": "1,0,1,1",
+        "fig4": "1,0,2,attacker,0.333333333,0.024",
+        "oracle": (0.8278583797265626, 0.2016129032258064),
+    },
     "disconnected-cyber-graph": _every_column(Fails(
         ValidationError, "cyber graph is disconnected (nodes 0 and 2)", 1)),
     "null-id": _every_column(Fails(
@@ -146,6 +163,7 @@ VALUES = {
     "tiny-values": ([1e-170, 1.0 - 1e-170], [1.0 - 1e-300, 1e-300], 2.5, 1.0),
     "n=1": ([1.0], [1.0], 2.5, 1.0),
     "n=2": ([0.6, 0.4], [0.3, 0.7], 2.5, 1.0),
+    "R_D/R_A=inf": ([0.5, 0.5], [0.5, 0.5], 1e308, 1e-308),
 }
 
 # A result is the payoff pair (D, A) of the solution, or of table1's "g"
@@ -160,6 +178,7 @@ VALUE_CELLS = {
     "tiny-values": {"library": _REGIME, "table1": _REGIME},
     "n=1": {"library": (0.8, 0.2), "table1": (0.8, 0.2)},
     "n=2": {"library": (0.86, 0.2), "table1": (0.86, 0.2)},
+    "R_D/R_A=inf": {"library": _RATIO, "table1": _RATIO},
 }
 
 # A table file whose column "a" is listed twice, as raw JSON text.
@@ -291,6 +310,22 @@ def test_table_file_edge_input(tmp_path, capsys, row, column, expected):
         _library(lambda: load_value_table(str(path)), expected)
     else:
         _cli(["table1", "--scenario", str(path)], expected, capsys)
+
+
+# R_D / R_A = 1e308 is finite, but the oracle's defender units, 25 times
+# it, are not.
+UNITS_CELLS = dict.fromkeys(("library", "oracle"), Fails(
+    ValueError, "defender units 25 * R_D / R_A must be finite", 1))
+
+
+@pytest.mark.parametrize("row, column, expected",
+                         _cells({"R_D=1e308,R_A=1": UNITS_CELLS}))
+def test_oracle_unit_overflow(capsys, row, column, expected):
+    if column == "library":
+        _library(lambda: cross_validate([0.5, 0.5], [0.5, 0.5], 1e308, 1.0),
+                 expected)
+    else:
+        _cli(["oracle", "--rd", "1e308", "--ra", "1"], expected, capsys)
 
 
 @pytest.mark.parametrize("row, column, expected",

@@ -43,6 +43,12 @@ def test_normalize_weights_sums_to_one_bitwise():
     assert np.array_equal(again, out)
 
 
+def test_normalize_weights_survives_an_overflowing_sum():
+    # 3e308 overflows; the pytest config turns a RuntimeWarning into an error
+    out = normalize_weights(np.full(3, 1e308))
+    assert np.array_equal(out, np.full(3, 1.0 / 3.0))
+
+
 def test_normalize_weights_rejects_nonpositive():
     with pytest.raises(ValueError):
         normalize_weights(np.array([0.5, 0.0]))

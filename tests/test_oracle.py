@@ -160,7 +160,6 @@ def test_safe_runs_keep_the_leader_on_near_ties():
     # overtake it once the sums cross into the next binade; over every
     # run _safe_run grants, the plain loop's argmax must stay the leader
     rng = np.random.default_rng(5)
-    left = 50
     for _ in range(2000):
         n = int(rng.integers(2, 6))
         lead = int(rng.integers(n))
@@ -178,15 +177,14 @@ def test_safe_runs_keep_the_leader_on_near_ties():
         inc[lead] = inc_lead
         leaders = np.full(n, lead)
         rate = inc - inc_lead
-        closing = np.flatnonzero(rate > 0.0)
-        holding = np.flatnonzero(rate <= 0.0)
-        tol = 2.0 * left * np.finfo(float).eps * (top + left * inc.max())
-        run = _safe_run(score, leaders, closing, rate[closing], holding,
-                        rate[holding], left, tol)
-        assert 1 <= run <= left
-        for _ in range(run - 1):
-            score += inc
-            assert score.argmax() == lead
+        # left = 1 first: its run of 1 leaves score untouched
+        for left in (1, 50):
+            tol = 2.0 * left * np.finfo(float).eps * (top + left * inc.max())
+            run = _safe_run(score[leaders] - score, rate, left, tol)
+            assert 1 <= run <= left
+            for _ in range(run - 1):
+                score += inc
+                assert score.argmax() == lead
 
 
 def test_fictitious_play_reports_its_checkpoint_series():
