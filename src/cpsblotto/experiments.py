@@ -9,8 +9,8 @@ import numpy as np
 from . import __version__
 from .model import (DEFAULT_BUDGET_A, DEFAULT_BUDGET_D, NINE_NODE_LEVELS,
                     ScenarioError, ValidationError, _read_json, check_node_id,
-                    check_values, default_params, generate_concentric,
-                    is_number, normalize_weights)
+                    default_params, generate_concentric, is_number,
+                    normalize_weights)
 from .metrics import battlefield_values
 from .equilibrium import (EquilibriumSolution, complete_info_payoffs,
                           solve_equilibrium)
@@ -73,11 +73,11 @@ def payoff_table(h: np.ndarray, g_columns: dict[str, np.ndarray],
     """
     if "h" in g_columns:
         raise ValidationError("column name 'h' clashes with the h row")
-    h = normalize_weights(check_values("h", h, sum_tol=COLUMN_SUM_TOL))
+    h = normalize_weights(h, "h", sum_tol=COLUMN_SUM_TOL)
     rows = []
     for name, column in [("h", h)] + list(g_columns.items()):
-        g = normalize_weights(check_values(f"column {name!r}", column,
-                                           h.size, COLUMN_SUM_TOL))
+        g = normalize_weights(column, f"column {name!r}", h.size,
+                              COLUMN_SUM_TOL)
         solution = solve_equilibrium(g, h, budget_d, budget_a)
         rows.append((name, solution.payoff_d, solution.payoff_a))
     return rows
@@ -126,9 +126,9 @@ def _symmetry_path(h: np.ndarray, points: tuple[float, ...],
     g(theta) = (1 - theta) * g_base + theta * uniform, g_base defaulting to h.
     """
     _check_points(tuple(points))
-    h = normalize_weights(check_values("h", h))
+    h = normalize_weights(h, "h")
     g_base = h if g_base is None else normalize_weights(
-        check_values("g_base", g_base, h.size))
+        g_base, "g_base", h.size)
     uniform = np.full(h.size, 1.0 / h.size)
     return h, [(1.0 - theta) * g_base + theta * uniform for theta in points]
 

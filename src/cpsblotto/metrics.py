@@ -1,16 +1,22 @@
-"""Cyber effects, interdependency values, and battlefield value derivation."""
+"""Cyber effects, interdependency values, and battlefield value derivation.
+
+Only `all_pairs_shortest_paths`, `_solve_pairs`, `_removal_rows` and
+`cyber_effect_matrix` import scipy, for its sparse graphs and Dijkstra.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import dijkstra
 
 from .model import (CpsTopology, GameParams, check_effects,
                     check_node_id, check_values, check_weights)
 from .cascade import physical_effect_matrix
+
+if TYPE_CHECKING:
+    from scipy.sparse import csr_matrix
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,6 +113,9 @@ def all_pairs_shortest_paths(adjacency: np.ndarray | csr_matrix,
         ValueError: `removed` is not a node id in 0..n-1, or `base` is
             missing or a removal's table.
     """
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import dijkstra
+
     G = adjacency
     if not (isinstance(G, csr_matrix) and G.dtype == np.float64):
         G = csr_matrix(adjacency, dtype=float)
@@ -180,6 +189,9 @@ def _solve_pairs(G: csr_matrix, lengths: np.ndarray, removed: int,
     sink when it is outside, and as the second when it is `removed`.  The
     links from outside also give the super source's link to (j, k).
     """
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import dijkstra
+
     n = G.shape[0]
     m = sources.size
     outside, cut = m + 1, m + 2
@@ -232,6 +244,8 @@ def _removal_rows(G: csr_matrix, lengths: np.ndarray) -> np.ndarray:
     stand, the edges out of it once reordered by u.  The diagonal stays
     unmarked: the removed node's row comes back all inf.
     """
+    from scipy.sparse import csr_matrix
+
     n = lengths.shape[0]
     nnz = G.indices.size
     entries = np.arange(nnz)
@@ -282,6 +296,8 @@ def cyber_effect_matrix(topology: CpsTopology, t0: float,
     Returns:
         n x n matrix with zero diagonal.
     """
+    from scipy.sparse import csr_matrix
+
     n = topology.n
     graph = csr_matrix(topology.cyber_adjacency, dtype=float)
     base = all_pairs_shortest_paths(graph)

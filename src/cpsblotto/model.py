@@ -5,6 +5,9 @@ Directed edges carry physical flow up to a capacity; an undirected weighted
 graph over the same nodes describes cyber connectivity.  Each node carries a
 human-interaction weight; the normalized weights form the attacker's value
 vector for the allocation game.
+
+Only `validate` imports scipy, for the graph components its cycle and
+cyber-connectivity rules search.
 """
 
 from __future__ import annotations
@@ -17,8 +20,6 @@ from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 # Conservation is enforced at nodes that both receive and send flow.
 FLOW_BALANCE_TOL = 1e-6
@@ -142,16 +143,21 @@ def check_effects(name: str, matrix: np.ndarray,
     return matrix
 
 
-def normalize_weights(h: np.ndarray) -> np.ndarray:
-    """Scale a value vector (see check_values) so it sums to 1.
+def normalize_weights(h: np.ndarray, name: str = "weights",
+                      size: int | None = None,
+                      sum_tol: float | None = None) -> np.ndarray:
+    """Scale a value vector so it sums to 1, once check_values(name, h,
+    size, sum_tol) has passed it.
 
     Iterates the division until the array reaches a bitwise fixed point, so
     normalizing an already-normalized vector returns it unchanged and
     load/save round trips stay bit-exact.  Weights whose sum could
     overflow (the largest above float max / n) are first divided by the
-    largest one; all others keep their bits.
+    largest one; all others keep their bits.  An entry the division takes
+    to 0, too small beside the largest, raises ValidationError naming
+    `name` and the entry: a normalized vector is positive.
     """
-    h = check_values("weights", h)
+    h = check_values(name, h, size, sum_tol)
     if h.max() > np.finfo(float).max / h.size:
         h = h / h.max()
     for _ in range(32):
@@ -162,6 +168,9 @@ def normalize_weights(h: np.ndarray) -> np.ndarray:
         if np.array_equal(scaled, h):
             break
         h = scaled
+    if not h.all():
+        raise ValidationError(f"{name} entry {int(np.argmin(h))} normalizes "
+                              f"to 0; the weights span too wide a range")
     return h
 
 
@@ -222,8 +231,7 @@ class CpsTopology:
     def __post_init__(self) -> None:
         object.__setattr__(self, "levels", tuple(self.levels))
         object.__setattr__(self, "human_interaction", normalize_weights(
-            check_values("node weights h", self.human_interaction,
-                         size=len(self.levels))))
+            self.human_interaction, "node weights h", len(self.levels)))
         # A C-ordered copy, so that freezing it leaves the caller's array
         # writable and every row sum adds in numpy's pairwise order.
         for name in ("human_interaction", "flows", "capacities",
@@ -302,6 +310,9 @@ def validate(topology: CpsTopology) -> list[str]:
     CpsTopology construction raises ValidationError on any.  Messages name
     the violated invariant and the offending node or edge.
     """
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import connected_components
+
     problems: list[str] = []
     n = topology.n
     refs = [i for i, level in enumerate(topology.levels)

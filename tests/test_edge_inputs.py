@@ -16,7 +16,7 @@ import pytest
 from cpsblotto import (EquilibriumRegimeError, ScenarioError, ValidationError,
                        battlefield_values, cross_validate, default_params,
                        generate_concentric, load_scenario, load_value_table,
-                       solve_equilibrium, write_csv)
+                       payoff_table, solve_equilibrium, write_csv)
 from cpsblotto.cli import main
 from cpsblotto.model import scenario_document
 
@@ -75,6 +75,10 @@ SCENARIOS = {
     # The weights' sum overflows.
     "h=1e308": {**_three_node(), "nodes": [
         {**node, "h": 1e308} for node in _three_node()["nodes"]]},
+    # Divided by the largest weight, 1e-300 underflows to 0.
+    "h=1e308,1e-300,1": {**_three_node(), "nodes": [
+        {**node, "h": h} for node, h in zip(_three_node()["nodes"],
+                                            (1e308, 1e-300, 1.0))]},
     "null-id": _edited("nodes", id=None),
     "string-weight": _edited("nodes", h="0.5"),
     "over-capacity": _edited("edges", flow=2.0),
@@ -139,6 +143,9 @@ SCENARIO_CELLS = {
         "fig4": "1,0,2,attacker,0.333333333,0.024",
         "oracle": (0.8278583797265626, 0.2016129032258064),
     },
+    "h=1e308,1e-300,1": _every_column(Fails(
+        ValidationError, "node weights h entry 1 normalizes to 0; the weights "
+        "span too wide a range", 1)),
     "disconnected-cyber-graph": _every_column(Fails(
         ValidationError, "cyber graph is disconnected (nodes 0 and 2)", 1)),
     "null-id": _every_column(Fails(
@@ -181,11 +188,20 @@ VALUE_CELLS = {
     "R_D/R_A=inf": {"library": _RATIO, "table1": _RATIO},
 }
 
-# A table file whose column "a" is listed twice, as raw JSON text.
-REPEATED_COLUMN = ('{"h": [0.5, 0.5], "g_columns": '
-                   '{"a": [0.9, 0.1], "a": [0.5, 0.5]}}')
-TABLE_CELLS = dict.fromkeys(("library", "table1"), Fails(
-    ScenarioError, "cannot parse table file ", 1, "repeated key 'a'"))
+# Table files as raw JSON text: one whose column "a" is listed twice, and
+# one whose h holds the weights of the scenario row "h=1e308,1e-300,1",
+# which the sum rule rejects before they are normalized.
+TABLE_FILES = {
+    "repeated-key": ('{"h": [0.5, 0.5], "g_columns": '
+                     '{"a": [0.9, 0.1], "a": [0.5, 0.5]}}'),
+    "h=1e308,1e-300,1": '{"h": [1e308, 1e-300, 1.0], "g_columns": {}}',
+}
+TABLE_CELLS = {
+    "repeated-key": dict.fromkeys(("library", "table1"), Fails(
+        ScenarioError, "cannot parse table file ", 1, "repeated key 'a'")),
+    "h=1e308,1e-300,1": dict.fromkeys(("library", "table1"), Fails(
+        ValidationError, "h sums to 1e+308, expected 1", 1)),
+}
 
 # Every subcommand that writes a file takes --out; effects takes a
 # directory, which it makes.  A path below a regular file cannot be either.
@@ -301,13 +317,13 @@ def test_value_edge_input(tmp_path, capsys, row, column, expected):
         _assert_result((float(payoff_d), float(payoff_a)), expected)
 
 
-@pytest.mark.parametrize("row, column, expected",
-                         _cells({"repeated-key": TABLE_CELLS}))
+@pytest.mark.parametrize("row, column, expected", _cells(TABLE_CELLS))
 def test_table_file_edge_input(tmp_path, capsys, row, column, expected):
     path = tmp_path / "table.json"
-    path.write_text(REPEATED_COLUMN)
+    path.write_text(TABLE_FILES[row])
     if column == "library":
-        _library(lambda: load_value_table(str(path)), expected)
+        _library(lambda: payoff_table(*load_value_table(str(path)),
+                                      budget_d=2.5, budget_a=1.0), expected)
     else:
         _cli(["table1", "--scenario", str(path)], expected, capsys)
 

@@ -54,6 +54,10 @@ def test_normalize_weights_rejects_nonpositive():
         normalize_weights(np.array([0.5, 0.0]))
     with pytest.raises(ValueError):
         normalize_weights(np.array([0.5, -0.1]))
+    # Divided by the largest, 1e-300 underflows; 1e-320 alone stays positive
+    with pytest.raises(ValidationError, match="^h entry 1 normalizes to 0;"):
+        normalize_weights([1e308, 1e-300, 1.0], "h")
+    assert normalize_weights([1.0, 1e-320])[1] == 1e-320
 
 
 _VALUES = [0.5, 0.3, 0.2]

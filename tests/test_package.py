@@ -1,6 +1,6 @@
 """The package's public names: exactly what the demos and the README use;
-every module uses each name it imports; and records that hold arrays or
-dicts compare by identity."""
+every module uses each name it imports; records that hold arrays or dicts
+compare by identity; and only the graph layers load scipy."""
 
 import ast
 import dataclasses
@@ -9,6 +9,8 @@ import importlib
 import os
 import pkgutil
 import re
+import subprocess
+import sys
 import typing
 
 import numpy as np
@@ -117,3 +119,42 @@ def test_records_that_hold_arrays_compare_by_identity():
                 cls.__name__ for cls in holders}
     assert [cls.__name__ for cls in holders
             if cls.__dataclass_params__.eq] == []
+
+
+# Run in a fresh interpreter: the game layers on given value vectors, then
+# the graph layers on the nine-node system.  Prints whether scipy is loaded
+# after each, then the defender values g as hex.
+_IMPORT_PROBE = """
+import sys
+import numpy as np
+import cpsblotto as cb
+from cpsblotto import cli
+h, g = np.array([0.4, 0.3, 0.2, 0.1]), np.array([0.1, 0.2, 0.3, 0.4])
+solution = cb.solve_equilibrium(g, h, 2.5, 1.0)
+cb.sample_allocations(solution.marginals_a, 1.0, 10,
+                      np.random.default_rng(0))
+cb.cross_validate([0.6, 0.4], [0.5, 0.5], 2.5, 1.0, iterations=200)
+cb.symmetry_sweep(h)
+cb.band_probability_table(h, (0,))
+assert cli.main(["table1", "--scenario", sys.argv[1],
+                 "--out", sys.argv[2]]) == 0
+print("scipy" in sys.modules)
+values = cb.battlefield_values(cb.default_nine_node(), cb.default_params(9))
+print("scipy" in sys.modules)
+print(values.defender.tobytes().hex())
+"""
+
+
+def test_only_the_graph_layers_load_scipy(tmp_path):
+    table = tmp_path / "table.json"
+    table.write_text('{"h": [0.5, 0.5], "g_columns": {"g": [0.3, 0.7]}}')
+    done = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, str(table),
+         str(tmp_path / "table1.csv")],
+        env=dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src")),
+        capture_output=True, text=True, timeout=120, check=True)
+    after_game, after_graph, defender = done.stdout.split()
+    assert (after_game, after_graph) == ("False", "True")
+    values = cpsblotto.battlefield_values(cpsblotto.default_nine_node(),
+                                          cpsblotto.default_params(9))
+    assert bytes.fromhex(defender) == values.defender.tobytes()
