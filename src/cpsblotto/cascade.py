@@ -11,13 +11,12 @@ second-order neighbors of the failed node; nodes further out keep their flows.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .model import CpsTopology, FlowLinks, check_node_id
-
-_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -49,64 +48,39 @@ class CascadeResult:
     raised: dict[tuple[int, int], float]
 
 
-def _dense_sum(size: int, entries: list[tuple[int, float]]) -> float:
-    """Bitwise the float `np.sum` of a length-`size` vector that holds
-    `entries` ((index, value) pairs, values >= 0) and zeros.
-
-    Up to two entries are added directly: two terms round alike in any
-    grouping, and adding a zero is exact.  More entries are written into a
-    zero vector of length `size`, and numpy sums it.
-    """
-    if len(entries) > 2:
-        vector = np.zeros(size)
-        for i, value in entries:
-            vector[i] = value
-        return float(vector.sum())
-    total = 0.0
-    for _, value in entries:
-        total += value
-    return total
-
-
-def _rebalance(links: FlowLinks, n: int, failed: int, node: int,
+def _rebalance(links: FlowLinks, failed: int, node: int,
                raised: dict[int, dict[int, float]]
                ) -> RebalanceRecord | None:
     """Restore `node`'s balance; return the accounting record, or None when
     the node has no deficit.
 
-    The deficit is the inflow the node is missing relative to its pre-failure
-    balance plus any outflow increase it has committed to since: deficit =
-    (pre_in - cur_in) + (cur_out - pre_out).  It is spread over surviving
-    incoming edges proportionally to headroom; when total headroom is smaller,
-    every surviving incoming edge saturates and the remainder is lost.
+    The deficit is the inflow the node lost from the failed node, less the
+    outflow it no longer sends there, plus the outflow increase it has
+    committed to since: its customers' rebalances keep the flows they set
+    in raised[node][customer].  A node's inflow changes only in its own
+    rebalance, so these link changes are the whole deficit.  It is one
+    `math.fsum` over them, the exact deficit rounded once, and the node has
+    a deficit when that is positive.  With no absolute cutoff, a
+    power-of-two change of the flow unit scales every deficit exactly.
 
-    A node's inflow changes only in its own rebalance, so cur_in sums its
-    pre-failure in-links without the failed node.  cur_out overlays the
-    flows its customers' rebalances set, kept in raised[node][customer], on
-    its pre-failure out-links; an unchanged row sums to pre_out.  New flows
-    go to raised[supplier][node].  Both sums add as numpy adds the node's
-    column and row of the flow matrix, so the record is bitwise the dense
-    computation's.
+    The deficit is spread over surviving incoming edges proportionally to
+    headroom (capacity minus flow, summed with `math.fsum`); when total
+    headroom is smaller, every surviving incoming edge saturates and the
+    remainder is lost.  New flows go to raised[supplier][node].
     """
-    cur_in = _dense_sum(n, [(i, flow) for i, flow in links.inflow[node].items()
-                            if i != failed])
-    outflow, changed = links.outflow[node], raised.get(node)
-    if changed is None and failed not in outflow:
-        cur_out = links.pre_out[node]
-    else:
-        row = dict(outflow)
-        row.pop(failed, None)
-        row.update(changed or ())
-        cur_out = _dense_sum(n, list(row.items()))
-    deficit = (links.pre_in[node] - cur_in) + (cur_out - links.pre_out[node])
-    if deficit <= _TOL:
+    inflow, outflow = links.inflow[node], links.outflow[node]
+    changed = raised.get(node, {})
+    deficit = math.fsum([inflow.get(failed, 0.0), -outflow.get(failed, 0.0),
+                         *changed.values(),
+                         *(-outflow.get(k, 0.0) for k in changed)])
+    if deficit <= 0.0:
         return None
 
     suppliers = [link for link in links.suppliers[node] if link[0] != failed]
     headroom = [max(capacity - flow, 0.0) for _, capacity, flow in suppliers]
-    total = _dense_sum(len(headroom), list(enumerate(headroom)))
+    total = math.fsum(headroom)
     if total >= deficit:
-        # deficit > _TOL here, so total is positive.
+        # deficit > 0 here, so total is positive.
         share = deficit / total
         for (i, _, flow), room in zip(suppliers, headroom):
             raised.setdefault(i, {})[node] = flow + room * share
@@ -157,8 +131,7 @@ def cascade_failure(topology: CpsTopology, failed: int) -> CascadeResult:
     Raises:
         ValueError: `failed` is not a node id in 0..n-1.
     """
-    n = topology.n
-    check_node_id(failed, n, "failed")
+    check_node_id(failed, topology.n, "failed")
     links = topology.flow_links
     customers = list(links.outflow[failed])
     first_order = set(customers).union(links.inflow[failed])
@@ -177,7 +150,7 @@ def cascade_failure(topology: CpsTopology, failed: int) -> CascadeResult:
             group = _pop_group(pending, held_by)
             order.append(tuple(group))
             for j in group:
-                record = _rebalance(links, n, failed, j, raised)
+                record = _rebalance(links, failed, j, raised)
                 if record is not None:
                     records.append(record)
     return CascadeResult(

@@ -187,15 +187,11 @@ class FlowLinks:
         outflow: outflow[i] maps j to the flow on each edge i -> j with flow.
         suppliers: suppliers[j] holds (i, capacity, flow) for every edge
             i -> j with capacity, the flow being 0 on an unused edge.
-        pre_in: total inflow of each node, flows.sum(axis=0).
-        pre_out: total outflow of each node, flows.sum(axis=1).
     """
 
     inflow: tuple[dict[int, float], ...]
     outflow: tuple[dict[int, float], ...]
     suppliers: tuple[tuple[tuple[int, float, float], ...], ...]
-    pre_in: tuple[float, ...]
-    pre_out: tuple[float, ...]
 
 
 def _link_lists(matrix: np.ndarray, *values: np.ndarray) -> list[list]:
@@ -233,7 +229,7 @@ class CpsTopology:
         object.__setattr__(self, "human_interaction", normalize_weights(
             self.human_interaction, "node weights h", len(self.levels)))
         # A C-ordered copy, so that freezing it leaves the caller's array
-        # writable and every row sum adds in numpy's pairwise order.
+        # writable.
         for name in ("human_interaction", "flows", "capacities",
                      "cyber_adjacency"):
             arr = np.array(getattr(self, name), dtype=float, order="C")
@@ -258,9 +254,7 @@ class CpsTopology:
         return FlowLinks(inflow=tuple(map(dict, _link_lists(F.T, F.T))),
                          outflow=tuple(map(dict, _link_lists(F, F))),
                          suppliers=tuple(map(tuple,
-                                             _link_lists(C.T, C.T, F.T))),
-                         pre_in=tuple(F.sum(axis=0).tolist()),
-                         pre_out=tuple(F.sum(axis=1).tolist()))
+                                             _link_lists(C.T, C.T, F.T))))
 
 
 def check_node_id(node: object, n: int, what: str) -> None:
