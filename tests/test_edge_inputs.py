@@ -82,6 +82,25 @@ SCENARIOS = {
     "null-id": _edited("nodes", id=None),
     "string-weight": _edited("nodes", h="0.5"),
     "over-capacity": _edited("edges", flow=2.0),
+    # Capacity and conservation do not depend on the unit of flow.
+    "tiny-over-capacity": _edited("edges", flow=4e-13, capacity=2e-13),
+    "small-scale-imbalance": _scenario(
+        [("reference", 2.0), ("main", 1.0), ("ordinary", 1.0)],
+        [(0, 1, 1e-10, 1.0), (1, 2, 2e-10, 1.0)], [(0, 1), (1, 2)],
+        t0=0.5),
+    # A node's capacity total, in plus out, overflows: with flows 1.0 the
+    # cascade's headroom sums would overflow, and with flows 1.5e308 the
+    # flow totals would.
+    "capacity-overflow-5": _scenario(
+        [("reference", 1.0)] + [("ordinary", 1.0)] * 4,
+        [(0, 1, 1.0, 1.7e308), (0, 2, 1.0, 1.7e308), (0, 4, 1.0, 1.7e308),
+         (1, 3, 1.0, 1.7e308), (2, 3, 1.0, 1.7e308), (4, 3, 1.0, 1.7e308)],
+        [(0, 1), (0, 2), (0, 4), (1, 3), (2, 3), (3, 4)], t0=0.25),
+    "capacity-overflow-4": _scenario(
+        [("reference", 1.0)] + [("ordinary", 1.0)] * 3,
+        [(0, 1, 1.5e308, 1.7e308), (0, 2, 1.5e308, 1.7e308),
+         (1, 3, 1.5e308, 1.7e308), (2, 3, 1.5e308, 1.7e308)],
+        [(0, 1), (0, 2), (1, 3), (2, 3)], t0=0.5),
     "NaN": _edited("edges", flow=float("nan")),
     # Raw JSON text: a dict cannot hold a repeated key.
     "repeated-key": json.dumps(_three_node()).replace(
@@ -154,6 +173,17 @@ SCENARIO_CELLS = {
         ScenarioError, "'h' must be a number in node entry, got \"0.5\"", 1)),
     "over-capacity": _every_column(Fails(
         ValidationError, "flow exceeds capacity on edge (0, 1)", 1)),
+    "tiny-over-capacity": _every_column(Fails(
+        ValidationError, "flow exceeds capacity on edge (0, 1)", 1)),
+    "small-scale-imbalance": _every_column(Fails(
+        ValidationError, "conservation violated at node 1: inflow 1e-10 != "
+        "outflow 2e-10", 1)),
+    "capacity-overflow-5": _every_column(Fails(
+        ValidationError, "; ".join(f"capacity total overflows at node {j}"
+                                   for j in range(5)), 1)),
+    "capacity-overflow-4": _every_column(Fails(
+        ValidationError, "; ".join(f"capacity total overflows at node {j}"
+                                   for j in range(4)), 1)),
     "NaN": _every_column(Fails(ValidationError, "flows must be finite", 1)),
     "repeated-key": _every_column(Fails(
         ScenarioError, "cannot parse scenario ", 1, "repeated key 'R_A'")),

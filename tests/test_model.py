@@ -193,7 +193,8 @@ def test_validate_flags_each_violation():
 
     F = base.flows.copy(); C = base.capacities.copy()
     F[1, 0] = 1.0; C[1, 0] = 2.0
-    with pytest.raises(ValidationError, match="one-directional"):
+    with pytest.raises(ValidationError,
+                       match="cycle in flow graph through node 0"):
         dataclasses.replace(base, flows=F, capacities=C)
 
     F = base.flows.copy(); C = base.capacities.copy()
@@ -239,6 +240,38 @@ def test_validate_flags_each_violation():
         dataclasses.replace(base, cyber_adjacency=A)
 
 
+def test_each_flow_fault_has_one_message():
+    base = small_valid_topology()
+    # Two-way edges 0 <-> 1 <-> 2, balanced at every node: a two-way edge
+    # is a strong component, which the cycle rule names.
+    F = np.array([[0.0, 1.0, 0.0],
+                  [1.0, 0.0, 1.0],
+                  [0.0, 1.0, 0.0]])
+    with pytest.raises(ValidationError,
+                       match="^cycle in flow graph through node 0$"):
+        dataclasses.replace(base, flows=F, capacities=F * 2)
+    # A balanced flow self-loop at node 1 sits on a capacity self-loop.
+    F = base.flows.copy(); C = base.capacities.copy()
+    F[1, 1] = 1.0; C[1, 1] = 2.0
+    with pytest.raises(ValidationError,
+                       match="^self-loop flows are not allowed$"):
+        dataclasses.replace(base, flows=F, capacities=C)
+
+
+@pytest.mark.parametrize("scale", [2.0 ** -40, 2.0 ** 40, 2.0 ** 60,
+                                   3.0 ** 25])
+@pytest.mark.parametrize("levels", [
+    [(1, 4.0), (12, 3.0), (48, 2.0), (240, 1.0)],
+    [(1, 4.0), (2, 2.0), (4, 2.0), (3, 1.0)]],
+    ids=["tiers_1_12_48_240", "tiers_1_2_4_3"])
+def test_construction_does_not_depend_on_the_unit_of_flow(levels, scale):
+    # Capacity is compared exactly and conservation relative to each node's
+    # throughput, so a rescaled valid system stays valid.
+    topo = generate_concentric(levels, 0.7)
+    dataclasses.replace(topo, flows=topo.flows * scale,
+                        capacities=topo.capacities * scale)
+
+
 def test_default_params_shape():
     params = default_params(9)
     assert params.alpha + params.beta == 1.0
@@ -281,6 +314,11 @@ def test_generate_concentric_rejects_bad_inputs():
     with pytest.raises(ValueError,
                        match="^level node counts must be positive$"):
         generate_concentric([(1, 4.0), (0, 2.0)], flow_fill=0.7)
+    for levels in ([(1.0, 4.0), (3, 1.0)], [(1, 4.0), (2.5, 1.0)],
+                   [(1, 4.0), (True, 1.0)]):
+        with pytest.raises(ValidationError,
+                           match="^level node counts must be integers$"):
+            generate_concentric(levels, flow_fill=0.7)
 
 
 def test_scenario_round_trip(tmp_path):
