@@ -135,42 +135,32 @@ def _passes_residual_gate(coeffs: tuple[float, float, float, float],
 
 def _bracketed_root(coeffs: tuple[float, float, float, float], lo: float,
                     hi: float, rising: bool) -> float:
-    """A root of a cubic that is monotone on [lo, hi] and changes sign
-    there, upward when rising.
+    """A point where the cubic changes sign in [lo, hi], upward when rising.
 
-    Bisects geometrically while the bracket spans more than a factor of 4,
-    so that a bracket such as [0.5, 1e299] narrows in about ten steps.  It
-    then takes Newton steps, and bisects wherever a step would leave the
-    bracket or fail to halve the step before it.  It stops on an exact
-    zero, on a Newton fixed point, or when no float lies inside the bracket.
+    The cubic needs only to change sign between the bracket's ends, not to
+    be monotone there.  Bisects geometrically while the bracket spans more
+    than a factor of 4, so that a bracket such as [0, 1e300] narrows in
+    about ten steps, and arithmetically after that; lo is floored at the
+    least positive float and hi clamped at the largest.  Returns an exact
+    zero, or, once no float lies strictly inside the bracket, the end that
+    moved last (lo if neither did): a float next to the sign change.
     """
-    a, b, c, _ = coeffs
+    lo = max(lo, math.ulp(0.0))
     hi = min(hi, sys.float_info.max)
-    mu, value, step = lo, None, math.inf
-    for _ in range(200):
-        if lo > 0.0 and hi > 4.0 * lo:
-            nxt = math.sqrt(lo) * math.sqrt(hi)
-        else:
-            nxt = lo + 0.5 * (hi - lo)
-            slope = (3.0 * a * mu + 2.0 * b) * mu + c
-            if value is not None and slope != 0.0:
-                newton = mu - value / slope
-                if newton == mu:
-                    break
-                if lo < newton < hi and abs(newton - mu) < 0.5 * step:
-                    nxt = newton
-            if not lo < nxt < hi:
-                break
-        step = abs(nxt - mu)
+    mu = lo
+    while True:
+        nxt = (math.sqrt(lo) * math.sqrt(hi) if hi > 4.0 * lo
+               else lo + 0.5 * (hi - lo))
+        if not lo < nxt < hi:
+            return mu
         mu = nxt
         value = _cubic_value(coeffs, mu)
         if value == 0.0:
-            break
+            return mu
         if (value > 0.0) == rising:
             hi = mu
         else:
             lo = mu
-    return mu
 
 
 def _head_sums(x: np.ndarray) -> np.ndarray:
@@ -249,9 +239,7 @@ def _scan_partitions(g: np.ndarray, h: np.ndarray, q: float
             # Every battlefield defender-favored: the cubic is linear.
             mu = max(-coeffs[3] / coeffs[2], x0)
         else:
-            mu = _bracketed_root(coeffs, x0, x1, v0 < 0.0)
-        if mu <= 0.0:
-            continue
+            mu = _bracketed_root(coeffs, x0, x1, v0 < v1)
         top = float(hi[split])
         if top * (1.0 - _BREAKPOINT_RTOL) <= mu < top:
             mu = top
@@ -281,15 +269,14 @@ def solve_equilibrium(g: np.ndarray, h: np.ndarray, budget_d: float,
     defender-favored side.  The solver scans the threshold partitions of
     the sorted ratios once, reading each partition's cubic in mu from
     prefix sums.  The signs of the cubics at the breakpoints and at their
-    critical points bracket every root, and one safeguarded Newton-bisection
-    solves each bracket.  When several partitions hold a consistent root,
-    it returns the largest mu: the scan runs from the largest ratios down,
-    and every root in a higher partition's interval exceeds every root in a
-    lower one's.  Within one partition it keeps the largest root.  A root
-    counts only when the cubic's terms at it neither overflow nor all
-    underflow, and its residual passes CUBIC_RESIDUAL_RTOL.  A root within
-    _BREAKPOINT_RTOL below a partition's upper breakpoint is taken to lie
-    on it.
+    critical points bracket every root, and bisection solves each bracket.
+    When several partitions hold a consistent root, it returns the largest
+    mu: the scan runs from the largest ratios down, and every root in a
+    higher partition's interval exceeds every root in a lower one's.
+    Within one partition it keeps the largest root.  A root counts only
+    when the cubic's terms at it neither overflow nor all underflow, and its
+    residual passes CUBIC_RESIDUAL_RTOL.  A root within _BREAKPOINT_RTOL
+    below a partition's upper breakpoint is taken to lie on it.
 
     lambda_D follows from the attacker budget identity; the defender
     identity then holds to the accuracy of the cubic root and is re-checked

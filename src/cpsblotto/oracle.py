@@ -14,12 +14,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, combinations
-from math import ceil, comb
+from math import ceil, comb, inf
 
 import numpy as np
 
 from .equilibrium import solve_equilibrium
-from .model import check_budgets
+from .model import check_budgets, is_integer
 
 MAX_STRATEGIES = 1_000_000
 MAX_MATRIX_ENTRIES = 20_000_000
@@ -131,8 +131,8 @@ def fictitious_play(game: DiscreteGame, iterations: int
     exact integers, so the checkpoints, mixtures and gap are bitwise the
     plain loop's.
     """
-    if iterations < 10:
-        raise ValueError("iterations must be at least 10")
+    if not is_integer(iterations) or iterations < 10:
+        raise ValueError("iterations must be an integer of at least 10")
     U_d, U_a = game.payoff_matrices()
     n_d, n_a = U_d.shape
     U_d_by_attack = np.ascontiguousarray(U_d.T)
@@ -248,20 +248,24 @@ def cross_validate(g: np.ndarray, h: np.ndarray, budget_d: float,
     the comparison.
 
     Args:
-        grid_units: units for the smaller (attacker) budget, at least 20;
-            20 is a floor, not a bound on grid error.
+        grid_units: units for the smaller (attacker) budget, an integer of
+            at least 20; 20 is a floor, not a bound on grid error.
+        iterations: fictitious-play steps, an integer of at least 10.
 
     Raises:
         ValidationError: a budget, g or h is invalid (as in solve_equilibrium).
-        ValueError: grid_units is below 20, or grid_units * R_D / R_A is
-            not finite.
+        ValueError: grid_units or iterations is not an integer or below its
+            floor, or grid_units * R_D / R_A is not finite.
     """
-    if grid_units < 20:
-        raise ValueError(
-            "grid_units must be at least 20, a floor, not an error bound")
+    if not is_integer(grid_units) or grid_units < 20:
+        raise ValueError("grid_units must be an integer of at least 20, a "
+                         "floor, not an error bound")
     check_budgets(budget_d, budget_a)
     units_a = grid_units
-    scaled_d = grid_units * float(budget_d) / float(budget_a)
+    try:
+        scaled_d = grid_units * float(budget_d) / float(budget_a)
+    except OverflowError:   # grid_units is too large for a float
+        scaled_d = inf
     if not np.isfinite(scaled_d):
         raise ValueError(f"defender units {grid_units} * R_D / R_A "
                          "must be finite")

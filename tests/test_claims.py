@@ -33,6 +33,27 @@ def test_claim_1_holds_on_random_values():
     assert worst >= -1e-12
 
 
+def test_claim_1_holds_on_generated_systems():
+    # 120 concentric systems of 3-4 tiers, 2-12 nodes in each tier below
+    # the reference, descending tier weights in [0.5, 5] and fill in
+    # [0.2, 0.95], at default parameters and R_D / R_A of 1, 2.5 and 4
+    rng = np.random.default_rng(20172)
+    worst = np.inf
+    for _ in range(120):
+        tiers = int(rng.integers(3, 5))
+        counts = [1] + rng.integers(2, 13, size=tiers - 1).tolist()
+        weights = np.sort(rng.uniform(0.5, 5.0, size=tiers))[::-1].tolist()
+        topology = generate_concentric(list(zip(counts, weights)),
+                                       float(rng.uniform(0.2, 0.95)))
+        values = battlefield_values(topology, default_params(topology.n))
+        for q in (1.0, 2.5, 4.0):
+            solution = solve_equilibrium(values.defender, values.attacker,
+                                         q, 1.0)
+            worst = min(worst,
+                        solution.payoff_d - complete_info_payoffs(q, 1.0)[0])
+    assert worst >= -1e-12
+
+
 def test_claim_2_symmetry_ratio_is_not_monotone_on_tiers_1_8_32():
     topology = generate_concentric([(1, 4.0), (8, 2.0), (32, 1.0)], 0.7)
     params = default_params(topology.n)

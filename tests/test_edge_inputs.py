@@ -359,19 +359,30 @@ def test_table_file_edge_input(tmp_path, capsys, row, column, expected):
 
 
 # R_D / R_A = 1e308 is finite, but the oracle's defender units, 25 times
-# it, are not.
-UNITS_CELLS = dict.fromkeys(("library", "oracle"), Fails(
-    ValueError, "defender units 25 * R_D / R_A must be finite", 1))
+# it, are not; 10**400 grid units are too many for any float.
+UNITS_CELLS = {
+    row: dict.fromkeys(("library", "oracle"), Fails(
+        ValueError, f"defender units {units} * R_D / R_A must be finite", 1))
+    for row, units in (("R_D=1e308,R_A=1", 25),
+                       ("grid_units=10**400", 10 ** 400))}
+# Each row's library keywords and oracle flags, at R_D = 2.5 and R_A = 1
+# unless given.
+UNITS_INPUTS = {
+    "R_D=1e308,R_A=1": ({"budget_d": 1e308}, ["--rd", "1e308", "--ra", "1"]),
+    "grid_units=10**400": ({"grid_units": 10 ** 400},
+                           ["--grid-units", str(10 ** 400)]),
+}
 
 
-@pytest.mark.parametrize("row, column, expected",
-                         _cells({"R_D=1e308,R_A=1": UNITS_CELLS}))
+@pytest.mark.parametrize("row, column, expected", _cells(UNITS_CELLS))
 def test_oracle_unit_overflow(capsys, row, column, expected):
+    keywords, flags = UNITS_INPUTS[row]
     if column == "library":
-        _library(lambda: cross_validate([0.5, 0.5], [0.5, 0.5], 1e308, 1.0),
-                 expected)
+        _library(lambda: cross_validate(
+            [0.5, 0.5], [0.5, 0.5], **{"budget_d": 2.5, "budget_a": 1.0,
+                                       **keywords}), expected)
     else:
-        _cli(["oracle", "--rd", "1e308", "--ra", "1"], expected, capsys)
+        _cli(["oracle"] + flags, expected, capsys)
 
 
 @pytest.mark.parametrize("row, column, expected",

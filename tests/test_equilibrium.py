@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import warnings
 
 import numpy as np
@@ -357,6 +358,72 @@ def test_bracketed_scan_makes_few_bracket_solves(monkeypatch):
     sol = solve_equilibrium(g, h, 1.0, 1.0)
     assert len(sol.omega_a) >= 100   # a scan over every split solves 101+
     assert 1 <= len(calls) <= 10
+
+
+def test_bracketed_scan_makes_one_bracket_solve_per_input(monkeypatch):
+    # A piece whose lower end is a root of its cubic is bisected toward
+    # that end, not toward the far one, so no input pays a second solve.
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return bracketed_root(*args)
+
+    bracketed_root = equilibrium._bracketed_root
+    monkeypatch.setattr(equilibrium, "_bracketed_root", counted)
+    for g, h, q in _bracket_cases():
+        calls.clear()
+        try:
+            _scan_partitions(g, h, q)
+        except EquilibriumRegimeError:
+            pass
+        assert len(calls) <= 1
+
+
+def _sign_change_cases():
+    """Cubics that change sign on [0, 1e300] and [0, 1], and a seeded
+    family with one or three positive roots, on brackets that start at 0
+    or end at inf.  Every bracket rises when the leading coefficient is
+    positive."""
+    yield (1.0, -3.0, 2.0, -0.5), 0.0, 1e300, True   # root 2.1915
+    yield (1.0, 0.0, 0.0, -1e-300), 0.0, 1.0, True   # root 1e-100
+    rng = np.random.default_rng(20261021)
+    for k in range(120):
+        # Roots spread over 20 decades, none or two of them negative, so
+        # that the cubic changes sign between 0 and inf; the leading
+        # coefficient a spreads over 40.
+        roots = 10.0 ** rng.uniform(-10.0, 10.0, size=3)
+        roots[1:] *= (1.0, -1.0)[k % 2]
+        a = float(rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-20.0, 20.0))
+        coeffs = tuple((a * np.poly(roots)).tolist())
+        positive = roots[roots > 0.0]
+        # Past every positive root, or short of every one, the cubic's
+        # terms sum to at most 27 times its value, so its computed sign at
+        # the bracket's ends is right.
+        lo, hi = ((0.0, np.inf), (0.0, 2.0 * positive.max()),
+                  (0.5 * positive.min(), np.inf))[k % 3]
+        yield coeffs, lo, hi, a > 0.0
+
+
+@pytest.mark.parametrize("coeffs, lo, hi, rising", _sign_change_cases())
+def test_bracketed_root_returns_a_sign_change(monkeypatch, coeffs, lo, hi,
+                                              rising):
+    # No monotonicity is assumed: the cubic changes sign within one float
+    # of the returned mu, found in at most 70 evaluations.
+    evaluations = []
+
+    def counted(coeffs, mu):
+        evaluations.append(mu)
+        return cubic_value(coeffs, mu)
+
+    cubic_value = equilibrium._cubic_value
+    monkeypatch.setattr(equilibrium, "_cubic_value", counted)
+    mu = equilibrium._bracketed_root(coeffs, lo, hi, rising)
+    assert len(evaluations) <= 70
+    near = (math.nextafter(mu, -math.inf), mu, math.nextafter(mu, math.inf))
+    values = [cubic_value(coeffs, x) for x in near]
+    assert min(values) <= 0.0 <= max(values)
+    assert lo <= mu <= hi
 
 
 # With omega_a empty each of these has a consistent root of order 1 / tiny,

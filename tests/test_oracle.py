@@ -249,6 +249,19 @@ def test_grid_floor_is_enforced():
         cross_validate([0.5, 0.5], [0.5, 0.5], 2.5, 1.0, grid_units=19)
 
 
+@pytest.mark.parametrize("keyword, value, floor", [
+    ("grid_units", 25.0, 20),
+    ("grid_units", np.float64(25), 20),
+    ("iterations", 100.5, 10),
+])
+def test_unit_and_iteration_counts_must_be_integers(keyword, value, floor):
+    # A float count once reached math.comb and raised TypeError there.
+    with pytest.raises(ValueError,
+                       match=f"^{keyword} must be an integer of at least "
+                             f"{floor}"):
+        cross_validate([0.5, 0.5], [0.5, 0.5], 2.5, 1.0, **{keyword: value})
+
+
 @pytest.mark.parametrize("budget_d, budget_a, message", [
     (np.inf, 1.0, "R_D must be finite"),
     (np.nan, 1.0, "R_D must be finite"),
