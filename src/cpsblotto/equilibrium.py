@@ -191,7 +191,10 @@ def _scan_partitions(g: np.ndarray, h: np.ndarray, q: float
     all underflow.
     """
     n = g.size
-    ratios = h / g
+    # A subnormal g_i overflows its ratio to inf: a breakpoint that only
+    # split n owns, where F is +inf as at the top knot.
+    with np.errstate(over="ignore"):
+        ratios = h / g
     order = np.argsort(ratios, kind="stable")
     sorted_ratios = ratios[order]
     gs, hs = g[order], h[order]
@@ -218,7 +221,8 @@ def _scan_partitions(g: np.ndarray, h: np.ndarray, q: float
         # that rounding cannot give the two cubics that meet there opposite
         # signs.
         owner = np.searchsorted(sorted_ratios, sorted_ratios, side="right")
-        at_breaks = _cubic_value(series, lo)[owner]
+        at_breaks = np.where(np.isinf(sorted_ratios), np.inf,
+                             _cubic_value(series, lo)[owner])
         values = np.vstack((np.concatenate(([0.0], at_breaks)),
                             _cubic_value(series, critical),
                             np.append(at_breaks, np.inf)))

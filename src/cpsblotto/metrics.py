@@ -367,6 +367,11 @@ def effective_values(h: np.ndarray, V: np.ndarray) -> np.ndarray:
     V = check_effects("interdependency matrix V", V)
     h = check_values("h", h, size=len(V))
     raw = h + V.T @ h
+    with np.errstate(over="ignore"):
+        if np.isinf(raw.sum()):
+            # A sum that overflows is taken of the values divided by the
+            # largest; every other input keeps its bits.
+            raw = raw / raw.max()
     return raw / raw.sum()
 
 

@@ -313,6 +313,9 @@ def validate(topology: CpsTopology) -> list[str]:
 
     problems: list[str] = []
     n = topology.n
+    for i, level in enumerate(topology.levels):
+        if not isinstance(level, NodeLevel):
+            problems.append(f"node {i} has level {level!r}, not a NodeLevel")
     refs = [i for i, level in enumerate(topology.levels)
             if level is NodeLevel.REFERENCE]
     if len(refs) != 1:

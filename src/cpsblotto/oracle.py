@@ -27,6 +27,14 @@ PAYOFF_TOLERANCE = 0.03
 CONVERGENCE_GAP = 0.01
 
 
+def _strategy_count(units: int, battlefields: int) -> int:
+    """The number of ways to split `units` indivisible units over
+    battlefields."""
+    if units < 0 or battlefields < 1:
+        raise ValueError("units must be >= 0 and battlefields >= 1")
+    return comb(units + battlefields - 1, battlefields - 1)
+
+
 def enumerate_strategies(units: int, battlefields: int) -> np.ndarray:
     """All ways to split `units` indivisible units over battlefields.
 
@@ -35,9 +43,7 @@ def enumerate_strategies(units: int, battlefields: int) -> np.ndarray:
     Raises:
         ValueError: the composition count exceeds MAX_STRATEGIES.
     """
-    if units < 0 or battlefields < 1:
-        raise ValueError("units must be >= 0 and battlefields >= 1")
-    count = comb(units + battlefields - 1, battlefields - 1)
+    count = _strategy_count(units, battlefields)
     if count > MAX_STRATEGIES:
         raise ValueError(
             f"{count} strategies exceed the {MAX_STRATEGIES} cap")
@@ -66,10 +72,15 @@ class DiscreteGame:
 
     def payoff_matrices(self) -> tuple[np.ndarray, np.ndarray]:
         """(U_D, U_A), indexed [defender strategy, attacker strategy]."""
+        # Sized before either strategy set is built.
+        count_d = _strategy_count(self.units_d, self.values_d.size)
+        count_a = _strategy_count(self.units_a, self.values_a.size)
+        if count_d * count_a > MAX_MATRIX_ENTRIES:
+            raise ValueError(
+                f"payoff matrix of {count_d} x {count_a} strategies would "
+                f"exceed the memory cap of {MAX_MATRIX_ENTRIES} entries")
         S_d = enumerate_strategies(self.units_d, self.values_d.size)
         S_a = enumerate_strategies(self.units_a, self.values_a.size)
-        if S_d.shape[0] * S_a.shape[0] > MAX_MATRIX_ENTRIES:
-            raise ValueError("payoff matrix would exceed the memory cap")
         U_d = np.zeros((S_d.shape[0], S_a.shape[0]))
         U_a = np.zeros_like(U_d)
         for i in range(self.values_d.size):

@@ -419,6 +419,12 @@ def test_effective_values_identity_and_saturation():
     assert np.allclose(g, 0.25)  # full coupling flattens any h to uniform
 
 
+def test_effective_values_divide_an_overflowing_sum_by_the_largest():
+    h = np.full(3, 1.0 / 3.0)
+    g = effective_values(h, np.full((3, 3), 1.7e308) * (1.0 - np.eye(3)))
+    assert np.array_equal(g, h)
+
+
 def test_effective_values_rejects_diagonal_mass():
     with pytest.raises(ValidationError):
         effective_values([0.5, 0.5], [[0.1, 0.0], [0.0, 0.0]])

@@ -168,6 +168,10 @@ def test_validate_flags_each_violation():
     with pytest.raises(ValidationError, match="reference"):
         dataclasses.replace(base, levels=(NodeLevel.MAIN,) * 3)
     with pytest.raises(ValidationError,
+                       match="^node 2 has level 'ordinary', not a NodeLevel$"):
+        dataclasses.replace(base, levels=(NodeLevel.REFERENCE, NodeLevel.MAIN,
+                                          "ordinary"))
+    with pytest.raises(ValidationError,
                        match="^node weights h must be positive$"):
         dataclasses.replace(base, human_interaction=[2.0, 0.0, 1.0])
 

@@ -59,6 +59,18 @@ def test_matrix_memory_guard():
         game.payoff_matrices()
 
 
+def test_payoff_matrices_are_sized_before_enumerating(monkeypatch):
+    calls = []
+    monkeypatch.setattr("cpsblotto.oracle.enumerate_strategies",
+                        lambda *args: calls.append(args))
+    values = np.array([0.4, 0.35, 0.25])
+    with pytest.raises(ValueError, match="^payoff matrix of 721801 x 231 "
+                       "strategies would exceed the memory cap"):
+        cross_validate(values, values, budget_d=60.0, budget_a=1.0,
+                       grid_units=20)
+    assert calls == []
+
+
 def test_single_battlefield_richer_player_always_wins():
     game = DiscreteGame(values_d=np.array([1.0]), values_a=np.array([1.0]),
                         units_d=2, units_a=1)
