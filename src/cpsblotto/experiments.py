@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from collections.abc import Iterable
 
 import numpy as np
 
@@ -19,8 +20,9 @@ from .sampling import allocation_band_probability
 COLUMN_SUM_TOL = 2e-3
 
 
-def _check_points(points: tuple[float, ...]) -> None:
-    """Sweep points must be strictly increasing within (0, 1]."""
+def _check_points(points: Iterable[float]) -> tuple[float, ...]:
+    """Sweep points as a tuple, strictly increasing within (0, 1]."""
+    points = tuple(points)
     if not points:
         raise ValidationError("sweep needs at least one point")
     last = 0.0
@@ -29,6 +31,7 @@ def _check_points(points: tuple[float, ...]) -> None:
             raise ValidationError(
                 "sweep points must be strictly increasing within (0, 1]")
         last = p
+    return points
 
 
 DEFAULT_SWEEP_POINTS = tuple(round(0.1 * k, 10) for k in range(1, 11))
@@ -104,7 +107,7 @@ def flow_capacity_sweep(points: tuple[float, ...] = DEFAULT_SWEEP_POINTS,
     Returns:
         Rows (fill ratio, defender payoff ratio, attacker payoff ratio).
     """
-    _check_points(tuple(points))
+    points = _check_points(points)
     rows = []
     for fill in points:
         topology = generate_concentric(list(levels), flow_fill=fill)
@@ -125,7 +128,6 @@ def _symmetry_path(h: np.ndarray, points: tuple[float, ...],
 
     g(theta) = (1 - theta) * g_base + theta * uniform, g_base defaulting to h.
     """
-    _check_points(tuple(points))
     h = normalize_weights(h, "h")
     g_base = h if g_base is None else normalize_weights(
         g_base, "g_base", h.size)
@@ -152,6 +154,7 @@ def symmetry_sweep(h: np.ndarray,
         Rows (theta, deviation of g, defender ratio, attacker ratio),
         ordered by theta ascending.
     """
+    points = _check_points(points)
     h, path = _symmetry_path(h, points, g_base)
     rows = []
     for theta, g in zip(points, path):
@@ -191,6 +194,7 @@ def band_probability_table(h: np.ndarray, node_ids: tuple[int, ...],
     Raises:
         ValueError: a watched node id is not an integer in 0..n-1.
     """
+    points = _check_points(points)
     h, path = _symmetry_path(h, points, g_base)
     for node in node_ids:
         check_node_id(node, h.size, "watched")

@@ -361,8 +361,9 @@ def effective_values(h: np.ndarray, V: np.ndarray) -> np.ndarray:
         Defender value vector g, positive, summing to 1.
 
     Raises:
-        ValidationError: V breaks the effect-matrix rule (check_effects), or
-            h breaks the value rule (check_values), as long as V's order.
+        ValidationError: V breaks the effect-matrix rule (check_effects),
+            h breaks the value rule (check_values), as long as V's order,
+            or an entry of g underflows to 0.
     """
     V = check_effects("interdependency matrix V", V)
     h = check_values("h", h, size=len(V))
@@ -372,7 +373,7 @@ def effective_values(h: np.ndarray, V: np.ndarray) -> np.ndarray:
             # A sum that overflows is taken of the values divided by the
             # largest; every other input keeps its bits.
             raw = raw / raw.max()
-    return raw / raw.sum()
+    return check_values("defender values g", raw / raw.sum())
 
 
 def effect_matrices(topology: CpsTopology, params: GameParams

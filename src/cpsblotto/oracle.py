@@ -146,7 +146,6 @@ def fictitious_play(game: DiscreteGame, iterations: int
         raise ValueError("iterations must be an integer of at least 10")
     U_d, U_a = game.payoff_matrices()
     n_d, n_a = U_d.shape
-    U_d_by_attack = np.ascontiguousarray(U_d.T)
 
     # Accumulated payoff against the opponent's history, seeded uniform.
     score = np.concatenate((U_d.mean(axis=1), U_a.mean(axis=0)))
@@ -154,9 +153,6 @@ def fictitious_play(game: DiscreteGame, iterations: int
     leaders = np.empty(score.size, dtype=np.intp)
     counts_d = np.zeros(n_d)
     counts_a = np.zeros(n_a)
-    argmax_d = score[:n_d].argmax
-    argmax_a = score[n_d:].argmax
-    add = score.__iadd__
     eps = np.finfo(float).eps
     score_bound = float(np.abs(score).max())
     payoff_bound = float(max(np.abs(U_d).max(), np.abs(U_a).max()))
@@ -167,11 +163,11 @@ def fictitious_play(game: DiscreteGame, iterations: int
     t = 0
     for end in (*range(step, iterations, step), iterations):
         while t < end:
-            br_d = argmax_d()
-            br_a = argmax_a()
+            br_d = score[:n_d].argmax()
+            br_a = score[n_d:].argmax()
             if (br_d, br_a) != pair:
                 pair = (br_d, br_a)
-                inc[:n_d] = U_d_by_attack[br_a]
+                inc[:n_d] = U_d[:, br_a]
                 inc[n_d:] = U_a[br_d]
                 leaders[:n_d] = br_d
                 leaders[n_d:] = n_d + br_a
@@ -181,7 +177,7 @@ def fictitious_play(game: DiscreteGame, iterations: int
                             2.0 * left * eps
                             * (score_bound + end * payoff_bound))
             for _ in range(run):
-                add(inc)
+                score += inc
             counts_d[br_d] += run
             counts_a[br_a] += run
             t += run

@@ -12,8 +12,6 @@ from .model import check_budget, check_node_id
 # ROADMAP item 1 deletes it.
 MIN_BAND_SAMPLES = 1000
 _MAX_RESAMPLE = 1000
-# Entries per block of draw_marginals' passes: 512 KiB of float64.
-_BLOCK_ENTRIES = 1 << 16
 
 
 def _cdf(atom: float, upper: float, r: float) -> float:
@@ -39,15 +37,11 @@ def draw_marginals(marginals: Marginals, rng: np.random.Generator,
     atom, upper = marginals.atom, marginals.upper
     divisor = np.where(atom < 1.0, 1.0 - atom, 1.0)
     draws = rng.random((count, atom.size))
-    # Four passes over one block of rows at a time, which stays in cache.
-    rows = max(1, _BLOCK_ENTRIES // max(1, atom.size))
-    for start in range(0, count, rows):
-        block = draws[start:start + rows]
-        block -= atom
-        # Exact zeroing: u - a is negative exactly where u < a.
-        np.maximum(block, 0.0, out=block)
-        block /= divisor
-        block *= upper
+    draws -= atom
+    # Exact zeroing: u - a is negative exactly where u < a.
+    np.maximum(draws, 0.0, out=draws)
+    draws /= divisor
+    draws *= upper
     return draws
 
 

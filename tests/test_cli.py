@@ -1,18 +1,14 @@
 """End-to-end command-line interface behavior and exit codes."""
 
 import argparse
-import dataclasses
 import json
-import re
 
 import pytest
 
-from cpsblotto import (EquilibriumRegimeError, ValidationError,
-                       battlefield_values, default_nine_node, default_params,
-                       generate_concentric, load_scenario, metrics,
-                       save_scenario)
+from cpsblotto import (EquilibriumRegimeError, battlefield_values,
+                       default_nine_node, default_params, generate_concentric,
+                       metrics, save_scenario)
 from cpsblotto.cli import build_parser, main
-from cpsblotto.model import scenario_document
 from _support import TABLE_CASES, TABLE_H
 
 
@@ -28,29 +24,6 @@ def test_validate_default_system(capsys):
     assert main(["validate"]) == 0
     out = capsys.readouterr().out
     assert out.startswith("OK: 9 nodes")
-
-
-def test_one_rule_every_entry_point(tmp_path, capsys):
-    # An over-capacity edge meets the same rule, with the same message,
-    # whether the topology is built, read from a file or checked by the CLI.
-    topology = generate_concentric([(1, 2.0), (2, 1.0)], flow_fill=0.7)
-    F = topology.flows.copy()
-    F[0, 1] = topology.capacities[0, 1] * 50.0
-    with pytest.raises(ValidationError) as built:
-        dataclasses.replace(topology, flows=F)
-    message = str(built.value)
-    assert message == "flow exceeds capacity on edge (0, 1)"
-
-    doc = scenario_document(topology, default_params(3))
-    edge = next(e for e in doc["edges"] if (e["from"], e["to"]) == (0, 1))
-    edge["flow"] = F[0, 1]
-    path = tmp_path / "over_capacity.json"
-    path.write_text(json.dumps(doc))
-    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
-        load_scenario(str(path))
-
-    assert main(["validate", "--scenario", str(path)]) == 1
-    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_solve_rejects_nan_budget(capsys):

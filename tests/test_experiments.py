@@ -108,6 +108,17 @@ def test_sweep_spec_validation():
                 sweep(points)
 
 
+def test_sweeps_read_points_given_as_an_iterator_once():
+    values = battlefield_values(default_nine_node(), default_params(9))
+    points = (0.5, 1.0)
+    for sweep in (flow_capacity_sweep,
+                  lambda p: symmetry_sweep(values.attacker, p),
+                  lambda p: band_probability_table(values.attacker, (0, 4),
+                                                   points=p)):
+        rows = sweep(iter(points))
+        assert rows and rows == sweep(points)
+
+
 def test_flow_capacity_sweep_overrides_reach_default_params():
     budgets = flow_capacity_sweep(points=(0.5,), budget_d=3.0, budget_a=1.5)
     assert budgets != flow_capacity_sweep(points=(0.5,))

@@ -425,6 +425,15 @@ def test_effective_values_divide_an_overflowing_sum_by_the_largest():
     assert np.array_equal(g, h)
 
 
+def test_effective_values_names_g_when_an_entry_underflows():
+    # the raw sum stays finite, ~0.85e308, so 1e-300 divided by it is 0
+    V = np.zeros((3, 3))
+    V[0, 1] = 1.7e308
+    with pytest.raises(ValidationError,
+                       match="^defender values g must be positive$"):
+        effective_values([0.5, 0.5, 1e-300], V)
+
+
 def test_effective_values_rejects_diagonal_mass():
     with pytest.raises(ValidationError):
         effective_values([0.5, 0.5], [[0.1, 0.0], [0.0, 0.0]])

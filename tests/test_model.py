@@ -187,7 +187,8 @@ def test_validate_flags_each_violation():
 
     F = base.flows.copy()
     F[0, 1] = 5.0  # above capacity 2
-    with pytest.raises(ValidationError, match="exceeds capacity"):
+    with pytest.raises(ValidationError,
+                       match=r"^flow exceeds capacity on edge \(0, 1\)$"):
         dataclasses.replace(base, flows=F)
 
     F = base.flows.copy()

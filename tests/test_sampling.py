@@ -257,10 +257,11 @@ def reference_sample_allocations(marginals, budget, count, rng):
 
 def test_resampler_matches_the_reference_bitwise():
     # an all-atom row has probability 0.8**3 = 0.512, so about half the rows
-    # are redrawn in the first round and several rounds follow
+    # are redrawn in the first round and several rounds follow; the
+    # 30 000-row count draws 90 000 entries, so a large draw is compared too
     heavy = Marginals(np.full(3, 0.8), [1.0 + 0.5 * i for i in range(3)])
     for seed in range(4):
-        for count in (1, 5, 4000):
+        for count in (1, 5, 4000, 30_000):
             rows = sample_allocations(heavy, 2.5, count,
                                       np.random.default_rng(seed))
             expected = reference_sample_allocations(
