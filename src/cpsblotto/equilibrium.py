@@ -360,6 +360,9 @@ def complete_info_payoffs(budget_d: float, budget_a: float
                           ) -> tuple[float, float]:
     """Closed-form payoffs when both players value battlefields identically.
 
+    The defender's payoff 1 - R_A / (2 R_D) is its guarantee for any h
+    (claim 1): uniform on [0, 2 R_D g_i], it earns that against any attack.
+
     Raises:
         ValidationError: a budget is not finite and positive, or R_D < R_A.
     """

@@ -68,8 +68,8 @@ def payoff_table(h: np.ndarray, g_columns: dict[str, np.ndarray],
 
     Each column follows the value rule (check_values), as long as h.
     Columns whose sum strays from 1 by more than COLUMN_SUM_TOL are rejected;
-    closer columns are renormalized exactly.  No column may be named "h",
-    the name of the first row.
+    closer columns are normalized by normalize_weights.  No column may be
+    named "h", the name of the first row.
 
     Returns:
         Rows (column name, defender payoff, attacker payoff), h first.

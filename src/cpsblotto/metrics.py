@@ -12,7 +12,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .model import (CpsTopology, GameParams, check_effects,
-                    check_node_id, check_values, check_weights)
+                    check_node_id, check_values, check_weights,
+                    normalize_weights)
 from .cascade import physical_effect_matrix
 
 if TYPE_CHECKING:
@@ -351,7 +352,7 @@ def effective_values(h: np.ndarray, V: np.ndarray) -> np.ndarray:
 
     Node i's raw value is h_i plus the sum over other nodes j of
     V[j, i] * h_j, the damage i's failure would inflict elsewhere; the vector
-    is then normalized to sum 1.
+    is then normalized to sum 1 by normalize_weights, as h is.
 
     Args:
         h: attacker values, positive, summing to 1.
@@ -363,17 +364,11 @@ def effective_values(h: np.ndarray, V: np.ndarray) -> np.ndarray:
     Raises:
         ValidationError: V breaks the effect-matrix rule (check_effects),
             h breaks the value rule (check_values), as long as V's order,
-            or an entry of g underflows to 0.
+            or normalize_weights rejects g's raw values.
     """
     V = check_effects("interdependency matrix V", V)
     h = check_values("h", h, size=len(V))
-    raw = h + V.T @ h
-    with np.errstate(over="ignore"):
-        if np.isinf(raw.sum()):
-            # A sum that overflows is taken of the values divided by the
-            # largest; every other input keeps its bits.
-            raw = raw / raw.max()
-    return check_values("defender values g", raw / raw.sum())
+    return normalize_weights(h + V.T @ h, "defender values g")
 
 
 def effect_matrices(topology: CpsTopology, params: GameParams

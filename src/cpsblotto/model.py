@@ -150,25 +150,20 @@ def normalize_weights(h: np.ndarray, name: str = "weights",
     """Scale a value vector so it sums to 1, once check_values(name, h,
     size, sum_tol) has passed it.
 
-    Iterates the division until the array reaches a bitwise fixed point, so
-    normalizing an already-normalized vector returns it unchanged and
-    load/save round trips stay bit-exact.  Weights whose sum could
-    overflow (the largest above float max / n) are first divided by the
-    largest one; all others keep their bits.  An entry the division takes
-    to 0, too small beside the largest, raises ValidationError naming
-    `name` and the entry: a normalized vector is positive.
+    One division by the sum, skipped when the sum is within n * eps of 1:
+    one division always lands that close, the quotients rounding by eps/2
+    and the two n-term sums, of the weights and of the quotients, adding
+    at most (n - 1) * eps/2 each (Higham 2002, section 4), so normalizing
+    is idempotent and load/save round trips are bit-exact.  Weights whose sum could overflow (the largest above float
+    max / n) are first divided by the largest.  An entry the division
+    takes to 0 raises ValidationError naming `name` and the entry.
     """
     h = check_values(name, h, size, sum_tol)
     if h.max() > np.finfo(float).max / h.size:
         h = h / h.max()
-    for _ in range(32):
-        s = h.sum()
-        if s == 1.0:
-            break
-        scaled = h / s
-        if np.array_equal(scaled, h):
-            break
-        h = scaled
+    total = h.sum()
+    if abs(total - 1.0) > h.size * np.finfo(float).eps:
+        h = h / total
     if not h.all():
         raise ValidationError(f"{name} entry {int(np.argmin(h))} normalizes "
                               f"to 0; the weights span too wide a range")
@@ -212,8 +207,8 @@ class CpsTopology:
 
     Attributes:
         levels: each node's tier.
-        human_interaction: each node's human-interaction weight, normalized
-            to sum 1 at construction (a value vector, see check_values).
+        human_interaction: each node's human-interaction weight, a value
+            vector (check_values) that normalize_weights scales to sum 1.
         flows: n x n matrix, flows[i, j] is the physical flow on edge i -> j.
         capacities: n x n matrix of edge capacities (0 where no edge exists).
         cyber_adjacency: symmetric n x n matrix of cyber link weights.
@@ -369,6 +364,11 @@ def validate(topology: CpsTopology) -> list[str]:
         problems.append("cyber adjacency diagonal must be zero")
     if np.any(A < 0):
         problems.append("cyber link weights must be non-negative")
+    # n^2 times the weight total bounds every path length, the penalty (n
+    # times the longest) and every row sum T takes, so none overflows.
+    with np.errstate(over="ignore"):
+        if not np.isfinite(n * n * A.sum()):
+            problems.append("cyber link weight total times n^2 overflows")
     # T needs a cyber path between every pair, which reaches every node.
     parts, part = connected_components(csr_matrix(A > 0), directed=False)
     if parts > 1:

@@ -1,7 +1,10 @@
 """The paper's two claims, each on the inputs where it has been tested.
 
 Claim 1: a defender whose attacker does not know the interdependencies
-earns at least the complete-information payoff 1 - R_A / (2 R_D).
+earns at least the complete-information payoff 1 - R_A / (2 R_D).  It is
+a theorem: the defender strategy uniform on [0, 2 R_D g_i] on each
+battlefield earns that payoff against any attacker, and the equilibrium
+defender, best-responding, earns at least as much.
 
 Claim 2: with more symmetric nodes the defender reaches its highest payoff.
 Criterion 6 checks the monotone reading on the nine-node system; here one
@@ -19,18 +22,28 @@ from cpsblotto import (battlefield_values, complete_info_payoffs,
 
 def test_claim_1_holds_on_random_values():
     # g and h drawn independently from one Dirichlet per input, from
-    # spiky (0.3) to near uniform (10)
+    # spiky (0.3) to near uniform (10).  The proof's security strategy,
+    # uniform on [0, 2 R_D g_i], plays the equilibrium attacker: against
+    # the atom b it wins, and against the uniform part on (0, v] it wins
+    # with probability c.  It earns the baseline or more, and the
+    # defender's best response at the equilibrium earns that or more.
     rng = np.random.default_rng(20171)
-    worst = np.inf
+    worst_secure = worst_response = np.inf
     for k in range(3000):
         n = int(rng.integers(2, 40))
         q = float(rng.uniform(1.0, 4.0))
         concentration = np.full(n, (0.3, 1.0, 10.0)[k % 3])
         g, h = rng.dirichlet(concentration), rng.dirichlet(concentration)
         solution = solve_equilibrium(g, h, q, 1.0)
-        worst = min(worst,
-                    solution.payoff_d - complete_info_payoffs(q, 1.0)[0])
-    assert worst >= -1e-12
+        b, v = solution.marginals_a.atom, solution.marginals_a.upper
+        u = 2.0 * q * g
+        c = np.where(u >= v, 1.0 - v / (2.0 * u), u / (2.0 * v))
+        secure = g @ (b + (1.0 - b) * c)
+        worst_secure = min(worst_secure,
+                           secure - complete_info_payoffs(q, 1.0)[0])
+        worst_response = min(worst_response, solution.payoff_d - secure)
+    assert worst_secure >= -1e-12
+    assert worst_response >= -1e-12
 
 
 def test_claim_1_holds_on_generated_systems():

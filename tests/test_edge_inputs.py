@@ -51,14 +51,15 @@ def _edited(section: str, **edits) -> dict:
 
 
 def _scenario(nodes: list[tuple], edges: list[tuple], cyber: list[tuple],
-              t0: float) -> dict:
+              t0: float, weight: float = 1.0) -> dict:
     """A scenario of (level, h) nodes, (from, to, flow, capacity) edges and
-    unit-weight cyber links, at the default budgets and weights."""
+    cyber links of one weight, at the default budgets and weights."""
     return {"nodes": [{"id": i, "level": level, "h": h}
                       for i, (level, h) in enumerate(nodes)],
             "edges": [{"from": i, "to": j, "flow": flow, "capacity": cap}
                       for i, j, flow, cap in edges],
-            "cyber_edges": [{"a": a, "b": b, "weight": 1.0} for a, b in cyber],
+            "cyber_edges": [{"a": a, "b": b, "weight": weight}
+                            for a, b in cyber],
             "params": {"alpha": 0.3, "beta": 0.7, "t0": t0, "R_D": 2.5,
                        "R_A": 1.0}}
 
@@ -125,6 +126,14 @@ SCENARIOS = {
         [(0, 1, 1.5e308, 1.7e308), (0, 2, 1.5e308, 1.7e308),
          (1, 3, 1.5e308, 1.7e308), (2, 3, 1.5e308, 1.7e308)],
         [(0, 1), (0, 2), (1, 3), (2, 3)], t0=0.5),
+    # The cyber path lengths' sums overflow: on the three nodes T came out
+    # wrong, and on the four-node path non-finite.
+    "cyber-weight=1e308": {**_BASE, "cyber_edges": [
+        {**edge, "weight": 1e308} for edge in _BASE["cyber_edges"]]},
+    "cyber-path-overflow-4": _scenario(
+        [("reference", 1.0), ("main", 1.0), ("main", 1.0), ("ordinary", 1.0)],
+        [(0, 1, 1.0, 2.0), (1, 2, 1.0, 2.0), (2, 3, 1.0, 2.0)],
+        [(0, 1), (1, 2), (2, 3)], t0=0.5, weight=1e307),
     # Each number a scenario holds, at NaN and at inf; "NaN" is the flow's.
     "NaN": _edited("edges", flow=nan),
     "flow=inf": _edited("edges", flow=inf),
@@ -248,6 +257,9 @@ SCENARIO_CELLS = {
     "capacity-overflow-4": _every_column(Fails(
         ValidationError, "; ".join(f"capacity total overflows at node {j}"
                                    for j in range(4)), 1)),
+    **{row: _every_column(Fails(
+        ValidationError, "cyber link weight total times n^2 overflows", 1))
+       for row in ("cyber-weight=1e308", "cyber-path-overflow-4")},
     **{row: _every_column(Fails(ValidationError, f"{name} must be finite", 1))
        for row, name in _NOT_FINITE.items()},
     "repeated-key": _every_column(Fails(

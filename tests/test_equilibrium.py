@@ -501,11 +501,16 @@ def test_lost_root_of_a_tiny_leading_coefficient_solves():
 
 
 def test_root_on_a_breakpoint_solves_with_finite_multipliers():
-    # Input 171's root is the breakpoint h_1/g_1.  Rounding puts the upper
+    # This input's root is the breakpoint h_1/g_1.  Rounding puts the upper
     # partition's root one ulp below it and clamps the lower one's onto its
     # excluded end; the solve must not fall through to the double root at
-    # zero of the all-attacker partition.
-    g, h, q = list(_bracket_cases())[171]
+    # zero of the all-attacker partition.  These are the bits of bracket
+    # case 171 when it exposed the fall-through; normalizing by one division
+    # has since moved that case's h by an ulp.
+    g = np.array([0.02328798236086257, 0.23086245666107663,
+                  0.7458495609780608])
+    h = np.array([0.06682777682325244, 0.3292251219292677, 0.60394710124748])
+    q = 1.3463584745876835
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         sol = solve_equilibrium(g, h, q, 1.0)

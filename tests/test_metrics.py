@@ -285,6 +285,17 @@ def test_cyber_effects_match_full_recomputation():
                               expected)
 
 
+def test_cyber_effects_do_not_depend_on_the_unit_of_length():
+    # Scaling by a power of 2 is exact while no sum overflows, which the
+    # construction rule on the cyber weights ensures.
+    weights = [1.5, 0.25, 3.0, 0.75]
+    path = np.diag(weights, 1)
+    for A in (path + path.T, _ring_adjacency(5, weights + [2.0])):
+        T = cyber_effect_matrix(cyber_topology(A), 0.5)
+        scaled = cyber_effect_matrix(cyber_topology(A * 2.0 ** 996), 0.5)
+        assert np.array_equal(scaled, T)
+
+
 def _ring_adjacency(n, weights):
     A = np.zeros((n, n))
     for a, w in zip(range(n), weights):
@@ -426,12 +437,27 @@ def test_effective_values_divide_an_overflowing_sum_by_the_largest():
 
 
 def test_effective_values_names_g_when_an_entry_underflows():
-    # the raw sum stays finite, ~0.85e308, so 1e-300 divided by it is 0
+    # the largest raw value, ~0.85e308, is above float max / 3, so the raw
+    # values are divided by it first, and 1e-300 divided by it is 0
     V = np.zeros((3, 3))
     V[0, 1] = 1.7e308
     with pytest.raises(ValidationError,
-                       match="^defender values g must be positive$"):
+                       match="^defender values g entry 2 normalizes to 0; "
+                             "the weights span too wide a range$"):
         effective_values([0.5, 0.5, 1e-300], V)
+
+
+def test_effective_values_divide_the_raw_values_once():
+    # The blend's raw sum is never within n * eps of 1, so g is the one
+    # division by it.
+    rng = np.random.default_rng(37)
+    for _ in range(6):
+        topo = generate_concentric(random_level_spec(rng),
+                                   float(rng.uniform(0.3, 1.0)))
+        h = normalize_weights(rng.uniform(0.2, 1.0, topo.n))
+        V = effect_matrices(topo, default_params(topo.n)).interdependency
+        raw = h + V.T @ h
+        assert np.array_equal(effective_values(h, V), raw / raw.sum())
 
 
 def test_effective_values_rejects_diagonal_mass():

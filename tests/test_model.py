@@ -33,14 +33,37 @@ def small_valid_topology() -> CpsTopology:
         cyber_adjacency=A)
 
 
-def test_normalize_weights_sums_to_one_bitwise():
+# Divided again and again until no entry moved, these weights fell into a
+# 2-cycle: normalizing the result once more moved entries 1 and 4 by 16 ulps.
+CYCLING_WEIGHTS = [0.1418484660619769, 9.4734327122382184e-04,
+                   0.69868151588177319, 0.15575618747449821,
+                   3.5838800954929185e-06, 2.7629034364323292e-03]
+
+
+def _weight_corpus():
+    """Seeded weights: uniform, Dirichlet at n = 5000 as the solver
+    benchmark draws them, lognormal spreads up to e^700 on either side of
+    1, and weights near float max."""
+    rng = np.random.default_rng(20261022)
+    yield np.array(CYCLING_WEIGHTS)
+    for _ in range(300):
+        n = int(rng.integers(1, 60))
+        yield rng.uniform(0.01, 1.0, n)
+        yield rng.dirichlet(np.full(n, rng.uniform(0.05, 10.0)))
+        centre = rng.uniform(-350.0, 350.0)
+        yield np.exp(centre + rng.uniform(-350.0, 350.0, n))
+    for _ in range(10):
+        yield rng.dirichlet(np.ones(5000))
+        yield rng.uniform(0.5, 1.0, int(rng.integers(1, 9))) * 1e308
+
+
+def test_normalize_weights_is_one_idempotent_division():
     h = np.array([3.0, 1.0, 1.0, 2.0])
-    out = normalize_weights(h)
-    assert out.sum() == 1.0
-    assert np.allclose(out, h / h.sum())
-    # already-normalized input is a fixed point
-    again = normalize_weights(out)
-    assert np.array_equal(again, out)
+    assert np.array_equal(normalize_weights(h), h / h.sum())
+    for h in _weight_corpus():
+        out = normalize_weights(h)
+        assert abs(out.sum() - 1.0) <= out.size * np.finfo(float).eps
+        assert np.array_equal(normalize_weights(out), out)
 
 
 def test_normalize_weights_survives_an_overflowing_sum():
@@ -327,6 +350,18 @@ def test_generate_concentric_rejects_bad_inputs():
 
 
 def test_scenario_round_trip(tmp_path):
+    # A copy, through the file or through dataclasses.replace, normalizes
+    # the weights again and keeps their bits.
+    cycling = dataclasses.replace(
+        generate_concentric([(1, 1.0), (2, 1.0), (3, 1.0)], 0.7),
+        human_interaction=np.array(CYCLING_WEIGHTS))
+    path = tmp_path / "cycling.json"
+    save_scenario(cycling, default_params(6), str(path))
+    for copy in (load_scenario(str(path))[0],
+                 dataclasses.replace(cycling, flows=cycling.flows.copy())):
+        assert np.array_equal(copy.human_interaction,
+                              cycling.human_interaction)
+
     topo = default_nine_node()
     params = default_params(9)
     path = tmp_path / "scenario.json"
