@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 
 import numpy as np
 
@@ -121,18 +121,23 @@ def flow_capacity_sweep(points: tuple[float, ...] = DEFAULT_SWEEP_POINTS,
     return rows
 
 
-def _symmetry_path(h: np.ndarray, points: tuple[float, ...],
-                   g_base: np.ndarray | None
-                   ) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Normalized h and the defender values g(theta) at each sweep point.
-
-    g(theta) = (1 - theta) * g_base + theta * uniform, g_base defaulting to h.
-    """
+def _solved_symmetry_path(h: np.ndarray, points: tuple[float, ...],
+                          g_base: np.ndarray | None, budget_d: float,
+                          budget_a: float) -> tuple[np.ndarray, Iterator]:
+    """Normalized h, and (theta, deviation of g, g, solution) along
+    g(theta) = (1 - theta) * g_base + theta * uniform, g_base defaulting
+    to h.  The points, h and g_base are checked at the call, in that
+    order, and each point is solved only when it is read."""
+    points = _check_points(points)
     h = normalize_weights(h, "h")
     g_base = h if g_base is None else normalize_weights(
         g_base, "g_base", h.size)
     uniform = np.full(h.size, 1.0 / h.size)
-    return h, [(1.0 - theta) * g_base + theta * uniform for theta in points]
+    path = ((theta, (1.0 - theta) * g_base + theta * uniform)
+            for theta in points)
+    return h, ((float(theta), float(g.std()), g,
+                solve_equilibrium(g, h, budget_d, budget_a))
+               for theta, g in path)
 
 
 def symmetry_sweep(h: np.ndarray,
@@ -148,20 +153,16 @@ def symmetry_sweep(h: np.ndarray,
     itself, making theta = 0 the interdependency-free game; passing a
     scenario's derived values starts the sweep at that scenario's ratio
     instead.  The deviation column is the standard deviation of g(theta),
-    which shrinks as theta grows.
+    which shrinks as theta grows.  The rows read the one solved path that
+    band_probability_table reads too.
 
     Returns:
         Rows (theta, deviation of g, defender ratio, attacker ratio),
         ordered by theta ascending.
     """
-    points = _check_points(points)
-    h, path = _symmetry_path(h, points, g_base)
-    rows = []
-    for theta, g in zip(points, path):
-        solution = solve_equilibrium(g, h, budget_d, budget_a)
-        ratio_d, ratio_a = _payoff_ratios(solution, budget_d, budget_a)
-        rows.append((float(theta), float(g.std()), ratio_d, ratio_a))
-    return rows
+    _, path = _solved_symmetry_path(h, points, g_base, budget_d, budget_a)
+    return [(theta, deviation, *_payoff_ratios(solution, budget_d, budget_a))
+            for theta, deviation, _, solution in path]
 
 
 def band_probability_table(h: np.ndarray, node_ids: tuple[int, ...],
@@ -176,12 +177,13 @@ def band_probability_table(h: np.ndarray, node_ids: tuple[int, ...],
     """Probability of allocating near the value share, across a symmetry sweep.
 
     For every sweep point theta (defender values interpolating from g_base,
-    default h, toward uniform) and every watched node, gives the exact
-    probability that the owner's equilibrium marginal puts within
-    epsilon * R of the value share s * R on that node, where R is the
-    owner's budget and s is g_i(theta) for the defender and h_i for the
-    attacker.  With lo = (s - epsilon) * R, hi = (s + epsilon) * R, atom a
-    at zero and support upper bound u, the probability is
+    default h, toward uniform, on the solved path symmetry_sweep reads)
+    and every watched node, gives the exact probability that the owner's
+    equilibrium marginal puts within epsilon * R of the value share s * R
+    on that node, where R is the owner's budget and s is g_i(theta) for
+    the defender and h_i for the attacker.  With lo = (s - epsilon) * R,
+    hi = (s + epsilon) * R, atom a at zero and support upper bound u, the
+    probability is
     a * [lo <= 0] + (1 - a) * max(0, min(hi, u) - max(lo, 0)) / u
     (see allocation_band_probability).
 
@@ -194,25 +196,17 @@ def band_probability_table(h: np.ndarray, node_ids: tuple[int, ...],
     Raises:
         ValueError: a watched node id is not an integer in 0..n-1.
     """
-    points = _check_points(points)
-    h, path = _symmetry_path(h, points, g_base)
+    h, path = _solved_symmetry_path(h, points, g_base, budget_d, budget_a)
     for node in node_ids:
         check_node_id(node, h.size, "watched")
-    rows = []
-    for theta, g in zip(points, path):
-        solution = solve_equilibrium(g, h, budget_d, budget_a)
-        deviation = float(g.std())
-        for node in node_ids:
+    return [(theta, deviation, int(node), owner, share,
+             allocation_band_probability(marginals, node, share, epsilon,
+                                         budget))
+            for theta, deviation, g, solution in path
+            for node in node_ids
             for owner, marginals, share, budget in (
-                    ("defender", solution.marginals_d, float(g[node]),
-                     budget_d),
-                    ("attacker", solution.marginals_a, float(h[node]),
-                     budget_a)):
-                prob = allocation_band_probability(marginals, node, share,
-                                                   epsilon, budget)
-                rows.append((float(theta), deviation, int(node), owner,
-                             share, prob))
-    return rows
+                ("defender", solution.marginals_d, float(g[node]), budget_d),
+                ("attacker", solution.marginals_a, float(h[node]), budget_a))]
 
 
 # ---------------------------------------------------------------------------

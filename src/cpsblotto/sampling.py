@@ -116,8 +116,10 @@ def allocation_band_probability(marginals: Marginals, battlefield: int,
             finite and positive.
     """
     check_node_id(battlefield, len(marginals), "battlefield")
-    if not (0.0 < share <= 1.0 and 0.0 < epsilon < 1.0):
-        raise ValueError("share and epsilon must lie in (0, 1] and (0, 1)")
+    if not 0.0 < epsilon < 1.0:
+        raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
+    if not 0.0 < share <= 1.0:
+        raise ValueError(f"share must lie in (0, 1], got {share}")
     check_budget("budget", budget)
     # Python floats: _cdf on numpy scalars is several times slower.
     atom = marginals.atom.item(battlefield)

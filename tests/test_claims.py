@@ -4,7 +4,9 @@ Claim 1: a defender whose attacker does not know the interdependencies
 earns at least the complete-information payoff 1 - R_A / (2 R_D).  It is
 a theorem: the defender strategy uniform on [0, 2 R_D g_i] on each
 battlefield earns that payoff against any attacker, and the equilibrium
-defender, best-responding, earns at least as much.
+defender, best-responding, earns at least as much.  Its stronger form is
+tested but not proved: as the attacker's values move from h to g, the
+defender's payoff falls to that baseline.
 
 Claim 2: with more symmetric nodes the defender reaches its highest payoff.
 Criterion 6 checks the monotone reading on the nine-node system; here one
@@ -18,6 +20,7 @@ import pytest
 from cpsblotto import (battlefield_values, complete_info_payoffs,
                        default_params, generate_concentric, solve_equilibrium,
                        symmetry_sweep)
+from cpsblotto.model import normalize_weights
 
 
 def test_claim_1_holds_on_random_values():
@@ -65,6 +68,43 @@ def test_claim_1_holds_on_generated_systems():
             worst = min(worst,
                         solution.payoff_d - complete_info_payoffs(q, 1.0)[0])
     assert worst >= -1e-12
+
+
+def test_claim_1_payoff_falls_as_the_attacker_learns():
+    # The attacker's values h(lam) = normalize((1 - lam) h + lam g) run
+    # from the uninformed attacker's h at lam = 0 to the defender's own g
+    # at lam = 1, the complete-information game.  Inputs: 300 seeded
+    # (g, h) pairs drawn as in the random-values test, R_D / R_A cycling
+    # through 1, 1.5, 2.5 and 4, and 60 concentric systems drawn as in the
+    # generated-systems test, at default parameters.
+    rng = np.random.default_rng(20173)
+    inputs = []
+    for k in range(300):
+        concentration = np.full(int(rng.integers(2, 40)),
+                                (0.3, 1.0, 10.0)[k % 3])
+        inputs.append((rng.dirichlet(concentration),
+                       rng.dirichlet(concentration),
+                       (1.0, 1.5, 2.5, 4.0)[k % 4], 1.0))
+    for _ in range(60):
+        tiers = int(rng.integers(3, 5))
+        counts = [1] + rng.integers(2, 13, size=tiers - 1).tolist()
+        weights = np.sort(rng.uniform(0.5, 5.0, size=tiers))[::-1].tolist()
+        topology = generate_concentric(list(zip(counts, weights)),
+                                       float(rng.uniform(0.2, 0.95)))
+        params = default_params(topology.n)
+        values = battlefield_values(topology, params)
+        inputs.append((values.defender, values.attacker, params.budget_d,
+                       params.budget_a))
+    worst_rise = worst_gap = 0.0
+    for g, h, budget_d, budget_a in inputs:
+        payoffs = [solve_equilibrium(
+            g, normalize_weights((1.0 - lam) * h + lam * g), budget_d,
+            budget_a).payoff_d for lam in np.linspace(0.0, 1.0, 11)]
+        worst_rise = max(worst_rise, np.diff(payoffs).max())
+        worst_gap = max(worst_gap, abs(
+            payoffs[-1] - complete_info_payoffs(budget_d, budget_a)[0]))
+    assert worst_rise <= 1e-12
+    assert worst_gap <= 1e-12
 
 
 def test_claim_2_symmetry_ratio_is_not_monotone_on_tiers_1_8_32():

@@ -1,12 +1,13 @@
 """One table of edge inputs across every entry point.
 
 Each row is an edge input: a scenario file, a value vector, a table
-file, an oracle size or an --out path that cannot be written.  Each
-column is an entry point that takes the input: the library call, and
-each CLI subcommand.  A cell pins the result, or the error type, the
-message prefix and the exit code; a CLI error is one "error: " line on
-stderr and nothing on stdout.  Files are named relative to the test's
-own directory, so the messages that name them are exact.
+file, an oracle size, a band half-width or an --out path that cannot be
+written.  Each column is an entry point that takes the input: the
+library call, and each CLI subcommand.  A cell pins the result, or the
+error type, the message prefix and the exit code; a CLI error is one
+"error: " line on stderr and nothing on stdout.  Files are named
+relative to the test's own directory, so the messages that name them are
+exact.
 """
 
 import json
@@ -16,9 +17,10 @@ from typing import NamedTuple
 import pytest
 
 from cpsblotto import (EquilibriumRegimeError, ScenarioError, ValidationError,
-                       battlefield_values, cross_validate, default_params,
-                       generate_concentric, load_scenario, load_value_table,
-                       payoff_table, solve_equilibrium, write_csv)
+                       band_probability_table, battlefield_values,
+                       cross_validate, default_params, generate_concentric,
+                       load_scenario, load_value_table, payoff_table,
+                       solve_equilibrium, write_csv)
 from cpsblotto.cli import main
 from cpsblotto.model import scenario_document
 
@@ -69,6 +71,7 @@ nan, inf = float("nan"), float("inf")
 
 SCENARIOS = {
     "R_D=R_A": _three_node(R_D=1.0, R_A=1.0),
+    "R_D<R_A": _three_node(R_D=1.0, R_A=2.0),
     "n=1": _scenario([("reference", 1.0)], [], [], t0=0.0),
     "n=2": _scenario([("reference", 2.0), ("ordinary", 1.0)],
                        [(0, 1, 0.7, 1.0)], [(0, 1)], t0=0.5),
@@ -160,6 +163,8 @@ def _every_column(outcome: Fails) -> dict:
 
 
 _RATIO = Fails(ValidationError, "budget ratio R_D / R_A must be finite", 1)
+_BUDGETS = Fails(ValidationError, "defender budget must be >= attacker budget",
+                 1)
 
 # The values each non-finite row's message names.
 _NOT_FINITE = {"NaN": "flows", "flow=inf": "flows",
@@ -228,6 +233,7 @@ SCENARIO_CELLS = {
         "fig4": "1,0,1,attacker,0.333333333,0.0144",
         "oracle": (0.8079877112135176, 0.20161290322580644),
     },
+    "R_D<R_A": _every_column(_BUDGETS),
     "R_D/R_A=inf": _every_column(_RATIO),
     # The cells of the same file with every h = 1: the weights are 1/3 each.
     "h=1e308": {
@@ -273,6 +279,7 @@ SCENARIO_CELLS = {
 VALUES = {
     "R_D=R_A,g!=h": ([0.5, 0.3, 0.2], [0.2, 0.3, 0.5], 1.0, 1.0),
     "R_D=R_A,g=h": ([0.5, 0.3, 0.2], [0.5, 0.3, 0.2], 1.0, 1.0),
+    "R_D<R_A": ([0.6, 0.4], [0.3, 0.7], 1.0, 2.0),
     "tied-ratios": ([0.4, 0.4, 0.2], [0.3, 0.3, 0.4], 2.5, 1.0),
     # The column's only consistent partitions have roots whose cubic terms
     # overflow.
@@ -291,6 +298,7 @@ _REGIME = Fails(EquilibriumRegimeError, "no equilibrium in solver's regime",
 VALUE_CELLS = {
     "R_D=R_A,g!=h": {"library": (0.59, 0.59), "table1": (0.59, 0.59)},
     "R_D=R_A,g=h": {"library": (0.5, 0.5), "table1": (0.5, 0.5)},
+    "R_D<R_A": {"library": _BUDGETS, "table1": _BUDGETS},
     "tied-ratios": {"library": (0.8285714285714285, 0.2),
                     "table1": (0.828571429, 0.2)},
     "tiny-values": {"library": _REGIME, "table1": _REGIME},
@@ -528,6 +536,24 @@ def test_oracle_unit_overflow(capsys, row, column, expected):
                                        **keywords}), expected)
     else:
         _cli(["oracle"] + flags, expected, capsys)
+
+
+# The band half-width, each row's text read as a float: fig4 passes
+# --epsilon to band_probability_table, which passes it to
+# allocation_band_probability.
+EPSILON_CELLS = {
+    row: dict.fromkeys(("band_probability_table", "fig4 --epsilon"), Fails(
+        ValueError, f"epsilon must lie in (0, 1), got {float(row)}", 1))
+    for row in ("0", "1", "nan", "inf", "-0.1")}
+
+
+@pytest.mark.parametrize("row, column, expected", _cells(EPSILON_CELLS))
+def test_band_epsilon(capsys, row, column, expected):
+    if column == "band_probability_table":
+        _library(lambda: band_probability_table(
+            [0.5, 0.5], (0,), points=(1.0,), epsilon=float(row)), expected)
+    else:
+        _cli(["fig4", "--epsilon", row], expected, capsys)
 
 
 @pytest.mark.parametrize("row, column, expected", _cells(OUT_CELLS))

@@ -1,5 +1,7 @@
 """Joint allocation sampling from the equilibrium marginals."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from cpsblotto import (band_probability_table, battlefield_values,
                        default_nine_node, default_params, sample_allocations,
                        solve_equilibrium)
 from cpsblotto.equilibrium import Marginals
-from cpsblotto.experiments import DEFAULT_SWEEP_POINTS, _symmetry_path
+from cpsblotto.experiments import DEFAULT_SWEEP_POINTS
 from cpsblotto.sampling import allocation_band_probability, draw_marginals
 
 UNIFORM4 = np.full(4, 0.25)
@@ -100,9 +102,14 @@ def test_band_probability_validates_inputs():
     for budget in (0.0, -1.0, np.inf, np.nan):
         with pytest.raises(ValueError, match="budget must be finite"):
             allocation_band_probability(marginals, 0, 0.3, 0.05, budget)
-    for share, epsilon in ((1.5, 0.05), (0.0, 0.05), (0.3, 0.0), (0.3, 1.0)):
-        with pytest.raises(ValueError, match="share and epsilon"):
-            allocation_band_probability(marginals, 0, share, epsilon, 1.0)
+    for share in (1.5, 0.0):
+        with pytest.raises(ValueError, match=re.escape(
+                f"share must lie in (0, 1], got {share}")):
+            allocation_band_probability(marginals, 0, share, 0.05, 1.0)
+    for epsilon in (0.0, 1.0):
+        with pytest.raises(ValueError, match=re.escape(
+                f"epsilon must lie in (0, 1), got {epsilon}")):
+            allocation_band_probability(marginals, 0, 0.3, epsilon, 1.0)
     # a one-node system's only value share is 1
     assert allocation_band_probability(marginals, 0, 1.0, 0.05,
                                        1.0) == pytest.approx(0.05, abs=1e-15)
@@ -153,8 +160,11 @@ def test_band_table_matches_the_reference_cdf_bitwise():
     nodes = tuple(range(9))
     rows = band_probability_table(values.attacker, nodes,
                                   g_base=values.defender)
-    h, path = _symmetry_path(values.attacker, DEFAULT_SWEEP_POINTS,
-                             values.defender)
+    # g(theta) as the library builds it: theta * (1 / n) is bitwise
+    # theta * np.full(n, 1 / n), and theta / n is not
+    h, g_base = values.attacker, values.defender
+    path = [(1.0 - theta) * g_base + theta * (1.0 / h.size)
+            for theta in DEFAULT_SWEEP_POINTS]
     assert len(rows) == len(path) * len(nodes) * 2
     rows = iter(rows)
     for g in path:
